@@ -12,6 +12,7 @@ from kmcrystals import (
     character,
     closed_family_instance,
     decompose,
+    decompose_tensor,
     freudenthal_multiplicities,
     generate_highest_weight_crystal,
     positive_roots,
@@ -29,6 +30,14 @@ table = decompose(product)
 for wt, mult in table.sorted_entries():
     print("component", rd.pairing_vector(wt), "multiplicity", mult)
 print("product size:", product.node_count())
+
+# The same table without building the product: the highest-weight elements
+# of B(L1) (x) B(L2) are b_L1 (x) b with eps_k(b) <= <h_k, L1>, so the
+# factors alone determine the decomposition.
+fast = decompose_tensor(rd, [(1, 0), (0, 1)])
+print("materialized route:\n" + table.to_tsv(), end="")
+print("highest-weight rule:\n" + fast.to_tsv(), end="")
+assert fast.to_tsv() == table.to_tsv()
 
 # The dimension oracle: a product over positive roots.
 print("positive roots of A2:", positive_roots(rd))

@@ -26,6 +26,7 @@ from .explorer import (
     character,
     closed_family_instance,
     decompose,
+    decompose_tensor,
     finite_type_check,
     freudenthal_multiplicities,
     generate,
@@ -89,6 +90,7 @@ __all__ = [
     "check_strict_morphism",
     "closed_family_instance",
     "decompose",
+    "decompose_tensor",
     "embed_psi",
     "embedding_mismatches",
     "eps_bar",

@@ -6,7 +6,11 @@ table, ``verify`` runs one of the built-in verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 node
 budget exceeded.  The node budget is controlled by the environment
-variable CRYSTAL_NODE_BUDGET (default 10^6 nodes).
+variable CRYSTAL_NODE_BUDGET (default 10^6 nodes).  It bounds every graph
+a command generates.  ``tensor`` without ``--depth`` decomposes by the
+highest-weight rule and generates only the factors, so there the budget
+bounds each factor, not the product; with ``--depth`` the truncated
+product is built and the budget bounds it too.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .explorer import (
     character,
     closed_family_instance,
     decompose,
+    decompose_tensor,
     finite_type_check,
     freudenthal_multiplicities,
     generate_highest_weight_crystal,
@@ -136,12 +141,14 @@ def cmd_tensor(args) -> int:
         if any(x < 0 for x in w):
             return _fail_usage(f"weight {text} is not dominant")
     try:
-        factors = [generate_highest_weight_crystal(rd, w, depth=args.depth) for w in weights]
-        product = tensor_product_graph(rd, factors, depth=args.depth)
+        if args.depth is None:
+            table = decompose_tensor(rd, weights)
+        else:
+            factors = [generate_highest_weight_crystal(rd, w, depth=args.depth) for w in weights]
+            table = decompose(tensor_product_graph(rd, factors, depth=args.depth))
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    table = decompose(product)
     tsv = f"# complete: {str(table.complete).lower()}\n" + table.to_tsv()
     wrote = False
     if args.tsv:

@@ -173,12 +173,6 @@ class CrystalGraph:
     def sorted_edges(self) -> list[tuple[str, int, str]]:
         return sorted(self.edges)
 
-    def out_edge(self, src: str, k: int) -> str | None:
-        for (a, c, b) in self.edges:
-            if a == src and c == k:
-                return b
-        return None
-
     def element(self, key: str) -> CrystalElement:
         return self.nodes[key].element
 

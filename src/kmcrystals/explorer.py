@@ -3,7 +3,9 @@
 Generation is a breadth-first closure of a seed set under every e_k and
 f_k, up to an optional depth bound; nodes left unexpanded are frontier
 nodes.  Analyses (highest-weight scan, decomposition, characters,
-isomorphism) are read-only passes over a generated graph.
+isomorphism) are read-only passes over a generated graph, except
+``decompose_tensor``, which decomposes a tensor product from its factors
+alone.
 
 The oracles at the bottom (positive-root enumeration, the product formula
 for dimensions, the multiplicity recursion) are classical finite-type
@@ -156,7 +158,7 @@ def tensor_product_graph(
 
 @dataclass
 class DecompositionTable:
-    """Highest weights with multiplicities found in an explored crystal."""
+    """Highest weights with multiplicities of an explored crystal or a tensor product."""
 
     entries: dict[Weight, int]
     complete: bool
@@ -228,6 +230,36 @@ def decompose(g: CrystalGraph) -> DecompositionTable:
         flagged=flagged,
         component_sizes=sizes,
     )
+
+
+def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
+    """Decompose B(lambda_1) (x) ... (x) B(lambda_n) without building the product.
+
+    Under this library's tensor convention the highest-weight elements of
+    B(nu) (x) B(mu) are exactly b_nu (x) b with eps_k(b) <= <h_k, nu> for
+    every k (Kashiwara's tensor rule), and each spans a copy of
+    B(nu + wt(b)).  Folding that rule left to right needs only the factors
+    and the running table, never the product crystal.
+
+    Every factor is generated in full, so the node budget bounds each
+    factor, not the product; an infinite factor raises BudgetExceeded.
+    ``component_sizes`` stays empty, as there are no product nodes to key.
+    ``decompose(tensor_product_graph(...))`` is the reference route.
+    """
+    if not weights:
+        raise ValueError("decompose_tensor needs at least one factor")
+    first, *rest = [generate_highest_weight_crystal(rd, lam) for lam in weights]
+    entries = {first.nodes[first.generators[0]].weight: 1}
+    for g in rest:
+        step: dict[Weight, int] = {}
+        for nu, mult in entries.items():
+            caps = rd.pairing_vector(nu)
+            for nd in g.nodes.values():
+                if all(e <= c for e, c in zip(nd.eps, caps)):
+                    wt = nu + nd.weight
+                    step[wt] = step.get(wt, 0) + mult
+        entries = step
+    return DecompositionTable(entries=entries, complete=True, depth=None)
 
 
 def is_isomorphic(g1: CrystalGraph, g2: CrystalGraph):

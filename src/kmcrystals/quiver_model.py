@@ -289,22 +289,6 @@ def _model_op(rd: RootDatum, x: ModelElement, k: int, op: str):
     return None if phi == 0 else x.with_delta(k, f_slot, +1)
 
 
-def model_eps(rd: RootDatum, x: ModelElement, k: int) -> int:
-    return x.eps(rd, k)
-
-
-def model_phi(rd: RootDatum, x: ModelElement, k: int) -> int:
-    return x.phi(rd, k)
-
-
-def model_e(rd: RootDatum, x: ModelElement, k: int):
-    return x.e(rd, k)
-
-
-def model_f(rd: RootDatum, x: ModelElement, k: int):
-    return x.f(rd, k)
-
-
 def embed_psi(rd: RootDatum, x: ModelElement, win: tuple[int, int]) -> TensorElement:
     """The capped tensor realization of a profile over an explicit slot window.
 

@@ -20,6 +20,61 @@ lambda\troot\tmultiplicity
 """
 
 
+GOLDEN_TENSOR_JSON = """{
+  "entries": [
+    {
+      "weight": {
+        "lambda": [
+          1,
+          1
+        ],
+        "root": [
+          0,
+          0
+        ]
+      },
+      "multiplicity": 1
+    },
+    {
+      "weight": {
+        "lambda": [
+          1,
+          1
+        ],
+        "root": [
+          1,
+          1
+        ]
+      },
+      "multiplicity": 1
+    }
+  ],
+  "complete": true,
+  "depth": null,
+  "flagged": []
+}
+"""
+
+# affineA1 B(1,0) (x) B(0,1) truncated at depth 3: both highest-weight
+# components are infinite, so they are flagged and the table stays empty.
+GOLDEN_AFFINE_TSV = """# complete: false
+lambda\troot\tmultiplicity
+"""
+
+GOLDEN_AFFINE_JSON = """{
+  "entries": [],
+  "complete": false,
+  "depth": 3,
+  "flagged": [
+    "{\\"Tensor\\":[{\\"Model\\":{\\"w\\":{\\"0\\":[1,0]},\\"v\\":{}}},\
+{\\"Model\\":{\\"w\\":{\\"0\\":[0,1]},\\"v\\":{\\"1,1\\":1,\\"2,1\\":1}}}]}",
+    "{\\"Tensor\\":[{\\"Model\\":{\\"w\\":{\\"0\\":[1,0]},\\"v\\":{}}},\
+{\\"Model\\":{\\"w\\":{\\"0\\":[0,1]},\\"v\\":{}}}]}"
+  ]
+}
+"""
+
+
 def test_graph_golden_bytes(tmp_path):
     paths = [tmp_path / "a.dot", tmp_path / "b.dot"]
     for path in paths:
@@ -40,6 +95,21 @@ def test_tensor_golden_bytes(tmp_path):
     blobs = [path.read_bytes() for path in paths]
     assert blobs[0] == blobs[1]
     assert blobs[0].decode() == GOLDEN_TSV
+
+
+def test_tensor_json_golden_bytes(tmp_path):
+    path = tmp_path / "t.json"
+    assert main(["tensor", "--preset", "A2", "--weight", "1,0", "--weight", "0,1",
+                 "--json", str(path)]) == 0
+    assert path.read_text() == GOLDEN_TENSOR_JSON
+
+
+def test_tensor_depth_golden_bytes(tmp_path):
+    tsv, js = tmp_path / "aff.tsv", tmp_path / "aff.json"
+    assert main(["tensor", "--preset", "affineA1", "--weight", "1,0", "--weight", "0,1",
+                 "--depth", "3", "--tsv", str(tsv), "--json", str(js)]) == 0
+    assert tsv.read_text() == GOLDEN_AFFINE_TSV
+    assert js.read_text() == GOLDEN_AFFINE_JSON
 
 
 def test_graph_json_output(tmp_path):
@@ -88,6 +158,31 @@ def test_budget_exits_3(tmp_path, monkeypatch):
     monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "2")
     code = main(["graph", "--preset", "A2", "--weight", "1,0", "--dot", str(tmp_path / "x.dot")])
     assert code == 3
+
+
+def test_tensor_budget_bounds_factors_only(tmp_path, monkeypatch):
+    # 8-node factors, 64-node product: only the factors count against the budget
+    monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "10")
+    path = tmp_path / "t.tsv"
+    assert main(["tensor", "--preset", "A2", "--weight", "1,1", "--weight", "1,1",
+                 "--tsv", str(path)]) == 0
+    monkeypatch.delenv("CRYSTAL_NODE_BUDGET")
+    unbudgeted = tmp_path / "u.tsv"
+    assert main(["tensor", "--preset", "A2", "--weight", "1,1", "--weight", "1,1",
+                 "--tsv", str(unbudgeted)]) == 0
+    assert path.read_text() == unbudgeted.read_text()
+
+
+def test_tensor_budget_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "2")
+    path = tmp_path / "t.tsv"
+    assert main(["tensor", "--preset", "A2", "--weight", "1,0", "--weight", "0,1",
+                 "--tsv", str(path)]) == 3
+    # an infinite factor without --depth
+    monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "50")
+    assert main(["tensor", "--preset", "affineA1", "--weight", "0,0", "--weight", "1,0",
+                 "--tsv", str(path)]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_root_datum_file(tmp_path, capsys):

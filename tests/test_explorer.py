@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kmcrystals import (
     BkElement,
@@ -7,6 +10,7 @@ from kmcrystals import (
     character,
     closed_family_instance,
     decompose,
+    decompose_tensor,
     finite_type_check,
     freudenthal_multiplicities,
     generate,
@@ -24,7 +28,18 @@ from kmcrystals.tensor import TensorElement
 RD1 = build_root_datum("A1")
 RD2 = build_root_datum("A2")
 RD3 = build_root_datum("A3")
+RD4 = build_root_datum("D4")
 RDA = build_root_datum("affineA1")
+
+
+def decompose_both(rd, weights):
+    """The product-graph table, after checking that decompose_tensor agrees."""
+    graphs = [generate_highest_weight_crystal(rd, w) for w in weights]
+    table = decompose(tensor_product_graph(rd, graphs))
+    fast = decompose_tensor(rd, weights)
+    assert fast.to_tsv() == table.to_tsv()
+    assert fast.to_json_dict() == table.to_json_dict()
+    return table
 
 
 def test_generate_sl2():
@@ -73,26 +88,20 @@ def test_hw_scan_on_bk_window():
 
 
 def test_decompose_sl2_square():
-    g = generate_highest_weight_crystal(RD1, (1,))
-    product = tensor_product_graph(RD1, [g, g])
-    table = decompose(product)
+    table = decompose_both(RD1, [(1,), (1,)])
     assert table.complete and not table.flagged
     assert table.entries == {Weight((2,), (0,)): 1, Weight((2,), (1,)): 1}
     assert sorted(table.component_sizes.values()) == [1, 3]
 
 
 def test_decompose_a2_pair():
-    g1 = generate_highest_weight_crystal(RD2, (1, 0))
-    g2 = generate_highest_weight_crystal(RD2, (0, 1))
-    table = decompose(tensor_product_graph(RD2, [g1, g2]))
+    table = decompose_both(RD2, [(1, 0), (0, 1)])
     assert table.entries == {Weight((1, 1), (0, 0)): 1, Weight((1, 1), (1, 1)): 1}
     assert sorted(table.component_sizes.values()) == [1, 8]
 
 
 def test_decompose_with_unit_factor():
-    g0 = generate_highest_weight_crystal(RD2, (0, 0))
-    g = generate_highest_weight_crystal(RD2, (2, 1))
-    table = decompose(tensor_product_graph(RD2, [g0, g]))
+    table = decompose_both(RD2, [(0, 0), (2, 1)])
     assert list(table.entries.values()) == [1]
     ((wt, _),) = table.entries.items()
     assert RD2.pairing_vector(wt) == (2, 1)
@@ -217,7 +226,7 @@ def test_decomposition_sum_rule():
 def test_triple_decomposition_is_associative():
     weights = ((1,), (1,), (1,))
     graphs = [generate_highest_weight_crystal(RD1, w) for w in weights]
-    flat = decompose(tensor_product_graph(RD1, graphs))
+    flat = decompose_both(RD1, weights)
     pair = tensor_product_graph(RD1, graphs[:2])
     # decompose the pair, then tensor each component against the third factor
     iterated: dict = {}
@@ -235,6 +244,44 @@ def test_triple_decomposition_is_associative():
         key = RD1.pairing_vector(wt)
         iter_by_pairing[key] = iter_by_pairing.get(key, 0) + m
     assert flat_by_pairing == iter_by_pairing == {(3,): 1, (1,): 2}
+
+
+@pytest.mark.parametrize("rd, weights", [
+    (RD2, [(1, 0), (0, 1), (1, 1)]),
+    (RD2, [(2, 0), (1, 0), (0, 1)]),
+    (RD3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    (RD3, [(1, 0, 1), (0, 1, 0), (1, 0, 0)]),
+    (RD4, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    (RD1, [(2,), (1,), (1,), (3,)]),
+    (RD2, [(1, 0), (0, 0), (0, 1)]),
+    (RD3, [(0, 0, 0), (0, 0, 0)]),
+    (build_root_datum("E6"), [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)]),
+])
+def test_decompose_tensor_matches_product_graph(rd, weights):
+    table = decompose_both(rd, weights)
+    total = sum(weyl_dim(rd, wt) * m for wt, m in table.entries.items())
+    sizes = [weyl_dim(rd, rd.weight(w)) for w in weights]
+    assert total == math.prod(sizes)
+
+
+# The reference route materializes the product, so draws whose product has
+# more than PRODUCT_LIMIT elements are skipped to keep its memory and time small.
+PRODUCT_LIMIT = 1500
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decompose_tensor_property_a2_a3(data):
+    rd = data.draw(st.sampled_from([RD2, RD3]))
+    weight = st.tuples(*[st.integers(0, 1)] * rd.n)
+    weights = data.draw(st.lists(weight, min_size=2, max_size=3))
+    assume(math.prod(weyl_dim(rd, rd.weight(w)) for w in weights) <= PRODUCT_LIMIT)
+    decompose_both(rd, weights)
+
+
+def test_decompose_tensor_needs_a_factor():
+    with pytest.raises(ValueError, match="at least one"):
+        decompose_tensor(RD2, [])
 
 
 def test_tensor_product_graph_guards_frontier():
