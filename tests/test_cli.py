@@ -1,6 +1,10 @@
 import json
+from pathlib import Path
 
+from kmcrystals import build_root_datum, closed_family_instance
 from kmcrystals.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_DOT = """digraph crystal {
   rankdir=TB;
@@ -110,6 +114,27 @@ def test_tensor_depth_golden_bytes(tmp_path):
                  "--depth", "3", "--tsv", str(tsv), "--json", str(js)]) == 0
     assert tsv.read_text() == GOLDEN_AFFINE_TSV
     assert js.read_text() == GOLDEN_AFFINE_JSON
+
+
+def test_graph_json_golden_bytes(tmp_path):
+    # all 8 node ids of B(1,1) on A2, which pin the element keys
+    path = tmp_path / "g.json"
+    assert main(["graph", "--preset", "A2", "--weight", "1,1", "--json", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / "graph_A2_11.json").read_bytes()
+
+
+def test_graph_json_frontier_golden_bytes(tmp_path):
+    path = tmp_path / "aff.json"
+    assert main(["graph", "--preset", "affineA1", "--weight", "1,0", "--depth", "2",
+                 "--json", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / "graph_affineA1_10_depth2.json").read_bytes()
+
+
+def test_closed_family_witness_golden():
+    iso, mapping, reason = closed_family_instance(build_root_datum("A2"), (1, 0), (0, 1))
+    assert iso and reason == ""
+    text = json.dumps(sorted(mapping.items()), indent=1) + "\n"
+    assert text == (GOLDEN / "closed_A2_10_01_witness.json").read_text()
 
 
 def test_graph_json_output(tmp_path):
