@@ -50,14 +50,7 @@ from .quiver_model import (
     rank_complex,
     wprofile,
 )
-from .root_datum import (
-    RootDatum,
-    Weight,
-    add_alpha,
-    build_root_datum,
-    load_root_datum,
-    subtract_alpha,
-)
+from .root_datum import RootDatum, Weight, build_root_datum, load_root_datum
 from .tensor import TensorElement, binary_e, binary_eps, binary_f, binary_phi, flatten, tensor
 
 __version__ = "0.1.0"
@@ -77,7 +70,6 @@ __all__ = [
     "TensorElement",
     "WProfile",
     "Weight",
-    "add_alpha",
     "auto_window",
     "binary_e",
     "binary_eps",
@@ -109,7 +101,6 @@ __all__ = [
     "phi_bar",
     "positive_roots",
     "rank_complex",
-    "subtract_alpha",
     "tensor",
     "tensor_product_graph",
     "weyl_dim",

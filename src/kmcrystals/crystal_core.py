@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .root_datum import RootDatum, Weight
 
@@ -91,9 +90,11 @@ def ext_serialize(x):
 class CrystalElement(ABC):
     """One element of a crystal; all operations are pure.
 
-    Operators return None for the formal zero.  ``serialize`` must be
-    injective on structurally distinct elements; its compact JSON dump is
-    the canonical key used for hashing and node identity.
+    Operators return None for the formal zero.  Identity is structural:
+    concrete elements are frozen dataclasses, compared with ``==`` and
+    hashed by value.  ``serialize`` must be injective on structurally
+    distinct elements; its compact JSON dump, ``key``, is the element's
+    label at the JSON/DOT boundary and the node id of explored graphs.
     """
 
     @abstractmethod
@@ -115,7 +116,7 @@ class CrystalElement(ABC):
     def serialize(self) -> dict: ...
 
     def key(self) -> str:
-        return _element_key(self)
+        return json.dumps(self.serialize(), separators=(",", ":"))
 
     def kind(self) -> str:
         (tag,) = self.serialize().keys()
@@ -126,11 +127,6 @@ class CrystalElement(ABC):
 
     def phi_vector(self, rd: RootDatum) -> tuple:
         return tuple(self.phi(rd, k) for k in rd.vertices())
-
-
-@lru_cache(maxsize=None)
-def _element_key(x: "CrystalElement") -> str:
-    return json.dumps(x.serialize(), separators=(",", ":"))
 
 
 @dataclass
@@ -150,6 +146,8 @@ class CrystalGraph:
     ``edges`` holds (src_key, k, dst_key) triples meaning f_k(src) = dst,
     equivalently e_k(dst) = src.  ``generators`` are the seed keys the
     exploration started from; ``depth_bound`` is None for a full expansion.
+    ``index`` maps each node's element to its key, so operator images are
+    resolved to nodes structurally, without serializing them.
     """
 
     rd: RootDatum
@@ -157,6 +155,7 @@ class CrystalGraph:
     edges: set[tuple[str, int, str]] = field(default_factory=set)
     generators: tuple[str, ...] = ()
     depth_bound: int | None = None
+    index: dict[CrystalElement, str] = field(default_factory=dict, init=False)
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -208,16 +207,14 @@ def check_axioms(g: CrystalGraph) -> list[str]:
                     violations.append(f"(b) wt(e_{k} b) != wt(b)+alpha at {key}")
                 if eb.eps(rd, k) != ep - 1 or eb.phi(rd, k) != ph + 1:
                     violations.append(f"(b) eps/phi shift wrong under e_{k} at {key}")
-                back = eb.f(rd, k)
-                if back is None or back.key() != key:
+                if eb.f(rd, k) != b:
                     violations.append(f"(d) f_{k} e_{k} b != b at {key}")
             if fb is not None:
                 if fb.weight(rd) != wt.subtract_alpha(k):
                     violations.append(f"(c) wt(f_{k} b) != wt(b)-alpha at {key}")
                 if fb.eps(rd, k) != ep + 1 or fb.phi(rd, k) != ph - 1:
                     violations.append(f"(c) eps/phi shift wrong under f_{k} at {key}")
-                back = fb.e(rd, k)
-                if back is None or back.key() != key:
+                if fb.e(rd, k) != b:
                     violations.append(f"(d) e_{k} f_{k} b != b at {key}")
     # recorded edges must agree with the operators in both directions
     outgoing: set[tuple[str, int]] = set()
@@ -229,11 +226,10 @@ def check_axioms(g: CrystalGraph) -> list[str]:
             violations.append(f"duplicate incoming {k}-edge at {dst}")
         outgoing.add((src, k))
         incoming.add((dst, k))
-        fd = g.nodes[src].element.f(g.rd, k)
-        if fd is None or fd.key() != dst:
+        src_element, dst_element = g.nodes[src].element, g.nodes[dst].element
+        if src_element.f(rd, k) != dst_element:
             violations.append(f"(d) edge ({src},{k},{dst}) not f_{k}(src)")
-        ed = g.nodes[dst].element.e(g.rd, k)
-        if ed is None or ed.key() != src:
+        if dst_element.e(rd, k) != src_element:
             violations.append(f"(d) edge ({src},{k},{dst}) not e_{k}-inverted")
     return violations
 
@@ -271,9 +267,10 @@ def check_normal(g: CrystalGraph) -> NormalReport:
             if nxt is None:
                 return steps
             steps += 1
-            node = g.nodes.get(nxt.key())
-            if node is None:
+            nxt_key = g.index.get(nxt)
+            if nxt_key is None:
                 return None  # image outside the explored region
+            node = g.nodes[nxt_key]
 
     for key, nd in g.nodes.items():
         for k in rd.vertices():
@@ -357,11 +354,11 @@ def check_strict_morphism(
                 if dst_img is None:
                     violations.append(f"{op}_{k} non-None/None mismatch at {key}")
                     continue
-                mapped = mapping.get(src_img.key())
+                mapped = mapping.get(g1.index.get(src_img))
                 if mapped is None:
                     skipped += 1
                     continue
-                if mapped != dst_img.key():
+                if g2.index.get(dst_img) != mapped:
                     violations.append(f"{op}_{k} does not commute at {key}")
     if require_injective:
         seen: dict[str, str] = {}

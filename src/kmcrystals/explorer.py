@@ -54,8 +54,10 @@ def generate(
 
     ``depth`` bounds the number of operator applications from the seed set;
     None means full expansion (the crystal had better be finite).  Nodes at
-    the depth bound stay marked as frontier.  Node identity is the
-    canonical serialization, so exploration order never changes the result.
+    the depth bound stay marked as frontier.  Node identity is structural
+    (element equality, through ``CrystalGraph.index``); an element is
+    serialized once, when admitted, and its key is its node id.  Keys are
+    canonical, so exploration order never changes the result.
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
@@ -65,10 +67,11 @@ def generate(
     queue: deque[str] = deque()
 
     def admit(element: CrystalElement, d: int) -> str:
-        key = element.key()
-        if key not in g.nodes:
+        key = g.index.get(element)
+        if key is None:
             if len(g.nodes) >= node_budget:
                 raise BudgetExceeded(node_budget, g)
+            key = g.index[element] = element.key()
             g.nodes[key] = GraphNode(
                 element=element,
                 weight=element.weight(rd),

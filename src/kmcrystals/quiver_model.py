@@ -37,7 +37,7 @@ exactly how the model is verified end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .crystal_core import CrystalElement
 from .elementary import BkElement, S0Element, TElement
@@ -66,11 +66,13 @@ class WProfile:
             h = self.__dict__["_hash"] = hash(self.slots)
         return h
 
+    @cached_property
+    def wmap(self) -> dict[int, tuple[int, ...]]:
+        return dict(self.slots)
+
     def w(self, k: int, p: int) -> int:
-        for q, vec in self.slots:
-            if q == p:
-                return vec[k - 1]
-        return 0
+        vec = self.wmap.get(p)
+        return vec[k - 1] if vec else 0
 
     def support(self) -> list[int]:
         return [p for p, _ in self.slots]
@@ -116,14 +118,15 @@ class ModelElement(CrystalElement):
             h = self.__dict__["_hash"] = hash((self.wp, self.v))
         return h
 
+    @cached_property
+    def vmap(self) -> dict[tuple[int, int], int]:
+        return dict(self.v)
+
     def v_get(self, k: int, p: int) -> int:
-        for (kk, pp), c in self.v:
-            if kk == k and pp == p:
-                return c
-        return 0
+        return self.vmap.get((k, p), 0)
 
     def with_delta(self, k: int, p: int, delta: int) -> "ModelElement":
-        table = {key: c for key, c in self.v}
+        table = dict(self.vmap)
         new = table.get((k, p), 0) + delta
         if new < 0:
             raise RuntimeError(
@@ -136,7 +139,10 @@ class ModelElement(CrystalElement):
         return ModelElement(self.wp, tuple(sorted(table.items())))
 
     def weight(self, rd: RootDatum) -> Weight:
-        return _model_weight(rd, self)
+        root = [0] * rd.n
+        for (k, _), c in self.v:
+            root[k - 1] += c
+        return Weight(self.wp.total_weight(rd).lambda_part, tuple(root))
 
     def eps(self, rd: RootDatum, k: int) -> int:
         return _stats(rd, self)[k - 1][0]
@@ -145,10 +151,12 @@ class ModelElement(CrystalElement):
         return _stats(rd, self)[k - 1][1]
 
     def e(self, rd: RootDatum, k: int):
-        return _model_op(rd, self, k, "e")
+        eps, _, e_slot, _ = _stats(rd, self)[k - 1]
+        return None if eps == 0 else self.with_delta(k, e_slot, -1)
 
     def f(self, rd: RootDatum, k: int):
-        return _model_op(rd, self, k, "f")
+        _, phi, _, f_slot = _stats(rd, self)[k - 1]
+        return None if phi == 0 else self.with_delta(k, f_slot, +1)
 
     def serialize(self) -> dict:
         return {
@@ -174,45 +182,12 @@ def model_highest_weight(rd: RootDatum, lam, slot: int = 0) -> ModelElement:
     return model_element(wprofile({slot: lam}))
 
 
-@lru_cache(maxsize=None)
-def _model_weight(rd: RootDatum, x: ModelElement) -> Weight:
-    root = [0] * rd.n
-    for (k, _), c in x.v:
-        root[k - 1] += c
-    total = x.wp.total_weight(rd)
-    return Weight(total.lambda_part, tuple(root))
-
-
-@lru_cache(maxsize=None)
-def _vdict(x: ModelElement) -> dict:
-    return dict(x.v)
-
-
-@lru_cache(maxsize=None)
-def _wdict(wp: WProfile) -> dict:
-    return dict(wp.slots)
-
-
-@lru_cache(maxsize=None)
-def _neighbor_split(rd: RootDatum):
-    """Per vertex k: the edge-carrying neighbours below and above k, with
-    multiplicities.  The split decides whether a neighbour contributes at
-    slot p-1 or p, per the canonical orientation."""
-    out = []
-    for k in rd.vertices():
-        row = rd.edge_mult[k - 1]
-        below = tuple((l, row[l - 1]) for l in range(1, k) if row[l - 1])
-        above = tuple((l, row[l - 1]) for l in range(k + 1, rd.n + 1) if row[l - 1])
-        out.append((below, above))
-    return tuple(out)
-
-
 def rank_complex(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
     """Euler rank (middle minus ends) of the three-term complex at (k, p)."""
     rd._check_vertex(k)
-    vmap = _vdict(x)
-    wrow = _wdict(x.wp).get(p - 1)
-    below, above = _neighbor_split(rd)[k - 1]
+    vmap = x.vmap
+    wrow = x.wp.wmap.get(p - 1)
+    below, above = rd.neighbor_split[k - 1]
     total = (wrow[k - 1] if wrow else 0) - vmap.get((k, p), 0) - vmap.get((k, p - 1), 0)
     for l, m in below:
         total += m * vmap.get((l, p - 1), 0)
@@ -248,13 +223,16 @@ def phi_bar(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
     return sum(rank_complex(rd, x, k, q) for q in range(lo, min(p, hi) + 1))
 
 
-@lru_cache(maxsize=None)
 def _stats(rd: RootDatum, x: ModelElement):
-    """Per-vertex (eps, phi, e_slot, f_slot), one window pass for all vertices.
+    """Per-vertex (eps, phi, e_slot, f_slot), one window pass for all vertices,
+    kept in ``rd.memo``.
 
     Also asserts the telescoping identity sum_p rank(k, p) = <h_k, wt> on
     every element whose statistics are ever computed.
     """
+    rows = rd.memo.get(x)
+    if rows is not None:
+        return rows
     lo, hi = window(rd, x)
     slots = range(lo, hi + 1)
     wt = x.weight(rd)
@@ -278,15 +256,8 @@ def _stats(rd: RootDatum, x: ModelElement):
         e_slot = lo + len(ebar) - 1 - ebar[::-1].index(eps)  # largest attaining slot
         f_slot = lo + pbar.index(phi)  # smallest attaining slot
         out.append((eps, phi, e_slot, f_slot))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _model_op(rd: RootDatum, x: ModelElement, k: int, op: str):
-    eps, phi, e_slot, f_slot = _stats(rd, x)[k - 1]
-    if op == "e":
-        return None if eps == 0 else x.with_delta(k, e_slot, -1)
-    return None if phi == 0 else x.with_delta(k, f_slot, +1)
+    rows = rd.memo[x] = tuple(out)
+    return rows
 
 
 def embed_psi(rd: RootDatum, x: ModelElement, win: tuple[int, int]) -> TensorElement:

@@ -73,14 +73,6 @@ class Weight:
         return {"lambda": list(self.lambda_part), "root": list(self.root_part)}
 
 
-def subtract_alpha(wt: Weight, k: int) -> Weight:
-    return wt.subtract_alpha(k)
-
-
-def add_alpha(wt: Weight, k: int) -> Weight:
-    return wt.add_alpha(k)
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """A symmetric generalized Cartan matrix with its vertex numbering."""
@@ -116,6 +108,27 @@ class RootDatum:
             tuple(0 if i == j else -c for j, c in enumerate(row))
             for i, row in enumerate(self.cartan)
         )
+
+    @cached_property
+    def neighbor_split(self) -> tuple:
+        """Per vertex k: the edge-carrying neighbours below and above k, with
+        multiplicities.  The split decides whether a neighbour contributes
+        at slot p-1 or p in the profile model, per the canonical orientation."""
+        out = []
+        for k in self.vertices():
+            row = self.edge_mult[k - 1]
+            below = tuple((l, row[l - 1]) for l in range(1, k) if row[l - 1])
+            above = tuple((l, row[l - 1]) for l in range(k + 1, self.n + 1) if row[l - 1])
+            out.append((below, above))
+        return tuple(out)
+
+    @cached_property
+    def memo(self) -> dict:
+        """Per-vertex statistics of the elements queried against this datum,
+        keyed by element: profile-model rows and tensor eps/phi profiles.
+        They are pure functions of (datum, element), so the memo is shared
+        by equal elements and lives exactly as long as the datum."""
+        return {}
 
     def vertices(self) -> range:
         return range(1, self.n + 1)

@@ -25,7 +25,7 @@ flattening must produce the same statistics and mirrored operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .crystal_core import NEG_INF, CrystalElement, ext_max, is_neg_inf
 from .root_datum import RootDatum, Weight
@@ -87,23 +87,35 @@ class TensorElement(CrystalElement):
         return {"Tensor": [x.serialize() for x in self.factors]}
 
 
-@lru_cache(maxsize=None)
 def _profiles(rd: RootDatum, x: TensorElement, k: int):
-    """(eps profile, phi profile) of a tensor element, built in one pass each."""
-    eps_out = []
-    shift = 0  # running sum of wt_k over factors to the left
-    for factor in x.factors:
-        ep = factor.eps(rd, k)
-        eps_out.append(NEG_INF if is_neg_inf(ep) else ep - shift)
-        shift += rd.pairing(k, factor.weight(rd))
-    phi_out = []
-    shift = 0  # running sum of wt_k over factors to the right
-    for factor in reversed(x.factors):
-        ph = factor.phi(rd, k)
-        phi_out.append(NEG_INF if is_neg_inf(ph) else ph + shift)
-        shift += rd.pairing(k, factor.weight(rd))
-    phi_out.reverse()
-    return tuple(eps_out), tuple(phi_out)
+    """(eps profile, phi profile) of a tensor element at vertex k.
+
+    The profiles of all vertices are built together, one pass each, and
+    kept in ``rd.memo``.
+    """
+    rd._check_vertex(k)
+    rows = rd.memo.get(x)
+    if rows is not None:
+        return rows[k - 1]
+    pairings = [rd.pairing_vector(factor.weight(rd)) for factor in x.factors]
+    rows = []
+    for j in rd.vertices():
+        eps_out = []
+        shift = 0  # running sum of wt_j over factors to the left
+        for factor, wt in zip(x.factors, pairings):
+            ep = factor.eps(rd, j)
+            eps_out.append(NEG_INF if is_neg_inf(ep) else ep - shift)
+            shift += wt[j - 1]
+        phi_out = []
+        shift = 0  # running sum of wt_j over factors to the right
+        for factor, wt in zip(reversed(x.factors), reversed(pairings)):
+            ph = factor.phi(rd, j)
+            phi_out.append(NEG_INF if is_neg_inf(ph) else ph + shift)
+            shift += wt[j - 1]
+        phi_out.reverse()
+        rows.append((tuple(eps_out), tuple(phi_out)))
+    rows = rd.memo[x] = tuple(rows)
+    return rows[k - 1]
 
 
 def tensor(*factors: CrystalElement) -> TensorElement:

@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kmcrystals import (
     BkElement,
+    CrystalElement,
     BudgetExceeded,
     build_root_datum,
     character,
@@ -325,3 +328,27 @@ def test_exceptional_series_oracles():
         assert len(positive_roots(rd)) == root_count
         dims = [weyl_dim(rd, rd.fundamental_weight(k)) for k in rd.vertices()]
         assert min(dims) == smallest_dim
+
+
+def test_generate_serializes_each_node_once(monkeypatch):
+    calls = []
+    original = CrystalElement.key
+
+    def counting_key(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CrystalElement, "key", counting_key)
+    g = generate_highest_weight_crystal(build_root_datum("A3"), (1, 1, 1))
+    assert len(calls) == g.node_count() == 64
+
+
+def test_memory_freed_with_datum():
+    # statistics live on the datum, so nothing outlives the datum and its graphs
+    rd = build_root_datum("A2")
+    g = generate_highest_weight_crystal(rd, (1, 1))
+    assert closed_family_instance(rd, (1, 0), (0, 1))[0]
+    refs = [weakref.ref(rd), weakref.ref(g.nodes[g.generators[0]].element)]
+    del rd, g
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
