@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from kmcrystals import build_root_datum, closed_family_instance
 from kmcrystals.cli import main
 
@@ -77,6 +79,36 @@ GOLDEN_AFFINE_JSON = """{
   ]
 }
 """
+
+
+# Exact stdout of commands that write there.  Everything a verify suite
+# prints is pinned, not only its verdict; "graph" with both outputs on
+# stdout writes the DOT before the JSON.
+GOLDEN_STDOUT = {
+    "verify axioms --preset A2 --weight 1,1":
+        "axioms: 0 violations on 8 nodes\nPASS\n",
+    "verify normal --preset A2 --weight 1,1":
+        "normal: 0 violations, 16 checked, 0 skipped\nPASS\n",
+    "verify embedding --preset A2 --weight 1,1":
+        "embedding: 0 mismatches on 8 elements\nPASS\n",
+    "verify oracle --preset A3 --weight 0,1,0":
+        "oracle: #B = 6, weyl_dim = 6\n"
+        "oracle: character matches multiplicity recursion\nPASS\n",
+    "verify closed --preset A2 --pairs 3 --seed 7":
+        "closed: (1, 0) x (1, 2) -> ok\n"
+        "closed: (0, 0) x (2, 0) -> ok\n"
+        "closed: (1, 2) x (0, 2) -> ok\nPASS\n",
+    "graph --preset A2 --weight 1,0 --dot - --json -":
+        (GOLDEN / "graph_A2_10_dot_json.txt").read_text(),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+def test_stdout_golden_bytes(command, capsys):
+    assert main(command.split()) == 0
+    captured = capsys.readouterr()
+    assert captured.out == GOLDEN_STDOUT[command]
+    assert captured.err == ""
 
 
 def test_graph_golden_bytes(tmp_path):
