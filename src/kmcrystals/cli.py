@@ -5,9 +5,13 @@ Subcommands: ``graph`` writes an explored B(lambda) as DOT or JSON,
 table, ``verify`` runs one of the built-in verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 node
-budget exceeded.  The node budget is controlled by the environment
-variable CRYSTAL_NODE_BUDGET (default 10^6 nodes).  It bounds every graph
-a command generates.  ``tensor`` without ``--depth`` decomposes by the
+budget exceeded.  Every usage error in every subcommand (a missing or
+malformed root datum or weight, a weight of the wrong length or not
+dominant, a negative ``--depth``, ``--max-entry`` or ``--pairs``, the
+oracle suite on a datum not of finite type) is found before any work
+starts and exits 2 with one ``error:`` line on stderr.  The node budget
+is controlled by the environment variable CRYSTAL_NODE_BUDGET (default
+10^6 nodes).  It bounds every graph a command generates.  ``tensor`` without ``--depth`` decomposes by the
 highest-weight rule and generates only the factors, so there the budget
 bounds each factor, not the product; with ``--depth`` the truncated
 product is built and the budget bounds it too.
@@ -73,188 +77,143 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _root_datum(args):
-    if args.preset and args.root_datum:
-        raise ValueError("give either --preset or --root-datum, not both")
-    if args.preset:
-        return build_root_datum(args.preset)
-    if args.root_datum:
-        return load_root_datum(args.root_datum)
-    raise ValueError("a root datum is required (--preset or --root-datum)")
-
-
 def _parse_weight(text: str, n: int) -> tuple[int, ...]:
+    """The dominant weight written as comma-separated coordinates."""
     try:
         coords = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"weight {text!r} is not a comma-separated integer vector")
     if len(coords) != n:
         raise ValueError(f"weight {text!r} has {len(coords)} coordinates, expected {n}")
+    if any(x < 0 for x in coords):
+        raise ValueError(f"weight {text} is not dominant")
     return coords
 
 
-def _write(text: str, path: str | None):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as handle:
-            handle.write(text)
+def _validate(args):
+    """(root datum, weights) of a command line; ValueError or OSError on bad
+    input.  ``weights`` has one entry per ``--weight``, none for ``closed``."""
+    if args.depth is not None and args.depth < 0:
+        raise ValueError("--depth must be >= 0")
+    if args.preset and args.root_datum:
+        raise ValueError("give either --preset or --root-datum, not both")
+    if not (args.preset or args.root_datum):
+        raise ValueError("a root datum is required (--preset or --root-datum)")
+    rd = build_root_datum(args.preset) if args.preset else load_root_datum(args.root_datum)
+    if args.command == "tensor":
+        return rd, [_parse_weight(text, rd.n) for text in args.weight]
+    if args.command == "verify":
+        if args.suite == "closed":
+            for flag, value in (("--max-entry", args.max_entry), ("--pairs", args.pairs)):
+                if value < 0:
+                    raise ValueError(f"{flag} must be >= 0")
+            return rd, []
+        if not args.weight:
+            raise ValueError(f"suite {args.suite} needs --weight")
+    weights = [_parse_weight(args.weight, rd.n)]
+    if args.command == "verify" and args.suite == "oracle" and not finite_type_check(rd):
+        raise ValueError("oracle suite needs a finite-type root datum")
+    return rd, weights
 
 
-def cmd_graph(args) -> int:
-    try:
-        rd = _root_datum(args)
-        lam = _parse_weight(args.weight, rd.n)
-    except (ValueError, OSError) as exc:
-        return _fail_usage(str(exc))
-    if any(x < 0 for x in lam):
-        return _fail_usage(f"weight {args.weight} is not dominant")
-    try:
-        g = generate_highest_weight_crystal(rd, lam, depth=args.depth)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    wrote = False
-    if args.dot:
-        _write(graph_to_dot(g), args.dot)
-        wrote = True
-    if args.json_path:
-        _write(json.dumps(graph_to_json(g), indent=2) + "\n", args.json_path)
-        wrote = True
-    if not wrote:
-        _write(json.dumps(graph_to_json(g), indent=2) + "\n", None)
-    return 0
-
-
-def cmd_tensor(args) -> int:
-    try:
-        rd = _root_datum(args)
-        weights = [_parse_weight(w, rd.n) for w in args.weight]
-    except (ValueError, OSError) as exc:
-        return _fail_usage(str(exc))
-    for w, text in zip(weights, args.weight):
-        if any(x < 0 for x in w):
-            return _fail_usage(f"weight {text} is not dominant")
-    try:
-        if args.depth is None:
-            table = decompose_tensor(rd, weights)
+def _emit(outputs, default):
+    """Write each ``(path, render)`` whose path is set, "-" meaning stdout,
+    in the order given; when no path is set, write ``default()`` to stdout."""
+    chosen = [(path, render) for path, render in outputs if path]
+    for path, render in chosen or [("-", default)]:
+        if path == "-":
+            sys.stdout.write(render())
         else:
-            factors = [generate_highest_weight_crystal(rd, w, depth=args.depth) for w in weights]
-            table = decompose(tensor_product_graph(rd, factors, depth=args.depth))
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    tsv = f"# complete: {str(table.complete).lower()}\n" + table.to_tsv()
-    wrote = False
-    if args.tsv:
-        _write(tsv, args.tsv)
-        wrote = True
-    if args.json_path:
-        _write(json.dumps(table.to_json_dict(), indent=2) + "\n", args.json_path)
-        wrote = True
-    if not wrote:
-        _write(tsv, None)
+            with open(path, "w") as handle:
+                handle.write(render())
+
+
+def _run_graph(args, rd, weights) -> int:
+    g = generate_highest_weight_crystal(rd, weights[0], depth=args.depth)
+
+    def as_json():
+        return json.dumps(graph_to_json(g), indent=2) + "\n"
+
+    _emit([(args.dot, lambda: graph_to_dot(g)), (args.json_path, as_json)], as_json)
     return 0
 
 
-def _report(lines: list[str], ok: bool) -> int:
-    for line in lines:
-        print(line)
-    print("PASS" if ok else "FAIL")
+def _run_tensor(args, rd, weights) -> int:
+    if args.depth is None:
+        table = decompose_tensor(rd, weights)
+    else:
+        factors = [generate_highest_weight_crystal(rd, w, depth=args.depth) for w in weights]
+        table = decompose(tensor_product_graph(rd, factors, depth=args.depth))
+
+    def as_tsv():
+        return f"# complete: {str(table.complete).lower()}\n" + table.to_tsv()
+
+    _emit([(args.tsv, as_tsv),
+           (args.json_path, lambda: json.dumps(table.to_json_dict(), indent=2) + "\n")],
+          as_tsv)
+    return 0
+
+
+def _suite_report(args, rd, weights) -> tuple[list[str], bool]:
+    """The report lines of a verify suite and whether it passed."""
+    if args.suite == "closed":
+        rng = random.Random(args.seed)
+        lines = []
+        ok = True
+        for _ in range(args.pairs):
+            lam = tuple(rng.randint(0, args.max_entry) for _ in range(rd.n))
+            mu = tuple(rng.randint(0, args.max_entry) for _ in range(rd.n))
+            iso, _, reason = closed_family_instance(rd, lam, mu, depth=args.depth)
+            lines.append(f"closed: {lam} x {mu} -> {'ok' if iso else 'FAIL ' + reason}")
+            ok = ok and iso
+        return lines, ok
+    g = generate_highest_weight_crystal(rd, weights[0], depth=args.depth)
+    if args.suite == "axioms":
+        violations = check_axioms(g)
+        return ([f"axioms: {len(violations)} violations on {g.node_count()} nodes"]
+                + violations[:10], not violations)
+    if args.suite == "normal":
+        report = check_normal(g)
+        return ([f"normal: {len(report.violations)} violations, "
+                 f"{report.checked} checked, {report.skipped} skipped"]
+                + report.violations[:10], report.ok())
+    if args.suite == "embedding":
+        mismatches: list[str] = []
+        for key in g.sorted_keys():
+            mismatches += embedding_mismatches(rd, g.nodes[key].element)
+        return ([f"embedding: {len(mismatches)} mismatches on {g.node_count()} elements"]
+                + mismatches[:10], not mismatches)
+    wt = rd.weight(weights[0])  # the oracle suite
+    dim = weyl_dim(rd, wt)
+    chars_ok = character(g) == freudenthal_multiplicities(rd, wt)
+    lines = [f"oracle: #B = {g.node_count()}, weyl_dim = {dim}",
+             f"oracle: character {'matches' if chars_ok else 'DIFFERS from'} "
+             "multiplicity recursion"]
+    return lines, g.node_count() == dim and chars_ok
+
+
+def _run_verify(args, rd, weights) -> int:
+    lines, ok = _suite_report(args, rd, weights)
+    print("\n".join(lines + ["PASS" if ok else "FAIL"]))
     return 0 if ok else 1
 
 
-def cmd_verify(args) -> int:
+def main(argv=None) -> int:
     try:
-        rd = _root_datum(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    command = {"graph": _run_graph, "tensor": _run_tensor, "verify": _run_verify}[args.command]
+    try:
+        rd, weights = _validate(args)
     except (ValueError, OSError) as exc:
-        return _fail_usage(str(exc))
-    suite = args.suite
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
-        if suite in ("axioms", "normal", "embedding", "oracle"):
-            if not args.weight:
-                return _fail_usage(f"suite {suite} needs --weight")
-            lam = _parse_weight(args.weight, rd.n)
-            if any(x < 0 for x in lam):
-                return _fail_usage(f"weight {args.weight} is not dominant")
-        if suite == "axioms":
-            g = generate_highest_weight_crystal(rd, lam, depth=args.depth)
-            violations = check_axioms(g)
-            return _report(
-                [f"axioms: {len(violations)} violations on {g.node_count()} nodes"]
-                + violations[:10],
-                not violations,
-            )
-        if suite == "normal":
-            g = generate_highest_weight_crystal(rd, lam, depth=args.depth)
-            report = check_normal(g)
-            return _report(
-                [
-                    f"normal: {len(report.violations)} violations, "
-                    f"{report.checked} checked, {report.skipped} skipped"
-                ]
-                + report.violations[:10],
-                report.ok(),
-            )
-        if suite == "embedding":
-            g = generate_highest_weight_crystal(rd, lam, depth=args.depth)
-            mismatches: list[str] = []
-            for key in g.sorted_keys():
-                mismatches += embedding_mismatches(rd, g.nodes[key].element)
-            return _report(
-                [f"embedding: {len(mismatches)} mismatches on {g.node_count()} elements"]
-                + mismatches[:10],
-                not mismatches,
-            )
-        if suite == "oracle":
-            if not finite_type_check(rd):
-                return _fail_usage("oracle suite needs a finite-type root datum")
-            g = generate_highest_weight_crystal(rd, lam, depth=args.depth)
-            wt = rd.weight(lam)
-            dim = weyl_dim(rd, wt)
-            lines = [f"oracle: #B = {g.node_count()}, weyl_dim = {dim}"]
-            ok = g.node_count() == dim
-            chars_ok = character(g) == freudenthal_multiplicities(rd, wt)
-            lines.append(f"oracle: character {'matches' if chars_ok else 'DIFFERS from'} "
-                         "multiplicity recursion")
-            return _report(lines, ok and chars_ok)
-        if suite == "closed":
-            rng = random.Random(args.seed)
-            lines = []
-            ok = True
-            for _ in range(args.pairs):
-                lam = tuple(rng.randint(0, args.max_entry) for _ in range(rd.n))
-                mu = tuple(rng.randint(0, args.max_entry) for _ in range(rd.n))
-                iso, _, reason = closed_family_instance(rd, lam, mu, depth=args.depth)
-                lines.append(f"closed: {lam} x {mu} -> {'ok' if iso else 'FAIL ' + reason}")
-                ok = ok and iso
-            return _report(lines, ok)
+        return command(args, rd, weights)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError(f"unhandled suite {suite}")
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.depth is not None and args.depth < 0:
-        return _fail_usage("--depth must be >= 0")
-    if args.command == "graph":
-        return cmd_graph(args)
-    if args.command == "tensor":
-        return cmd_tensor(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -172,9 +172,6 @@ class CrystalGraph:
     def sorted_edges(self) -> list[tuple[str, int, str]]:
         return sorted(self.edges)
 
-    def element(self, key: str) -> CrystalElement:
-        return self.nodes[key].element
-
 
 def check_axioms(g: CrystalGraph) -> list[str]:
     """Verify the crystal axioms on every non-frontier node; [] means pass.
@@ -235,7 +232,9 @@ def check_axioms(g: CrystalGraph) -> list[str]:
 
 
 @dataclass
-class NormalReport:
+class CheckReport:
+    """Outcome of a checker that skips and counts what it cannot judge."""
+
     violations: list[str]
     checked: int
     skipped: int
@@ -244,7 +243,7 @@ class NormalReport:
         return not self.violations
 
 
-def check_normal(g: CrystalGraph) -> NormalReport:
+def check_normal(g: CrystalGraph) -> CheckReport:
     """Check eps_k/phi_k against actual string lengths inside the graph.
 
     A normal crystal has eps_k(b) = (number of e_k applications until None)
@@ -293,17 +292,7 @@ def check_normal(g: CrystalGraph) -> NormalReport:
                 violations.append(f"eps_{k} = {ep} but e-string length {ups} at {key}")
             if downs != ph:
                 violations.append(f"phi_{k} = {ph} but f-string length {downs} at {key}")
-    return NormalReport(violations, checked, skipped)
-
-
-@dataclass
-class MorphismReport:
-    violations: list[str]
-    checked: int
-    skipped: int
-
-    def ok(self) -> bool:
-        return not self.violations
+    return CheckReport(violations, checked, skipped)
 
 
 def check_strict_morphism(
@@ -311,7 +300,7 @@ def check_strict_morphism(
     g2: CrystalGraph,
     mapping: dict[str, str],
     require_injective: bool = False,
-) -> MorphismReport:
+) -> CheckReport:
     """Verify that ``mapping`` (keys of g1 -> keys of g2) is a strict morphism.
 
     Checks wt/eps/phi preservation on every mapped node and unconditional
@@ -366,7 +355,7 @@ def check_strict_morphism(
             if dst in seen:
                 violations.append(f"not injective: {seen[dst]} and {src} both map to {dst}")
             seen[dst] = src
-    return MorphismReport(violations, checked, skipped)
+    return CheckReport(violations, checked, skipped)
 
 
 def graph_to_json(g: CrystalGraph) -> dict:

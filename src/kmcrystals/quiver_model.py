@@ -145,17 +145,17 @@ class ModelElement(CrystalElement):
         return Weight(self.wp.total_weight(rd).lambda_part, tuple(root))
 
     def eps(self, rd: RootDatum, k: int) -> int:
-        return _stats(rd, self)[k - 1][0]
+        return rd.memo_row(self, k, _stats)[0]
 
     def phi(self, rd: RootDatum, k: int) -> int:
-        return _stats(rd, self)[k - 1][1]
+        return rd.memo_row(self, k, _stats)[1]
 
     def e(self, rd: RootDatum, k: int):
-        eps, _, e_slot, _ = _stats(rd, self)[k - 1]
+        eps, _, e_slot, _ = rd.memo_row(self, k, _stats)
         return None if eps == 0 else self.with_delta(k, e_slot, -1)
 
     def f(self, rd: RootDatum, k: int):
-        _, phi, _, f_slot = _stats(rd, self)[k - 1]
+        _, phi, _, f_slot = rd.memo_row(self, k, _stats)
         return None if phi == 0 else self.with_delta(k, f_slot, +1)
 
     def serialize(self) -> dict:
@@ -224,15 +224,13 @@ def phi_bar(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
 
 
 def _stats(rd: RootDatum, x: ModelElement):
-    """Per-vertex (eps, phi, e_slot, f_slot), one window pass for all vertices,
-    kept in ``rd.memo``.
+    """Per-vertex (eps, phi, e_slot, f_slot), one window pass for all vertices.
 
-    Also asserts the telescoping identity sum_p rank(k, p) = <h_k, wt> on
-    every element whose statistics are ever computed.
+    The builder behind ``rd.memo_row`` for model elements, which runs it
+    once per element.  Also asserts the telescoping identity
+    sum_p rank(k, p) = <h_k, wt> on every element whose statistics are
+    ever computed.
     """
-    rows = rd.memo.get(x)
-    if rows is not None:
-        return rows
     lo, hi = window(rd, x)
     slots = range(lo, hi + 1)
     wt = x.weight(rd)
@@ -256,8 +254,7 @@ def _stats(rd: RootDatum, x: ModelElement):
         e_slot = lo + len(ebar) - 1 - ebar[::-1].index(eps)  # largest attaining slot
         f_slot = lo + pbar.index(phi)  # smallest attaining slot
         out.append((eps, phi, e_slot, f_slot))
-    rows = rd.memo[x] = tuple(out)
-    return rows
+    return tuple(out)
 
 
 def embed_psi(rd: RootDatum, x: ModelElement, win: tuple[int, int]) -> TensorElement:

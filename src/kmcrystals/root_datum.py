@@ -62,9 +62,6 @@ class Weight:
         root[k - 1] -= 1
         return Weight(self.lambda_part, tuple(root))
 
-    def is_zero(self) -> bool:
-        return not any(self.lambda_part) and not any(self.root_part)
-
     def _check_vertex(self, k: int):
         if not 1 <= k <= len(self.lambda_part):
             raise ValueError(f"vertex index {k} out of range 1..{len(self.lambda_part)}")
@@ -127,8 +124,23 @@ class RootDatum:
         """Per-vertex statistics of the elements queried against this datum,
         keyed by element: profile-model rows and tensor eps/phi profiles.
         They are pure functions of (datum, element), so the memo is shared
-        by equal elements and lives exactly as long as the datum."""
+        by equal elements and lives exactly as long as the datum.  Read and
+        filled through :meth:`memo_row` only."""
         return {}
+
+    def memo_row(self, x, k: int, build):
+        """Vertex k's entry of the per-vertex statistics of element x.
+
+        ``build(self, x)`` returns the entries of all vertices, in vertex
+        order; it runs on the first query of x and its result is kept in
+        :attr:`memo`.  Raises ValueError when k is not a vertex.
+        """
+        if not 1 <= k <= self.n:
+            raise ValueError(f"vertex index {k} out of range 1..{self.n}")
+        rows = self.memo.get(x)
+        if rows is None:
+            rows = self.memo[x] = build(self, x)
+        return rows[k - 1]
 
     def vertices(self) -> range:
         return range(1, self.n + 1)

@@ -49,19 +49,19 @@ class TensorElement(CrystalElement):
         return reduce(lambda a, b: a + b, (x.weight(rd) for x in self.factors))
 
     def eps_profile(self, rd: RootDatum, k: int) -> list:
-        return list(_profiles(rd, self, k)[0])
+        return list(rd.memo_row(self, k, _profiles)[0])
 
     def phi_profile(self, rd: RootDatum, k: int) -> list:
-        return list(_profiles(rd, self, k)[1])
+        return list(rd.memo_row(self, k, _profiles)[1])
 
     def eps(self, rd: RootDatum, k: int):
-        return ext_max(_profiles(rd, self, k)[0])
+        return ext_max(rd.memo_row(self, k, _profiles)[0])
 
     def phi(self, rd: RootDatum, k: int):
-        return ext_max(_profiles(rd, self, k)[1])
+        return ext_max(rd.memo_row(self, k, _profiles)[1])
 
     def e(self, rd: RootDatum, k: int):
-        profile = _profiles(rd, self, k)[0]
+        profile = rd.memo_row(self, k, _profiles)[0]
         top = ext_max(profile)
         if is_neg_inf(top):
             return None
@@ -69,7 +69,7 @@ class TensorElement(CrystalElement):
         return self._apply_at(rd, k, p, "e")
 
     def f(self, rd: RootDatum, k: int):
-        profile = _profiles(rd, self, k)[1]
+        profile = rd.memo_row(self, k, _profiles)[1]
         top = ext_max(profile)
         if is_neg_inf(top):
             return None
@@ -87,16 +87,10 @@ class TensorElement(CrystalElement):
         return {"Tensor": [x.serialize() for x in self.factors]}
 
 
-def _profiles(rd: RootDatum, x: TensorElement, k: int):
-    """(eps profile, phi profile) of a tensor element at vertex k.
-
-    The profiles of all vertices are built together, one pass each, and
-    kept in ``rd.memo``.
-    """
-    rd._check_vertex(k)
-    rows = rd.memo.get(x)
-    if rows is not None:
-        return rows[k - 1]
+def _profiles(rd: RootDatum, x: TensorElement):
+    """Per-vertex (eps profile, phi profile) of a tensor element, one pass
+    each.  The builder behind ``rd.memo_row`` for tensor elements, which
+    runs it once per element."""
     pairings = [rd.pairing_vector(factor.weight(rd)) for factor in x.factors]
     rows = []
     for j in rd.vertices():
@@ -114,8 +108,7 @@ def _profiles(rd: RootDatum, x: TensorElement, k: int):
             shift += wt[j - 1]
         phi_out.reverse()
         rows.append((tuple(eps_out), tuple(phi_out)))
-    rows = rd.memo[x] = tuple(rows)
-    return rows[k - 1]
+    return tuple(rows)
 
 
 def tensor(*factors: CrystalElement) -> TensorElement:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,9 +199,33 @@ def test_non_dominant_weight_exits_2(tmp_path):
     assert code == 2
 
 
-def test_malformed_weight_exits_2():
-    assert main(["graph", "--preset", "A2", "--weight", "a,b"]) == 2
-    assert main(["graph", "--preset", "A2", "--weight", "1"]) == 2
+def test_malformed_weight_exits_2(capsys):
+    for argv in (
+        ["graph", "--preset", "A2", "--weight", "a,b"],
+        ["graph", "--preset", "A2", "--weight", "1"],
+        ["verify", "axioms", "--preset", "A2", "--weight", "1"],
+        ["verify", "oracle", "--preset", "A2", "--weight", "1,x"],
+        ["verify", "closed", "--preset", "A2", "--max-entry", "-1"],
+        ["verify", "closed", "--preset", "A2", "--pairs", "-1"],
+        ["verify", "oracle", "--preset", "affineA1", "--weight", "1,0"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_usage_error_without_traceback():
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kmcrystals.cli", "verify", "axioms", "--preset", "A2",
+         "--weight", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_missing_root_datum_exits_2():

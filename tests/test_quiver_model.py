@@ -21,6 +21,7 @@ from kmcrystals import (
     model_highest_weight,
     phi_bar,
     rank_complex,
+    tensor,
     wprofile,
 )
 from kmcrystals.quiver_model import auto_window, window
@@ -249,3 +250,15 @@ def test_zero_weight_crystal():
     assert hw.f(RD2, 1) is None and hw.e(RD2, 2) is None
     g = generate(RD2, [hw])
     assert g.node_count() == 1
+
+
+@pytest.mark.parametrize("kind", ["model", "tensor"])
+@pytest.mark.parametrize("op", ["eps", "phi", "e", "f"])
+@pytest.mark.parametrize("k", [0, 3])
+def test_vertex_out_of_range(kind, op, k):
+    b = model_highest_weight(RD2, (0, 1))
+    if kind == "tensor":
+        b = tensor(b, model_highest_weight(RD2, (1, 0)))
+    b.f(RD2, 2)  # the statistics of b are now memoised
+    with pytest.raises(ValueError, match="out of range"):
+        getattr(b, op)(RD2, k)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kmcrystals import build_root_datum, load_root_datum
-from kmcrystals.root_datum import Weight
+from kmcrystals.root_datum import Weight, _parse_restricted_toml
 
 
 def test_preset_a2_cartan():
@@ -135,9 +135,16 @@ def test_load_root_datum_json(tmp_path):
 
 
 def test_load_root_datum_toml(tmp_path):
+    texts = ['preset = "D4"\n', "# affine A1\nadjacency = [\n  [0, 2],\n  [2, 0],\n]\n"]
     path = tmp_path / "rd.toml"
-    path.write_text('preset = "D4"\n')
+    path.write_text(texts[0])
     assert load_root_datum(path).n == 4
     path2 = tmp_path / "rd2.toml"
-    path2.write_text("# affine A1\nadjacency = [\n  [0, 2],\n  [2, 0],\n]\n")
+    path2.write_text(texts[1])
     assert load_root_datum(path2).cartan == ((2, -2), (-2, 2))
+    # load_root_datum falls back to this parser where tomllib is missing
+    # (Python 3.10); it must read both texts, comment and trailing comma
+    # included, exactly as tomllib does.
+    tomllib = pytest.importorskip("tomllib")
+    for text in texts:
+        assert _parse_restricted_toml(text) == tomllib.loads(text)
