@@ -17,7 +17,7 @@ from kmcrystals import (
     phi_bar,
     rank_complex,
 )
-from kmcrystals.quiver_model import auto_window
+from kmcrystals.quiver_model import window
 
 rd = build_root_datum("A2")
 
@@ -38,7 +38,7 @@ print("after f_2 f_1:", y.serialize())
 
 # The embedding sends a profile to a capped tensor of elementary crystals,
 # slots in decreasing order from left to right:
-emb = embed_psi(rd, y, auto_window(rd, y))
+emb = embed_psi(rd, y, window(rd, y, margin=2))
 print("embedded factors:", [f.serialize() for f in emb.factors])
 
 # Statistics and operators computed in the model and through the embedding

@@ -40,7 +40,6 @@ from .explorer import (
 from .quiver_model import (
     ModelElement,
     WProfile,
-    auto_window,
     embed_psi,
     embedding_mismatches,
     eps_bar,
@@ -70,7 +69,6 @@ __all__ = [
     "TensorElement",
     "WProfile",
     "Weight",
-    "auto_window",
     "binary_e",
     "binary_eps",
     "binary_f",

@@ -8,10 +8,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 node
 budget exceeded.  Every usage error in every subcommand (a missing or
 malformed root datum or weight, a weight of the wrong length or not
 dominant, a negative ``--depth``, ``--max-entry`` or ``--pairs``, the
-oracle suite on a datum not of finite type) is found before any work
-starts and exits 2 with one ``error:`` line on stderr.  The node budget
-is controlled by the environment variable CRYSTAL_NODE_BUDGET (default
-10^6 nodes).  It bounds every graph a command generates.  ``tensor`` without ``--depth`` decomposes by the
+oracle suite on a datum not of finite type, an output path that is a
+directory or lies in a missing one) is found before any work starts and
+before any file is written, and exits 2 with one ``error:`` line on
+stderr.  The node budget is controlled by the environment variable
+CRYSTAL_NODE_BUDGET (default 10^6 nodes).  It bounds every graph a
+command generates.  ``tensor`` without ``--depth`` decomposes by the
 highest-weight rule and generates only the factors, so there the budget
 bounds each factor, not the product; with ``--depth`` the truncated
 product is built and the budget bounds it too.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -95,6 +98,12 @@ def _validate(args):
     input.  ``weights`` has one entry per ``--weight``, none for ``closed``."""
     if args.depth is not None and args.depth < 0:
         raise ValueError("--depth must be >= 0")
+    for path in (getattr(args, name, None) for name in ("dot", "tsv", "json_path")):
+        if path and path != "-":
+            if os.path.isdir(path):
+                raise ValueError(f"output path {path} is a directory")
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"directory of output path {path} does not exist")
     if args.preset and args.root_datum:
         raise ValueError("give either --preset or --root-datum, not both")
     if not (args.preset or args.root_datum):

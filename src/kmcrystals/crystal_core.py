@@ -66,9 +66,6 @@ class NegInfinity:
 
 NEG_INF = NegInfinity()
 
-# eps/phi values: an exact int or the sentinel
-ExtInt = "int | NegInfinity"
-
 
 def is_neg_inf(x) -> bool:
     return isinstance(x, NegInfinity)
@@ -76,11 +73,7 @@ def is_neg_inf(x) -> bool:
 
 def ext_max(values):
     """max with -inf as identity; returns NEG_INF on an empty iterable."""
-    best = NEG_INF
-    for v in values:
-        if is_neg_inf(best) or (not is_neg_inf(v) and v > best):
-            best = v
-    return best
+    return max(values, default=NEG_INF)
 
 
 def ext_serialize(x):
@@ -190,8 +183,7 @@ def check_axioms(g: CrystalGraph) -> list[str]:
         wt = nd.weight
         for k in rd.vertices():
             ep, ph = nd.eps[k - 1], nd.phi[k - 1]
-            expected_phi = NEG_INF if is_neg_inf(ep) else ep + rd.pairing(k, wt)
-            if ph != expected_phi:
+            if ph != ep + rd.pairing(k, wt):
                 violations.append(f"(a) phi != eps + <h_{k},wt> at {key}")
             if is_neg_inf(ep) != is_neg_inf(ph):
                 violations.append(f"(a) eps/phi -inf mismatch at k={k}, {key}")
@@ -274,11 +266,11 @@ def check_normal(g: CrystalGraph) -> CheckReport:
     for key, nd in g.nodes.items():
         for k in rd.vertices():
             ep, ph = nd.eps[k - 1], nd.phi[k - 1]
-            if is_neg_inf(ep) or ep < 0:
+            if ep < 0:
                 violations.append(f"eps_{k} = {ep} < 0 at {key}")
                 checked += 1
                 continue
-            if is_neg_inf(ph) or ph < 0:
+            if ph < 0:
                 violations.append(f"phi_{k} = {ph} < 0 at {key}")
                 checked += 1
                 continue

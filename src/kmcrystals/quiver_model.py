@@ -14,10 +14,11 @@ canonical orientation (arrows from smaller to larger vertex).  Partial sums
     eps_bar(k, p) = -sum_{q>p} rank(k, q),
     phi_bar(k, p) =  sum_{q<=p} rank(k, q)
 
-are eventually constant on both sides; the statistics are their maxima over
-all slots, which are automatically nonnegative.  e_k removes one unit of
-v_k at the LARGEST slot attaining the eps_bar maximum, f_k adds one unit at
-the SMALLEST slot attaining the phi_bar maximum.
+are eventually constant on both sides, and eps_bar = phi_bar - <h_k, wt>
+since the ranks sum to <h_k, wt>.  The statistics are their maxima, read
+from one rank pass per element: phi_k = max phi_bar, eps_k = phi_k -
+<h_k, wt>.  e_k removes one unit of v_k at the LARGEST slot attaining the
+maximum, f_k adds one unit at the SMALLEST.
 
 The slot choice deserves a comment, because a plausible alternative (min
 for e, max for f) is wrong: on a one-vertex datum with w^0 = 1 the maximum
@@ -37,7 +38,7 @@ exactly how the model is verified end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 
 from .crystal_core import CrystalElement
 from .elementary import BkElement, S0Element, TElement
@@ -65,14 +66,6 @@ class WProfile:
         if h is None:
             h = self.__dict__["_hash"] = hash(self.slots)
         return h
-
-    @cached_property
-    def wmap(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.slots)
-
-    def w(self, k: int, p: int) -> int:
-        vec = self.wmap.get(p)
-        return vec[k - 1] if vec else 0
 
     def support(self) -> list[int]:
         return [p for p, _ in self.slots]
@@ -118,15 +111,8 @@ class ModelElement(CrystalElement):
             h = self.__dict__["_hash"] = hash((self.wp, self.v))
         return h
 
-    @cached_property
-    def vmap(self) -> dict[tuple[int, int], int]:
-        return dict(self.v)
-
-    def v_get(self, k: int, p: int) -> int:
-        return self.vmap.get((k, p), 0)
-
     def with_delta(self, k: int, p: int, delta: int) -> "ModelElement":
-        table = dict(self.vmap)
+        table = dict(self.v)
         new = table.get((k, p), 0) + delta
         if new < 0:
             raise RuntimeError(
@@ -182,20 +168,6 @@ def model_highest_weight(rd: RootDatum, lam, slot: int = 0) -> ModelElement:
     return model_element(wprofile({slot: lam}))
 
 
-def rank_complex(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
-    """Euler rank (middle minus ends) of the three-term complex at (k, p)."""
-    rd._check_vertex(k)
-    vmap = x.vmap
-    wrow = x.wp.wmap.get(p - 1)
-    below, above = rd.neighbor_split[k - 1]
-    total = (wrow[k - 1] if wrow else 0) - vmap.get((k, p), 0) - vmap.get((k, p - 1), 0)
-    for l, m in below:
-        total += m * vmap.get((l, p - 1), 0)
-    for l, m in above:
-        total += m * vmap.get((l, p), 0)
-    return total
-
-
 def window(rd: RootDatum, x: ModelElement, margin: int = 1) -> tuple[int, int]:
     """Slot range outside which all ranks vanish and partial sums are constant.
 
@@ -211,6 +183,37 @@ def window(rd: RootDatum, x: ModelElement, margin: int = 1) -> tuple[int, int]:
     return (min(support) - margin, max(support) + margin)
 
 
+def _rank_rows(rd: RootDatum, x: ModelElement) -> tuple[int, list[list[int]]]:
+    """(lo, rows) with rows[k - 1][p - lo] = rank(k, p) over ``window(rd, x)``;
+    the one place the rank formula is evaluated, in one pass over the
+    entries.  Every write (slot p or p+1 of a support slot p) lands inside
+    the window; a negative index would wrap around silently."""
+    lo, hi = window(rd, x)
+    rows = [[0] * (hi - lo + 1) for _ in rd.vertices()]
+    for p, vec in x.wp.slots:
+        for row, c in zip(rows, vec):
+            row[p + 1 - lo] += c
+    for (l, p), c in x.v:
+        i = p - lo
+        rows[l - 1][i] -= c
+        rows[l - 1][i + 1] -= c
+        below, above = rd.neighbor_split[l - 1]
+        for k, m in below:
+            rows[k - 1][i] += m * c
+        for k, m in above:
+            rows[k - 1][i + 1] += m * c
+    return lo, rows
+
+
+def rank_complex(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
+    """Euler rank (middle minus ends) of the three-term complex at (k, p):
+    an accessor of the rows of :func:`_rank_rows`, 0 outside the window."""
+    rd._check_vertex(k)
+    lo, rows = _rank_rows(rd, x)
+    row = rows[k - 1]
+    return row[p - lo] if 0 <= p - lo < len(row) else 0
+
+
 def eps_bar(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
     """-sum of ranks over slots strictly above p (a finite sum)."""
     lo, hi = window(rd, x)
@@ -224,34 +227,23 @@ def phi_bar(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
 
 
 def _stats(rd: RootDatum, x: ModelElement):
-    """Per-vertex (eps, phi, e_slot, f_slot), one window pass for all vertices.
-
-    The builder behind ``rd.memo_row`` for model elements, which runs it
-    once per element.  Also asserts the telescoping identity
-    sum_p rank(k, p) = <h_k, wt> on every element whose statistics are
-    ever computed.
-    """
-    lo, hi = window(rd, x)
-    slots = range(lo, hi + 1)
-    wt = x.weight(rd)
+    """Per-vertex (eps, phi, e_slot, f_slot) from one rank pass: the builder
+    behind ``rd.memo_row`` for model elements, run once per element.  phi_bar
+    is the prefix sum of a rank row and eps_bar = phi_bar - <h_k, wt>.  Also
+    asserts the telescoping identity sum_p rank(k, p) = <h_k, wt> on every
+    element whose statistics are ever computed."""
+    pairings = rd.pairing_vector(x.weight(rd))
+    lo, rows = _rank_rows(rd, x)
     out = []
-    for k in rd.vertices():
-        ranks = [rank_complex(rd, x, k, p) for p in slots]
-        if sum(ranks) != rd.pairing(k, wt):
+    for k, row, total in zip(rd.vertices(), rows, pairings):
+        pbar = list(accumulate(row))
+        if pbar[-1] != total:
             raise AssertionError(f"telescoping identity failed at vertex {k} on {x.key()}")
-        ebar = [0] * len(ranks)
-        for i in range(len(ranks) - 2, -1, -1):
-            ebar[i] = ebar[i + 1] - ranks[i + 1]
-        pbar = [0] * len(ranks)
-        acc = 0
-        for i, r in enumerate(ranks):
-            acc += r
-            pbar[i] = acc
-        eps = max(ebar)
         phi = max(pbar)
+        eps = phi - total
         if eps < 0 or phi < 0:
             raise AssertionError(f"negative statistic at vertex {k} on {x.key()}")
-        e_slot = lo + len(ebar) - 1 - ebar[::-1].index(eps)  # largest attaining slot
+        e_slot = lo + len(pbar) - 1 - pbar[::-1].index(phi)  # largest attaining slot
         f_slot = lo + pbar.index(phi)  # smallest attaining slot
         out.append((eps, phi, e_slot, f_slot))
     return tuple(out)
@@ -270,20 +262,14 @@ def embed_psi(rd: RootDatum, x: ModelElement, win: tuple[int, int]) -> TensorEle
     for p in support:
         if not lo < p < hi:
             raise ValueError(f"window [{lo},{hi}] does not cover slot {p} with margin 1")
+    v, w = dict(x.v), dict(x.wp.slots)
     factors: list[CrystalElement] = [S0Element()]
     for p in range(hi, lo - 1, -1):
-        wvec = tuple(x.wp.w(k, p) for k in rd.vertices())
-        factors.append(TElement(Weight(wvec, (0,) * rd.n)))
+        factors.append(TElement(Weight(w.get(p, (0,) * rd.n), (0,) * rd.n)))
         for k in rd.vertices():
-            factors.append(BkElement(k, -x.v_get(k, p)))
+            factors.append(BkElement(k, -v.get((k, p), 0)))
     factors.append(S0Element())
     return TensorElement(tuple(factors))
-
-
-def auto_window(rd: RootDatum, x: ModelElement, margin: int = 1) -> tuple[int, int]:
-    """A window wide enough for embed_psi on x and on any single operator image."""
-    lo, hi = window(rd, x, margin=1)
-    return (lo - margin, hi + margin)
 
 
 def embedding_mismatches(rd: RootDatum, x: ModelElement) -> list[str]:
@@ -294,7 +280,7 @@ def embedding_mismatches(rd: RootDatum, x: ModelElement) -> list[str]:
     so None must correspond to None and elements must match factor by
     factor.
     """
-    win = auto_window(rd, x)
+    win = window(rd, x, margin=2)  # room for x and any single operator image
     emb = embed_psi(rd, x, win)
     out = []
     for k in rd.vertices():

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .crystal_core import NEG_INF, CrystalElement, ext_max, is_neg_inf
+from .crystal_core import CrystalElement, ext_max, is_neg_inf
 from .root_datum import RootDatum, Weight
 
 
@@ -97,14 +97,12 @@ def _profiles(rd: RootDatum, x: TensorElement):
         eps_out = []
         shift = 0  # running sum of wt_j over factors to the left
         for factor, wt in zip(x.factors, pairings):
-            ep = factor.eps(rd, j)
-            eps_out.append(NEG_INF if is_neg_inf(ep) else ep - shift)
+            eps_out.append(factor.eps(rd, j) - shift)
             shift += wt[j - 1]
         phi_out = []
         shift = 0  # running sum of wt_j over factors to the right
         for factor, wt in zip(reversed(x.factors), reversed(pairings)):
-            ph = factor.phi(rd, j)
-            phi_out.append(NEG_INF if is_neg_inf(ph) else ph + shift)
+            phi_out.append(factor.phi(rd, j) + shift)
             shift += wt[j - 1]
         phi_out.reverse()
         rows.append((tuple(eps_out), tuple(phi_out)))
@@ -130,15 +128,13 @@ def flatten(x: CrystalElement) -> tuple[CrystalElement, ...]:
 def binary_eps(rd: RootDatum, x: TensorElement, k: int):
     b1, b2 = x.factors
     w1 = rd.pairing(k, b1.weight(rd))
-    e2 = b2.eps(rd, k)
-    return ext_max([b1.eps(rd, k), NEG_INF if is_neg_inf(e2) else e2 - w1])
+    return ext_max([b1.eps(rd, k), b2.eps(rd, k) - w1])
 
 
 def binary_phi(rd: RootDatum, x: TensorElement, k: int):
     b1, b2 = x.factors
     w2 = rd.pairing(k, b2.weight(rd))
-    p1 = b1.phi(rd, k)
-    return ext_max([b2.phi(rd, k), NEG_INF if is_neg_inf(p1) else p1 + w2])
+    return ext_max([b2.phi(rd, k), b1.phi(rd, k) + w2])
 
 
 def binary_e(rd: RootDatum, x: TensorElement, k: int):

@@ -199,7 +199,8 @@ def test_non_dominant_weight_exits_2(tmp_path):
     assert code == 2
 
 
-def test_malformed_weight_exits_2(capsys):
+def test_malformed_weight_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     for argv in (
         ["graph", "--preset", "A2", "--weight", "a,b"],
         ["graph", "--preset", "A2", "--weight", "1"],
@@ -208,11 +209,17 @@ def test_malformed_weight_exits_2(capsys):
         ["verify", "closed", "--preset", "A2", "--max-entry", "-1"],
         ["verify", "closed", "--preset", "A2", "--pairs", "-1"],
         ["verify", "oracle", "--preset", "affineA1", "--weight", "1,0"],
+        ["graph", "--preset", "A2", "--weight", "1,0", "--dot", "/nonexistent/x.dot"],
+        ["tensor", "--preset", "A2", "--weight", "1,0", "--tsv", "/nonexistent/t.tsv"],
+        ["graph", "--preset", "A2", "--weight", "1,0", "--dot", "ok",
+         "--json", "/nonexistent/y.json"],
+        ["graph", "--preset", "A2", "--weight", "1,0", "--json", "."],
     ):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert not (tmp_path / "ok").exists()
 
 
 def test_usage_error_without_traceback():

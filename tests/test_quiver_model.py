@@ -24,7 +24,7 @@ from kmcrystals import (
     tensor,
     wprofile,
 )
-from kmcrystals.quiver_model import auto_window, window
+from kmcrystals.quiver_model import window
 from kmcrystals.root_datum import Weight
 
 RD1 = build_root_datum("A1")
@@ -137,7 +137,7 @@ def test_embed_preserves_weight():
     g = generate_highest_weight_crystal(RD2, (1, 1))
     for key in g.sorted_keys():
         x = g.nodes[key].element
-        emb = embed_psi(RD2, x, auto_window(RD2, x))
+        emb = embed_psi(RD2, x, window(RD2, x, margin=2))
         assert emb.weight(RD2) == x.weight(RD2)
 
 
@@ -188,7 +188,7 @@ def test_embedding_is_strict_morphism_of_graphs():
     from kmcrystals import check_strict_morphism
 
     hw = model_highest_weight(RD1, (2,))
-    win = auto_window(RD1, hw, margin=3)  # roomy enough for the whole string
+    win = window(RD1, hw, margin=4)  # roomy enough for the whole string
     g_model = generate(RD1, [hw])
     g_tensor = generate(RD1, [embed_psi(RD1, hw, win)])
     assert g_model.node_count() == g_tensor.node_count() == 3
@@ -218,14 +218,22 @@ def test_affine_strictness_at_depth():
     wslot=st.integers(-1, 2),
 )
 def test_telescoping_identity_property(entries, w0, wslot):
-    """sum_p rank(k, p) = <h_k, wt> for arbitrary profiles, valid or not."""
+    """sum_p rank(k, p) = <h_k, wt> for arbitrary profiles, valid or not,
+    and rank(k, p) is the module docstring's formula at every slot."""
     for rd in (RD2, RDA):
         x = model_element(wprofile({wslot: w0}), entries)
+        v, w = dict(x.v), dict(x.wp.slots)
         wt = x.weight(rd)
         lo, hi = window(rd, x, margin=2)
         for k in rd.vertices():
-            total = sum(rank_complex(rd, x, k, p) for p in range(lo, hi + 1))
-            assert total == rd.pairing(k, wt)
+            ranks = {p: rank_complex(rd, x, k, p) for p in range(lo, hi + 1)}
+            assert sum(ranks.values()) == rd.pairing(k, wt)
+            for p, rank in ranks.items():
+                expected = w.get(p - 1, (0,) * rd.n)[k - 1] - v.get((k, p), 0) - v.get((k, p - 1), 0)
+                for l in rd.vertices():
+                    if l != k:
+                        expected += rd.edge_mult[k - 1][l - 1] * v.get((l, p - 1 if l < k else p), 0)
+                assert rank == expected, (k, p)
 
 
 def test_serialization_format():
