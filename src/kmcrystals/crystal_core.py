@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .root_datum import RootDatum, Weight
 
@@ -90,6 +91,8 @@ class CrystalElement(ABC):
     label at the JSON/DOT boundary and the node id of explored graphs.
     """
 
+    tag: ClassVar[str]  # the single key of ``serialize()``, constant per class
+
     @abstractmethod
     def weight(self, rd: RootDatum) -> Weight: ...
 
@@ -112,8 +115,7 @@ class CrystalElement(ABC):
         return json.dumps(self.serialize(), separators=(",", ":"))
 
     def kind(self) -> str:
-        (tag,) = self.serialize().keys()
-        return tag
+        return self.tag
 
     def eps_vector(self, rd: RootDatum) -> tuple:
         return tuple(self.eps(rd, k) for k in rd.vertices())

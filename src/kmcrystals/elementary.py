@@ -20,6 +20,7 @@ from .root_datum import RootDatum, Weight
 
 @dataclass(frozen=True)
 class BkElement(CrystalElement):
+    tag = "Bk"
     k: int
     n: int
 
@@ -46,6 +47,7 @@ class BkElement(CrystalElement):
 
 @dataclass(frozen=True)
 class TElement(CrystalElement):
+    tag = "T"
     lam: Weight
 
     def weight(self, rd: RootDatum) -> Weight:
@@ -69,6 +71,8 @@ class TElement(CrystalElement):
 
 @dataclass(frozen=True)
 class S0Element(CrystalElement):
+    tag = "S0"
+
     def weight(self, rd: RootDatum) -> Weight:
         return rd.zero_weight()
 

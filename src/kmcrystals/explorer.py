@@ -58,6 +58,14 @@ def generate(
     (element equality, through ``CrystalGraph.index``); an element is
     serialized once, when admitted, and its key is its node id.  Keys are
     canonical, so exploration order never changes the result.
+
+    Each edge is derived once.  Expanding b computes every f_k(b), but
+    e_k(b) only when no k-edge into b is recorded yet: a recorded edge
+    f_k(a) = b already is e_k(b) = a by the crystal axiom, so node set,
+    edge set and depths are those of applying every operator.  A structure
+    that breaks the axiom may lose nodes and edges here, never gain them;
+    :func:`~kmcrystals.crystal_core.check_axioms` re-derives every operator
+    in both directions and reports it.
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
@@ -65,6 +73,7 @@ def generate(
         node_budget = int(os.environ.get("CRYSTAL_NODE_BUDGET", DEFAULT_NODE_BUDGET))
     g = CrystalGraph(rd=rd, depth_bound=depth)
     queue: deque[str] = deque()
+    entered: set[tuple[str, int]] = set()  # (dst, k) of every recorded f_k-edge
 
     def admit(element: CrystalElement, d: int) -> str:
         key = g.index.get(element)
@@ -93,7 +102,11 @@ def generate(
         for k in rd.vertices():
             down = nd.element.f(rd, k)
             if down is not None:
-                g.edges.add((key, k, admit(down, nd.depth + 1)))
+                dst = admit(down, nd.depth + 1)
+                g.edges.add((key, k, dst))
+                entered.add((dst, k))
+            if (key, k) in entered:
+                continue
             up = nd.element.e(rd, k)
             if up is not None:
                 g.edges.add((admit(up, nd.depth + 1), k, key))

@@ -37,6 +37,7 @@ exactly how the model is verified end to end.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -70,15 +71,6 @@ class WProfile:
     def support(self) -> list[int]:
         return [p for p, _ in self.slots]
 
-    def total_weight(self, rd: RootDatum) -> Weight:
-        lam = [0] * rd.n
-        for _, vec in self.slots:
-            if len(vec) != rd.n:
-                raise ValueError("W-profile vector length does not match root datum rank")
-            for i, x in enumerate(vec):
-                lam[i] += x
-        return Weight(tuple(lam), (0,) * rd.n)
-
     def serialize(self) -> dict:
         return {str(p): list(vec) for p, vec in self.slots}
 
@@ -97,6 +89,7 @@ def wprofile(slots: dict[int, object]) -> WProfile:
 class ModelElement(CrystalElement):
     """A dimension profile v against a fixed W-profile; entries always >= 0."""
 
+    tag = "Model"
     wp: WProfile
     v: tuple[tuple[tuple[int, int], int], ...]  # ((k, p), count), k then p ascending
 
@@ -112,23 +105,26 @@ class ModelElement(CrystalElement):
         return h
 
     def with_delta(self, k: int, p: int, delta: int) -> "ModelElement":
-        table = dict(self.v)
-        new = table.get((k, p), 0) + delta
+        v = self.v
+        i = bisect_left(v, ((k, p),))  # first entry at or after (k, p)
+        old = v[i][1] if i < len(v) and v[i][0] == (k, p) else 0
+        new = old + delta
         if new < 0:
             raise RuntimeError(
                 f"internal error: profile entry v[{k},{p}] would become negative"
             )
-        if new == 0:
-            table.pop((k, p), None)
-        else:
-            table[(k, p)] = new
-        return ModelElement(self.wp, tuple(sorted(table.items())))
+        entry = (((k, p), new),) if new else ()
+        tail = v[i + 1 :] if old else v[i:]
+        return ModelElement(self.wp, v[:i] + entry + tail)
 
     def weight(self, rd: RootDatum) -> Weight:
-        root = [0] * rd.n
-        for (k, _), c in self.v:
-            root[k - 1] += c
-        return Weight(self.wp.total_weight(rd).lambda_part, tuple(root))
+        return rd.memo_entry(self, _stats)[0]
+
+    def eps_vector(self, rd: RootDatum) -> tuple:
+        return tuple(row[0] for row in rd.memo_entry(self, _stats)[1:])
+
+    def phi_vector(self, rd: RootDatum) -> tuple:
+        return tuple(row[1] for row in rd.memo_entry(self, _stats)[1:])
 
     def eps(self, rd: RootDatum, k: int) -> int:
         return rd.memo_row(self, k, _stats)[0]
@@ -183,33 +179,44 @@ def window(rd: RootDatum, x: ModelElement, margin: int = 1) -> tuple[int, int]:
     return (min(support) - margin, max(support) + margin)
 
 
-def _rank_rows(rd: RootDatum, x: ModelElement) -> tuple[int, list[list[int]]]:
-    """(lo, rows) with rows[k - 1][p - lo] = rank(k, p) over ``window(rd, x)``;
-    the one place the rank formula is evaluated, in one pass over the
-    entries.  Every write (slot p or p+1 of a support slot p) lands inside
-    the window; a negative index would wrap around silently."""
+def _rank_rows(rd: RootDatum, x: ModelElement) -> tuple[int, list[list[int]], Weight]:
+    """(lo, rows, wt) with rows[k - 1][p - lo] = rank(k, p) over
+    ``window(rd, x)`` and wt the weight of x; the one place the rank formula
+    is evaluated, in one pass over the entries of w and v that also sums
+    wt.  Every write (slot p or p+1 of a support slot p) lands inside the
+    window; a negative index would wrap around silently.  Raises ValueError
+    on an entry of v at a vertex outside 1..n."""
+    n, split = rd.n, rd.neighbor_split
     lo, hi = window(rd, x)
-    rows = [[0] * (hi - lo + 1) for _ in rd.vertices()]
+    rows = [[0] * (hi - lo + 1) for _ in range(n)]
+    lam, root = (0,) * n, [0] * n
     for p, vec in x.wp.slots:
+        if len(vec) != n:
+            raise ValueError("W-profile vector length does not match root datum rank")
+        # with one W slot its vector is the lambda part: share it, don't copy it
+        lam = tuple(a + c for a, c in zip(lam, vec)) if any(lam) else vec
         for row, c in zip(rows, vec):
             row[p + 1 - lo] += c
     for (l, p), c in x.v:
+        if not 0 < l <= n:
+            raise ValueError(f"vertex index {l} out of range 1..{n}")
+        root[l - 1] += c
         i = p - lo
         rows[l - 1][i] -= c
         rows[l - 1][i + 1] -= c
-        below, above = rd.neighbor_split[l - 1]
+        below, above = split[l - 1]
         for k, m in below:
             rows[k - 1][i] += m * c
         for k, m in above:
             rows[k - 1][i + 1] += m * c
-    return lo, rows
+    return lo, rows, Weight(lam, tuple(root))
 
 
 def rank_complex(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
     """Euler rank (middle minus ends) of the three-term complex at (k, p):
     an accessor of the rows of :func:`_rank_rows`, 0 outside the window."""
     rd._check_vertex(k)
-    lo, rows = _rank_rows(rd, x)
+    lo, rows, _ = _rank_rows(rd, x)
     row = rows[k - 1]
     return row[p - lo] if 0 <= p - lo < len(row) else 0
 
@@ -227,14 +234,15 @@ def phi_bar(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
 
 
 def _stats(rd: RootDatum, x: ModelElement):
-    """Per-vertex (eps, phi, e_slot, f_slot) from one rank pass: the builder
-    behind ``rd.memo_row`` for model elements, run once per element.  phi_bar
-    is the prefix sum of a rank row and eps_bar = phi_bar - <h_k, wt>.  Also
-    asserts the telescoping identity sum_p rank(k, p) = <h_k, wt> on every
-    element whose statistics are ever computed."""
-    pairings = rd.pairing_vector(x.weight(rd))
-    lo, rows = _rank_rows(rd, x)
-    out = []
+    """(wt, then (eps, phi, e_slot, f_slot) per vertex) from one rank pass: the
+    builder behind ``rd.memo_entry`` for model elements, run once per
+    element.  phi_bar is the prefix sum of a rank row, and
+    eps_bar = phi_bar - <h_k, wt>.  Also asserts the telescoping identity
+    sum_p rank(k, p) = <h_k, wt> on every element whose statistics are ever
+    computed."""
+    lo, rows, wt = _rank_rows(rd, x)
+    pairings = rd.pairing_vector(wt)
+    out = [wt]
     for k, row, total in zip(rd.vertices(), rows, pairings):
         pbar = list(accumulate(row))
         if pbar[-1] != total:

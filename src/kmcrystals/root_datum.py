@@ -23,10 +23,11 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from pathlib import Path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """Exact weight: (fundamental-weight coords, subtracted simple-root coords)."""
 
@@ -121,26 +122,29 @@ class RootDatum:
 
     @cached_property
     def memo(self) -> dict:
-        """Per-vertex statistics of the elements queried against this datum,
-        keyed by element: profile-model rows and tensor eps/phi profiles.
-        They are pure functions of (datum, element), so the memo is shared
-        by equal elements and lives exactly as long as the datum.  Read and
-        filled through :meth:`memo_row` only."""
+        """Statistics of the elements queried against this datum, keyed by
+        element: one entry ``(weight, row_1, ..., row_n)`` per element, row k
+        holding vertex k's profile-model statistics or tensor eps/phi
+        profiles.  They are pure functions of (datum, element), so the memo
+        is shared by equal elements and lives exactly as long as the datum.
+        Filled through :meth:`memo_entry` only."""
         return {}
 
-    def memo_row(self, x, k: int, build):
-        """Vertex k's entry of the per-vertex statistics of element x.
+    def memo_entry(self, x, build):
+        """The memo entry ``(weight, row_1, ..., row_n)`` of element x.
+        ``build(self, x)`` returns it; it runs on the first query of x and
+        its result is kept in :attr:`memo`."""
+        entry = self.memo.get(x)
+        if entry is None:
+            entry = self.memo[x] = build(self, x)
+        return entry
 
-        ``build(self, x)`` returns the entries of all vertices, in vertex
-        order; it runs on the first query of x and its result is kept in
-        :attr:`memo`.  Raises ValueError when k is not a vertex.
-        """
-        if not 1 <= k <= self.n:
+    def memo_row(self, x, k: int, build):
+        """Vertex k's row of :meth:`memo_entry`; ValueError when k is not a vertex."""
+        entry = self.memo_entry(x, build)
+        if not 0 < k < len(entry):
             raise ValueError(f"vertex index {k} out of range 1..{self.n}")
-        rows = self.memo.get(x)
-        if rows is None:
-            rows = self.memo[x] = build(self, x)
-        return rows[k - 1]
+        return entry[k]
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -154,7 +158,13 @@ class RootDatum:
         return wt.lambda_part[k - 1] - sum(c * v for c, v in zip(row, wt.root_part))
 
     def pairing_vector(self, wt: Weight) -> tuple[int, ...]:
-        return tuple(self.pairing(k, wt) for k in self.vertices())
+        """(<h_1, wt>, ..., <h_n, wt>), the formula of :meth:`pairing` per row."""
+        if len(wt.lambda_part) != self.n:
+            raise ValueError(f"weight has rank {len(wt.lambda_part)}, root datum has rank {self.n}")
+        root = wt.root_part
+        return tuple(
+            lam - sum(map(mul, row, root)) for lam, row in zip(wt.lambda_part, self.cartan)
+        )
 
     def is_dominant(self, wt: Weight) -> bool:
         return all(self.pairing(k, wt) >= 0 for k in self.vertices())

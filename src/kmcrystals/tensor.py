@@ -33,6 +33,7 @@ from .root_datum import RootDatum, Weight
 
 @dataclass(frozen=True)
 class TensorElement(CrystalElement):
+    tag = "Tensor"
     factors: tuple[CrystalElement, ...]
 
     def __post_init__(self):
@@ -46,7 +47,7 @@ class TensorElement(CrystalElement):
         return h
 
     def weight(self, rd: RootDatum) -> Weight:
-        return reduce(lambda a, b: a + b, (x.weight(rd) for x in self.factors))
+        return rd.memo_entry(self, _profiles)[0]
 
     def eps_profile(self, rd: RootDatum, k: int) -> list:
         return list(rd.memo_row(self, k, _profiles)[0])
@@ -59,6 +60,12 @@ class TensorElement(CrystalElement):
 
     def phi(self, rd: RootDatum, k: int):
         return ext_max(rd.memo_row(self, k, _profiles)[1])
+
+    def eps_vector(self, rd: RootDatum) -> tuple:
+        return tuple(ext_max(eps) for eps, _ in rd.memo_entry(self, _profiles)[1:])
+
+    def phi_vector(self, rd: RootDatum) -> tuple:
+        return tuple(ext_max(phi) for _, phi in rd.memo_entry(self, _profiles)[1:])
 
     def e(self, rd: RootDatum, k: int):
         profile = rd.memo_row(self, k, _profiles)[0]
@@ -88,11 +95,12 @@ class TensorElement(CrystalElement):
 
 
 def _profiles(rd: RootDatum, x: TensorElement):
-    """Per-vertex (eps profile, phi profile) of a tensor element, one pass
-    each.  The builder behind ``rd.memo_row`` for tensor elements, which
-    runs it once per element."""
-    pairings = [rd.pairing_vector(factor.weight(rd)) for factor in x.factors]
-    rows = []
+    """(wt, then (eps profile, phi profile) per vertex) of a tensor element,
+    one pass each.  The builder behind ``rd.memo_entry`` for tensor elements,
+    which runs it once per element."""
+    weights = [factor.weight(rd) for factor in x.factors]
+    pairings = [rd.pairing_vector(wt) for wt in weights]
+    rows = [reduce(lambda a, b: a + b, weights)]
     for j in rd.vertices():
         eps_out = []
         shift = 0  # running sum of wt_j over factors to the left

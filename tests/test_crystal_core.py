@@ -1,10 +1,13 @@
 import json
+from dataclasses import dataclass
 
 import pytest
 
 from kmcrystals import (
     NEG_INF,
     BkElement,
+    CrystalElement,
+    S0Element,
     TElement,
     build_root_datum,
     check_axioms,
@@ -14,6 +17,8 @@ from kmcrystals import (
     generate_highest_weight_crystal,
     graph_to_dot,
     graph_to_json,
+    model_highest_weight,
+    tensor,
 )
 from kmcrystals.crystal_core import ext_max, is_neg_inf
 from kmcrystals.root_datum import Weight
@@ -153,3 +158,58 @@ def test_element_key_round_trip():
     g = generate_highest_weight_crystal(rd, (1, 1))
     for key, nd in g.nodes.items():
         assert json.loads(key) == nd.element.serialize()
+
+
+@dataclass(frozen=True)
+class BrokenString(CrystalElement):
+    """The A1 string 0 -> 1 -> 2 of B(2), except that e_1 of the middle
+    element is ``middle_e`` (None or 2) instead of 0."""
+
+    tag = "BrokenString"
+    i: int
+    middle_e: int | None
+
+    def weight(self, rd):
+        return Weight((2,), (self.i,))
+
+    def eps(self, rd, k):
+        return self.i
+
+    def phi(self, rd, k):
+        return 2 - self.i
+
+    def e(self, rd, k):
+        up = self.middle_e if self.i == 1 else self.i - 1
+        return None if up is None or up < 0 else BrokenString(up, self.middle_e)
+
+    def f(self, rd, k):
+        return BrokenString(self.i + 1, self.middle_e) if self.i < 2 else None
+
+    def serialize(self):
+        return {"BrokenString": {"i": self.i}}
+
+
+@pytest.mark.parametrize("middle_e", [None, 2])
+def test_axioms_catch_e_not_inverse_of_f(middle_e):
+    # generate never asks e_1 of the middle element, since f_1 reached it
+    # first; check_axioms asks every operator in both directions
+    g = generate(build_root_datum("A1"), [BrokenString(0, middle_e)])
+    assert g.node_count() == 3 and len(g.edges) == 2
+    violations = check_axioms(g)
+    assert any("e_1 f_1 b != b" in v for v in violations)
+    assert any("not e_1-inverted" in v for v in violations)
+
+
+def test_kind_is_the_serialize_tag():
+    rd = build_root_datum("A1")
+    elements = [
+        BkElement(1, 0),
+        TElement(Weight((1,), (0,))),
+        S0Element(),
+        model_highest_weight(rd, (1,)),
+        tensor(S0Element(), BkElement(1, 0)),
+    ]
+    for x in elements:
+        (tag,) = x.serialize()
+        assert x.kind() == tag
+    assert len({x.kind() for x in elements}) == 5

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +10,7 @@ from kmcrystals import (
     BkElement,
     CrystalElement,
     BudgetExceeded,
+    ModelElement,
     build_root_datum,
     character,
     closed_family_instance,
@@ -25,6 +27,7 @@ from kmcrystals import (
     tensor_product_graph,
     weyl_dim,
 )
+from kmcrystals import quiver_model
 from kmcrystals.root_datum import Weight
 from kmcrystals.tensor import TensorElement
 
@@ -341,6 +344,72 @@ def test_generate_serializes_each_node_once(monkeypatch):
     monkeypatch.setattr(CrystalElement, "key", counting_key)
     g = generate_highest_weight_crystal(build_root_datum("A3"), (1, 1, 1))
     assert len(calls) == g.node_count() == 64
+
+
+def test_generate_derives_each_edge_once(monkeypatch):
+    # an e-edge into a node already reached by an f-edge is not re-derived
+    deltas, builds = [], []
+    with_delta, stats = ModelElement.with_delta, quiver_model._stats
+
+    def counting_with_delta(self, k, p, delta):
+        deltas.append((k, p, delta))
+        return with_delta(self, k, p, delta)
+
+    def counting_stats(rd, x):
+        builds.append(x)
+        return stats(rd, x)
+
+    monkeypatch.setattr(ModelElement, "with_delta", counting_with_delta)
+    monkeypatch.setattr(quiver_model, "_stats", counting_stats)
+    g = generate_highest_weight_crystal(build_root_datum("A3"), (1, 1, 1))
+    assert len(deltas) == len(g.edges) == 102
+    assert len(builds) == g.node_count() == 64
+
+
+def _from_lowest_element(rd, lam):
+    full = generate_highest_weight_crystal(rd, lam)
+    (lowest,) = [nd.element for nd in full.nodes.values() if not any(nd.phi)]
+    return generate(rd, [lowest])  # every node is first reached by an e-edge
+
+
+EXPLORED = {
+    "A2 (1,1) from its lowest element": lambda: _from_lowest_element(RD2, (1, 1)),
+    "affineA1 (1,0) depth 4": lambda: generate_highest_weight_crystal(RDA, (1, 0), depth=4),
+    "A2 (1,0)x(0,1) product": lambda: tensor_product_graph(
+        RD2, [generate_highest_weight_crystal(RD2, w) for w in ((1, 0), (0, 1))]
+    ),
+}
+
+
+@pytest.mark.parametrize("build", EXPLORED.values(), ids=EXPLORED.keys())
+def test_generate_records_every_operator_image(build):
+    g = build()
+    rd = g.rd
+    images = set()
+    for key, nd in g.nodes.items():
+        if nd.frontier:
+            continue
+        for k in rd.vertices():
+            down, up = nd.element.f(rd, k), nd.element.e(rd, k)
+            if down is not None:
+                images.add((key, k, g.index[down]))
+            if up is not None:
+                images.add((g.index[up], k, key))
+    assert g.edges == images
+    # depths are breadth-first distances from the generators along the edges
+    neighbours = {key: set() for key in g.nodes}
+    for a, _, b in g.edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    distance = dict.fromkeys(g.generators, 0)
+    queue = deque(g.generators)
+    while queue:
+        key = queue.popleft()
+        for nxt in neighbours[key]:
+            if nxt not in distance:
+                distance[nxt] = distance[key] + 1
+                queue.append(nxt)
+    assert distance == {key: nd.depth for key, nd in g.nodes.items()}
 
 
 def test_memory_freed_with_datum():

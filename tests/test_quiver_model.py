@@ -270,3 +270,18 @@ def test_vertex_out_of_range(kind, op, k):
     b.f(RD2, 2)  # the statistics of b are now memoised
     with pytest.raises(ValueError, match="out of range"):
         getattr(b, op)(RD2, k)
+
+
+@pytest.mark.parametrize("v", [{(0, 1): 1}, {(3, 1): 1}])
+def test_profile_entry_at_a_non_vertex(v):
+    # the one pass that reads v rejects it, whichever statistic asks first
+    x = model_element(wprofile({0: (1, 1)}), v)
+    reads = [
+        lambda: x.weight(RD2),
+        lambda: x.eps_vector(RD2),
+        lambda: x.f(RD2, 1),
+        lambda: rank_complex(RD2, x, 1, 1),
+    ]
+    for read in reads:
+        with pytest.raises(ValueError, match=r"vertex index [03] out of range 1\.\.2"):
+            read()
