@@ -7,7 +7,7 @@ one-element crystal, and the capping element), then the signed-max rule
 that decides which tensor factor an operator acts on.
 """
 
-from kmcrystals import BkElement, S0Element, TElement, build_root_datum, tensor
+from kmcrystals import BkElement, S0Element, TElement, TensorElement, build_root_datum
 from kmcrystals import model_highest_weight
 
 rd = build_root_datum("A1")
@@ -27,7 +27,7 @@ print("T phi:", t.phi(rd, 1), "  S0 phi:", s.phi(rd, 1))
 
 # The tensor rule.  Take the two-element crystal B(Lambda) twice:
 hw = model_highest_weight(rd, (1,))
-x = tensor(hw, hw)
+x = TensorElement((hw, hw))
 print("phi profile of hw (x) hw:", x.phi_profile(rd, 1))
 
 # f_1 acts at the largest position attaining the phi-maximum, here the

@@ -7,14 +7,14 @@ operators from Euler ranks of three-term complexes, and the capped tensor
 embedding that pins every convention down.
 """
 
+from itertools import accumulate
+
 from kmcrystals import (
     build_root_datum,
     embed_psi,
     embedding_mismatches,
-    eps_bar,
     generate,
     model_highest_weight,
-    phi_bar,
     rank_complex,
 )
 from kmcrystals.quiver_model import window
@@ -26,9 +26,14 @@ hw = model_highest_weight(rd, (1, 0))
 print("source:", hw.serialize())
 
 # rank tables drive everything: here only (k=1, p=1) is nonzero.
-print("ranks at k=1:", {p: rank_complex(rd, hw, 1, p) for p in range(-1, 3)})
+# Slots -1..2 are the whole window of hw; outside it every rank is 0.
+ranks = {p: rank_complex(rd, hw, 1, p) for p in range(-1, 3)}
+print("ranks at k=1:", ranks)
+# phi_bar(p) sums the ranks up to slot p, and eps_bar = phi_bar - <h_1, wt>.
+phi_bar = dict(zip(ranks, accumulate(ranks.values())))
+h1 = rd.pairing(1, hw.weight(rd))
 print("partial sums eps_bar / phi_bar at k=1:",
-      {p: (eps_bar(rd, hw, 1, p), phi_bar(rd, hw, 1, p)) for p in range(-1, 3)})
+      {p: (phi_bar[p] - h1, phi_bar[p]) for p in ranks})
 
 # Lowering twice: note the second unit lands on slot 2, one above the first.
 x = hw.f(rd, 1)

@@ -12,7 +12,6 @@ from .crystal_core import (
     NEG_INF,
     CrystalElement,
     CrystalGraph,
-    NegInfinity,
     check_axioms,
     check_normal,
     check_strict_morphism,
@@ -42,15 +41,13 @@ from .quiver_model import (
     WProfile,
     embed_psi,
     embedding_mismatches,
-    eps_bar,
     model_element,
     model_highest_weight,
-    phi_bar,
     rank_complex,
     wprofile,
 )
 from .root_datum import RootDatum, Weight, build_root_datum, load_root_datum
-from .tensor import TensorElement, binary_e, binary_eps, binary_f, binary_phi, flatten, tensor
+from .tensor import TensorElement, binary_e, binary_eps, binary_f, binary_phi, flatten
 
 __version__ = "0.1.0"
 
@@ -62,7 +59,6 @@ __all__ = [
     "CrystalGraph",
     "DecompositionTable",
     "ModelElement",
-    "NegInfinity",
     "RootDatum",
     "S0Element",
     "TElement",
@@ -83,7 +79,6 @@ __all__ = [
     "decompose_tensor",
     "embed_psi",
     "embedding_mismatches",
-    "eps_bar",
     "finite_type_check",
     "flatten",
     "freudenthal_multiplicities",
@@ -96,10 +91,8 @@ __all__ = [
     "load_root_datum",
     "model_element",
     "model_highest_weight",
-    "phi_bar",
     "positive_roots",
     "rank_complex",
-    "tensor",
     "tensor_product_graph",
     "weyl_dim",
     "wprofile",

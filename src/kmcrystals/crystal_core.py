@@ -114,9 +114,6 @@ class CrystalElement(ABC):
     def key(self) -> str:
         return json.dumps(self.serialize(), separators=(",", ":"))
 
-    def kind(self) -> str:
-        return self.tag
-
     def eps_vector(self, rd: RootDatum) -> tuple:
         return tuple(self.eps(rd, k) for k in rd.vertices())
 
@@ -293,14 +290,15 @@ def check_strict_morphism(
     g1: CrystalGraph,
     g2: CrystalGraph,
     mapping: dict[str, str],
-    require_injective: bool = False,
 ) -> CheckReport:
-    """Verify that ``mapping`` (keys of g1 -> keys of g2) is a strict morphism.
+    """Verify that ``mapping`` (keys of g1 -> keys of g2) is an injective
+    strict morphism.
 
-    Checks wt/eps/phi preservation on every mapped node and unconditional
-    commutation with every e_k and f_k, treating None as None.  Pairs whose
-    comparison would need an unmapped or unexplored node are skipped and
-    counted.  Raises ValueError if the map misses a non-frontier node of g1.
+    Checks injectivity, wt/eps/phi preservation on every mapped node and
+    unconditional commutation with every e_k and f_k, treating None as None.
+    Pairs whose comparison would need an unmapped or unexplored node are
+    skipped and counted.  Raises ValueError if the map misses a non-frontier
+    node of g1.
     """
     rd = g1.rd
     violations: list[str] = []
@@ -343,12 +341,11 @@ def check_strict_morphism(
                     continue
                 if g2.index.get(dst_img) != mapped:
                     violations.append(f"{op}_{k} does not commute at {key}")
-    if require_injective:
-        seen: dict[str, str] = {}
-        for src, dst in mapping.items():
-            if dst in seen:
-                violations.append(f"not injective: {seen[dst]} and {src} both map to {dst}")
-            seen[dst] = src
+    seen: dict[str, str] = {}
+    for src, dst in mapping.items():
+        if dst in seen:
+            violations.append(f"not injective: {seen[dst]} and {src} both map to {dst}")
+        seen[dst] = src
     return CheckReport(violations, checked, skipped)
 
 
@@ -360,7 +357,7 @@ def graph_to_json(g: CrystalGraph) -> dict:
         nodes.append(
             {
                 "id": key,
-                "kind": nd.element.kind(),
+                "kind": nd.element.tag,
                 "wt": nd.weight.serialize(),
                 "eps": [ext_serialize(x) for x in nd.eps],
                 "phi": [ext_serialize(x) for x in nd.phi],

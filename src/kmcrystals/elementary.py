@@ -8,6 +8,9 @@ T_lambda is a single frozen element of weight lambda with all statistics
 -inf and no operators.  S_0 is also a single element of weight zero, but
 with eps = phi = 0; the difference matters: in a tensor product S_0 caps
 operator strings while T_lambda is transparent to them.
+
+As for every element class, asking any of them about a vertex index outside
+1..n (or B_k's weight when k is not a vertex) raises ValueError.
 """
 
 from __future__ import annotations
@@ -25,20 +28,25 @@ class BkElement(CrystalElement):
     n: int
 
     def weight(self, rd: RootDatum) -> Weight:
+        rd._check_vertex(self.k)
         root = [0] * rd.n
         root[self.k - 1] = -self.n  # wt = n*alpha_k, stored as subtracted roots
         return Weight((0,) * rd.n, tuple(root))
 
     def eps(self, rd: RootDatum, l: int):
+        rd._check_vertex(l)
         return -self.n if l == self.k else NEG_INF
 
     def phi(self, rd: RootDatum, l: int):
+        rd._check_vertex(l)
         return self.n if l == self.k else NEG_INF
 
     def e(self, rd: RootDatum, l: int):
+        rd._check_vertex(l)
         return BkElement(self.k, self.n + 1) if l == self.k else None
 
     def f(self, rd: RootDatum, l: int):
+        rd._check_vertex(l)
         return BkElement(self.k, self.n - 1) if l == self.k else None
 
     def serialize(self) -> dict:
@@ -54,15 +62,19 @@ class TElement(CrystalElement):
         return self.lam
 
     def eps(self, rd: RootDatum, k: int):
+        rd._check_vertex(k)
         return NEG_INF
 
     def phi(self, rd: RootDatum, k: int):
+        rd._check_vertex(k)
         return NEG_INF
 
     def e(self, rd: RootDatum, k: int):
+        rd._check_vertex(k)
         return None
 
     def f(self, rd: RootDatum, k: int):
+        rd._check_vertex(k)
         return None
 
     def serialize(self) -> dict:
@@ -77,15 +89,19 @@ class S0Element(CrystalElement):
         return rd.zero_weight()
 
     def eps(self, rd: RootDatum, k: int):
+        rd._check_vertex(k)
         return 0
 
     def phi(self, rd: RootDatum, k: int):
+        rd._check_vertex(k)
         return 0
 
     def e(self, rd: RootDatum, k: int):
+        rd._check_vertex(k)
         return None
 
     def f(self, rd: RootDatum, k: int):
+        rd._check_vertex(k)
         return None
 
     def serialize(self) -> dict:

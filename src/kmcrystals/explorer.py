@@ -182,9 +182,6 @@ class DecompositionTable:
     flagged: list[str] = field(default_factory=list)
     component_sizes: dict[str, int] = field(default_factory=dict)
 
-    def multiplicity(self, wt: Weight) -> int:
-        return self.entries.get(wt, 0)
-
     def sorted_entries(self) -> list[tuple[Weight, int]]:
         return sorted(self.entries.items(), key=lambda kv: (kv[0].lambda_part, kv[0].root_part))
 

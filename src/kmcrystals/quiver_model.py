@@ -154,14 +154,14 @@ def model_element(wp: WProfile, v: dict[tuple[int, int], int] | None = None) -> 
     return ModelElement(wp, tuple(sorted(table.items())))
 
 
-def model_highest_weight(rd: RootDatum, lam, slot: int = 0) -> ModelElement:
-    """The source element of B(lam): all of the W-profile on one slot, v empty."""
+def model_highest_weight(rd: RootDatum, lam) -> ModelElement:
+    """The source element of B(lam): all of the W-profile on slot 0, v empty."""
     lam = tuple(int(x) for x in lam)
     if len(lam) != rd.n:
         raise ValueError(f"weight coordinates must have length {rd.n}")
     if any(x < 0 for x in lam):
         raise ValueError("highest weight must be dominant (nonnegative coordinates)")
-    return model_element(wprofile({slot: lam}))
+    return model_element(wprofile({0: lam}))
 
 
 def window(rd: RootDatum, x: ModelElement, margin: int = 1) -> tuple[int, int]:
@@ -219,18 +219,6 @@ def rank_complex(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
     lo, rows, _ = _rank_rows(rd, x)
     row = rows[k - 1]
     return row[p - lo] if 0 <= p - lo < len(row) else 0
-
-
-def eps_bar(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
-    """-sum of ranks over slots strictly above p (a finite sum)."""
-    lo, hi = window(rd, x)
-    return -sum(rank_complex(rd, x, k, q) for q in range(max(p + 1, lo), hi + 1))
-
-
-def phi_bar(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
-    """Sum of ranks over slots at most p (a finite sum)."""
-    lo, hi = window(rd, x)
-    return sum(rank_complex(rd, x, k, q) for q in range(lo, min(p, hi) + 1))
 
 
 def _stats(rd: RootDatum, x: ModelElement):

@@ -172,12 +172,6 @@ class RootDatum:
     def zero_weight(self) -> Weight:
         return Weight((0,) * self.n, (0,) * self.n)
 
-    def fundamental_weight(self, k: int) -> Weight:
-        self._check_vertex(k)
-        lam = [0] * self.n
-        lam[k - 1] = 1
-        return Weight(tuple(lam), (0,) * self.n)
-
     def weight(self, lambda_part, root_part=None) -> Weight:
         lam = tuple(int(x) for x in lambda_part)
         root = (0,) * self.n if root_part is None else tuple(int(x) for x in root_part)
@@ -265,44 +259,14 @@ def build_root_datum(source) -> RootDatum:
     return RootDatum(_adjacency_to_cartan(source))
 
 
-def _parse_restricted_toml(text: str) -> dict:
-    """Top-level ``key = value`` pairs whose values are JSON-compatible
-    (quoted strings, integers, nested int arrays).  Covers the root datum
-    file schema on interpreters without tomllib."""
-    data: dict = {}
-    pending_key = None
-    pending_value = ""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if pending_key is None:
-            if "=" not in line:
-                raise ValueError(f"cannot parse TOML line: {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            pending_key, pending_value = key, value
-        else:
-            pending_value += " " + line
-        if pending_value.count("[") == pending_value.count("]"):
-            normalized = re.sub(r",\s*\]", "]", pending_value)  # TOML allows trailing commas
-            data[pending_key] = json.loads(normalized)
-            pending_key, pending_value = None, ""
-    if pending_key is not None:
-        raise ValueError(f"unterminated TOML value for key {pending_key!r}")
-    return data
-
-
 def load_root_datum(path) -> RootDatum:
     """Read a root datum from a JSON or TOML file holding {"preset": ...} or {"adjacency": ...}."""
     path = Path(path)
     text = path.read_text()
     if path.suffix.lower() == ".toml":
-        try:
-            import tomllib
-        except ModuleNotFoundError:
-            data = _parse_restricted_toml(text)
-        else:
-            data = tomllib.loads(text)
+        import tomllib  # here, not at the top: only TOML files pay for the import
+
+        data = tomllib.loads(text)
     else:
         data = json.loads(text)
     return build_root_datum(data)

@@ -117,10 +117,6 @@ def _profiles(rd: RootDatum, x: TensorElement):
     return tuple(rows)
 
 
-def tensor(*factors: CrystalElement) -> TensorElement:
-    return TensorElement(tuple(factors))
-
-
 def flatten(x: CrystalElement) -> tuple[CrystalElement, ...]:
     """The canonical re-bracketing bijection: nested tensors to a flat factor list."""
     if isinstance(x, TensorElement):

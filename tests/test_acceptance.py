@@ -26,7 +26,6 @@ from kmcrystals import (
     model_element,
     model_highest_weight,
     rank_complex,
-    tensor,
     tensor_product_graph,
     weyl_dim,
     wprofile,
@@ -170,7 +169,8 @@ def _triple_checks(rd, graphs):
         x = product.nodes[key].element
         count += 1
         a, b, c = x.factors
-        for nested in (tensor(tensor(a, b), c), tensor(a, tensor(b, c))):
+        left, right = TensorElement((a, b)), TensorElement((b, c))
+        for nested in (TensorElement((left, c)), TensorElement((a, right))):
             for k in rd.vertices():
                 assert nested.eps(rd, k) == x.eps(rd, k)
                 assert nested.phi(rd, k) == x.phi(rd, k)
@@ -183,7 +183,7 @@ def _triple_checks(rd, graphs):
                         assert nested_image is not None
                         assert flatten(nested_image) == flat_image.factors
         # n-fold selection equals iterated binary application
-        nested = tensor(tensor(a, b), c)
+        nested = TensorElement((TensorElement((a, b)), c))
         for k in rd.vertices():
             for op, binary_op in (("e", binary_e), ("f", binary_f)):
                 flat_image = getattr(x, op)(rd, k)

@@ -201,9 +201,10 @@ def test_positive_root_counts():
 
 
 def test_weyl_dim_values():
-    assert weyl_dim(RD3, RD3.fundamental_weight(2)) == 6
+    assert weyl_dim(RD3, RD3.weight((0, 1, 0))) == 6
     d4 = build_root_datum("D4")
-    assert [weyl_dim(d4, d4.fundamental_weight(k)) for k in (1, 3, 4)] == [8, 8, 8]
+    units = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    assert [weyl_dim(d4, d4.weight(unit)) for unit in units] == [8, 8, 8]
     assert weyl_dim(RD1, RD1.weight((7,))) == 8
 
 
@@ -329,7 +330,8 @@ def test_exceptional_series_oracles():
     for name, (root_count, smallest_dim) in expected.items():
         rd = build_root_datum(name)
         assert len(positive_roots(rd)) == root_count
-        dims = [weyl_dim(rd, rd.fundamental_weight(k)) for k in rd.vertices()]
+        units = [[int(k == l) for l in rd.vertices()] for k in rd.vertices()]
+        dims = [weyl_dim(rd, rd.weight(unit)) for unit in units]
         assert min(dims) == smallest_dim
 
 

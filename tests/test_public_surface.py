@@ -1,0 +1,50 @@
+"""The package's public surface, pinned so that any change to it is deliberate.
+
+The benchmark's tracer (``bench/tracer.py``) wraps attributes by name on
+their defining class or module; every one of them must exist there, or each
+traced benchmark run breaks.  Checking the names here makes a removal fail
+in the test suite instead.
+"""
+
+import importlib.util
+import types
+from pathlib import Path
+
+import kmcrystals
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC = [  # sorted
+    "BkElement", "BudgetExceeded", "CrystalElement", "CrystalGraph", "DecompositionTable",
+    "ModelElement", "NEG_INF", "RootDatum", "S0Element", "TElement", "TensorElement",
+    "WProfile", "Weight", "binary_e", "binary_eps", "binary_f", "binary_phi",
+    "build_root_datum", "character", "check_axioms", "check_normal", "check_strict_morphism",
+    "closed_family_instance", "decompose", "decompose_tensor", "embed_psi",
+    "embedding_mismatches", "finite_type_check", "flatten", "freudenthal_multiplicities",
+    "generate", "generate_highest_weight_crystal", "graph_to_dot", "graph_to_json",
+    "highest_weight_elements", "is_isomorphic", "load_root_datum", "model_element",
+    "model_highest_weight", "positive_roots", "rank_complex", "tensor_product_graph", "weyl_dim",
+    "wprofile",
+]
+
+
+def test_all_is_pinned():
+    assert sorted(kmcrystals.__all__) == PUBLIC
+    for name in kmcrystals.__all__:
+        assert hasattr(kmcrystals, name), name
+
+
+def test_tensor_is_the_submodule():
+    assert isinstance(kmcrystals.tensor, types.ModuleType)
+    assert kmcrystals.tensor.__name__ == "kmcrystals.tensor"
+
+
+def test_tracer_targets_exist_on_their_owners():
+    # load the tracer by path; it is not installed, so nothing gets wrapped
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer._targets()
+    assert targets
+    for layer, owner, name, _ in targets:
+        assert name in vars(owner), f"{layer}: {owner.__name__} has no {name}"

@@ -17,7 +17,6 @@ from kmcrystals import (
     generate,
     generate_highest_weight_crystal,
     model_highest_weight,
-    tensor,
     tensor_product_graph,
 )
 from kmcrystals.tensor import binary_e, binary_eps, binary_f, binary_phi
@@ -35,14 +34,14 @@ def sl2_low():
 
 
 def test_phi_profile_of_hw_pair():
-    x = tensor(sl2_hw(), sl2_hw())
+    x = TensorElement((sl2_hw(), sl2_hw()))
     assert x.phi_profile(RD1, 1) == [2, 1]
     assert x.eps_profile(RD1, 1) == [0, -1]
     assert x.eps(RD1, 1) == 0 and x.phi(RD1, 1) == 2
 
 
 def test_t_factor_gives_neg_inf_entries():
-    x = tensor(TElement(RD1.weight((3,))), sl2_hw())
+    x = TensorElement((TElement(RD1.weight((3,))), sl2_hw()))
     profile = x.eps_profile(RD1, 1)
     assert profile[0] is NEG_INF
     assert profile[1] == -3  # eps(hw) shifted by wt_1 of the T factor
@@ -50,7 +49,7 @@ def test_t_factor_gives_neg_inf_entries():
 
 
 def test_single_factor_profiles():
-    x = tensor(sl2_low())
+    x = TensorElement((sl2_low(),))
     assert x.eps_profile(RD1, 1) == [1]
     assert x.phi_profile(RD1, 1) == [0]
     assert x.eps(RD1, 1) == sl2_low().eps(RD1, 1)
@@ -58,27 +57,27 @@ def test_single_factor_profiles():
 
 def test_two_factor_max_arithmetic():
     # eps(b1) = 0, eps(b2) = 1, wt_1(b1) = 1: max(0, 1 - 1) = 0
-    x = tensor(sl2_hw(), sl2_low())
+    x = TensorElement((sl2_hw(), sl2_low()))
     assert x.eps(RD1, 1) == 0
     # phi(b2) = 0, phi(b1) = 1, wt_1(b2) = -1: max(0, 1 - 1) = 0
     assert x.phi(RD1, 1) == 0
 
 
 def test_f_prefers_left_factor():
-    x = tensor(sl2_hw(), sl2_hw())
+    x = TensorElement((sl2_hw(), sl2_hw()))
     moved = x.f(RD1, 1)
     assert moved.factors[0] == sl2_low()
     assert moved.factors[1] == sl2_hw()
 
 
 def test_ops_on_frozen_pair_give_none():
-    x = tensor(TElement(RD1.weight((1,))), S0Element())
+    x = TensorElement((TElement(RD1.weight((1,))), S0Element()))
     assert x.f(RD1, 1) is None
     assert x.e(RD1, 1) is None
 
 
 def test_sl2_hw_pair_matches_clebsch_gordan():
-    g = generate(RD1, [tensor(sl2_hw(), sl2_hw())])
+    g = generate(RD1, [TensorElement((sl2_hw(), sl2_hw()))])
     # only the 3-dimensional component is reachable from the hw pair
     assert g.node_count() == 3
     full = tensor_product_graph(RD1, [generate(RD1, [sl2_hw()])] * 2)
@@ -103,7 +102,7 @@ def _walk_elements(rd, start, count, rng):
 
 def test_binary_rule_matches_nfold_on_200_random_elements():
     rng = random.Random(0)
-    start = tensor(model_highest_weight(RD2, (1, 0)), model_highest_weight(RD2, (0, 1)))
+    start = TensorElement((model_highest_weight(RD2, (1, 0)), model_highest_weight(RD2, (0, 1))))
     for x in _walk_elements(RD2, start, 200, rng):
         for k in RD2.vertices():
             assert binary_eps(RD2, x, k) == x.eps(RD2, k)
@@ -115,8 +114,8 @@ def test_binary_rule_matches_nfold_on_200_random_elements():
 def _assert_bracketings_agree(rd, flat):
     """flat = (a, b, c); compare against ((a x b) x c) and (a x (b x c))."""
     x = TensorElement(flat)
-    left = tensor(tensor(flat[0], flat[1]), flat[2])
-    right = tensor(flat[0], tensor(flat[1], flat[2]))
+    left = TensorElement((TensorElement((flat[0], flat[1])), flat[2]))
+    right = TensorElement((flat[0], TensorElement((flat[1], flat[2]))))
     for k in rd.vertices():
         for nested in (left, right):
             assert nested.eps(rd, k) == x.eps(rd, k)
@@ -146,7 +145,7 @@ def test_nfold_matches_iterated_binary():
         for b in pools[1]:
             for c in pools[2]:
                 flat = TensorElement((a, b, c))
-                nested = tensor(tensor(a, b), c)
+                nested = TensorElement((TensorElement((a, b)), c))
                 for k in RD1.vertices():
                     moved = binary_f(RD1, nested, k)
                     expected = flat.f(RD1, k)
@@ -226,9 +225,9 @@ def test_binary_oracle_property_sl2(ns, weights, k):
 
 
 def test_serialization_preserves_order():
-    x = tensor(sl2_hw(), sl2_low())
+    x = TensorElement((sl2_hw(), sl2_low()))
     data = x.serialize()
     assert list(data) == ["Tensor"]
     assert len(data["Tensor"]) == 2
-    y = tensor(sl2_low(), sl2_hw())
+    y = TensorElement((sl2_low(), sl2_hw()))
     assert x.key() != y.key()
