@@ -7,16 +7,17 @@ table, ``verify`` runs one of the built-in verification suites.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 node
 budget exceeded.  Every usage error in every subcommand (a missing or
 malformed root datum or weight, a weight of the wrong length or not
-dominant, a negative ``--depth``, ``--max-entry`` or ``--pairs``, the
-oracle suite on a datum not of finite type, an output path that is a
-directory or lies in a missing one) is found before any work starts and
-before any file is written, and exits 2 with one ``error:`` line on
-stderr.  The node budget is controlled by the environment variable
-CRYSTAL_NODE_BUDGET (default 10^6 nodes).  It bounds every graph a
-command generates.  ``tensor`` without ``--depth`` decomposes by the
-highest-weight rule and generates only the factors, so there the budget
-bounds each factor, not the product; with ``--depth`` the truncated
-product is built and the budget bounds it too.
+dominant, a negative ``--depth``, ``--max-entry`` or ``--pairs``, a
+CRYSTAL_NODE_BUDGET that is not a nonnegative integer, the oracle suite
+on a datum not of finite type, an output path that is a directory or lies
+in a missing one) is found before any work starts and before any file is
+written, and exits 2 with one ``error:`` line on stderr.  The node budget
+is controlled by the environment variable CRYSTAL_NODE_BUDGET (default
+10^6 nodes).  It bounds every graph a command generates.  ``tensor``
+without ``--depth`` decomposes by the highest-weight rule and generates
+only the factors, so there the budget bounds each factor, not the
+product; with ``--depth`` the truncated product is built and the budget
+bounds it too.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .explorer import (
     closed_family_instance,
     decompose,
     decompose_tensor,
+    env_node_budget,
     finite_type_check,
     freudenthal_multiplicities,
     generate_highest_weight_crystal,
@@ -98,6 +100,7 @@ def _validate(args):
     input.  ``weights`` has one entry per ``--weight``, none for ``closed``."""
     if args.depth is not None and args.depth < 0:
         raise ValueError("--depth must be >= 0")
+    env_node_budget()
     for path in (getattr(args, name, None) for name in ("dot", "tsv", "json_path")):
         if path and path != "-":
             if os.path.isdir(path):

@@ -7,10 +7,13 @@ isomorphism) are read-only passes over a generated graph, except
 ``decompose_tensor``, which decomposes a tensor product from its factors
 alone.
 
-The oracles at the bottom (positive-root enumeration, the product formula
-for dimensions, the multiplicity recursion) are classical finite-type
-representation theory, computed in exact integer arithmetic with no crystal
-machinery at all.  They exist to cross-check the crystal graphs against an
+The oracles at the bottom (the finite-type test, positive-root
+enumeration, the product formula for dimensions, the multiplicity
+recursion) are classical finite-type representation theory, computed in
+exact integer arithmetic with no crystal machinery at all.  They work in
+root coordinates: a root or a weight's distance r below lam is a vector of
+simple-root coefficients, and every pairing is a row of the Cartan matrix
+dotted with it.  They exist to cross-check the crystal graphs against an
 independent route.
 """
 
@@ -20,6 +23,7 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from operator import add, mul, sub
 
 from .crystal_core import (
     CrystalElement,
@@ -42,6 +46,15 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"node budget {budget} exceeded")
         self.budget = budget
         self.partial = partial
+
+
+def env_node_budget() -> int:
+    """The node budget set by CRYSTAL_NODE_BUDGET, default 10^6 nodes;
+    ValueError unless the variable is a nonnegative integer."""
+    text = os.environ.get("CRYSTAL_NODE_BUDGET", str(DEFAULT_NODE_BUDGET))
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"CRYSTAL_NODE_BUDGET={text!r} is not a nonnegative integer")
+    return int(text)
 
 
 def generate(
@@ -70,7 +83,7 @@ def generate(
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
     if node_budget is None:
-        node_budget = int(os.environ.get("CRYSTAL_NODE_BUDGET", DEFAULT_NODE_BUDGET))
+        node_budget = env_node_budget()
     g = CrystalGraph(rd=rd, depth_bound=depth)
     queue: deque[str] = deque()
     entered: set[tuple[str, int]] = set()  # (dst, k) of every recorded f_k-edge
@@ -329,36 +342,23 @@ def is_isomorphic(g1: CrystalGraph, g2: CrystalGraph):
 # Independent finite-type oracles (no crystal machinery below this line).
 
 
-def _det_int(rows) -> int:
-    """Bareiss fraction-free determinant of a small integer matrix."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-        prev = m[i][i]
-    return sign * m[-1][-1]
-
-
 def finite_type_check(rd: RootDatum) -> bool:
-    """True iff the Cartan matrix is positive definite (all leading minors > 0)."""
-    for r in range(1, rd.n + 1):
-        minor = [row[:r] for row in rd.cartan[:r]]
-        if _det_int(minor) <= 0:
+    """True iff the Cartan matrix is positive definite (all leading minors > 0).
+
+    One fraction-free (Bareiss) elimination without row swaps: its i-th
+    pivot is the i-th leading principal minor, and the last one is det C.
+    Each division is exact and by the previous pivot, already known > 0.
+    """
+    m = [list(row) for row in rd.cartan]
+    prev = 1
+    for i, pivot_row in enumerate(m):
+        pivot = pivot_row[i]
+        if pivot <= 0:
             return False
+        for row in m[i + 1:]:
+            for c in range(i + 1, rd.n):
+                row[c] = (row[c] * pivot - row[i] * pivot_row[c]) // prev
+        prev = pivot
     return True
 
 
@@ -367,27 +367,20 @@ def positive_roots(rd: RootDatum) -> list[tuple[int, ...]]:
 
     Simply-laced only (which is all this library handles): a root string
     through beta in a simple direction has length at most one, so
-    beta + alpha_k is a root iff (beta, alpha_k) < (1 if beta - alpha_k is
-    a root else 0) + 1.
+    beta + alpha_k is a root iff (beta, alpha_k), row k of C dotted with
+    beta, is below 1 if beta - alpha_k is a root and below 0 if not.
     """
     if not finite_type_check(rd):
         raise ValueError("positive root enumeration needs a finite-type root datum")
-    n = rd.n
-    simple = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    level = list(simple)
+    level = [tuple(int(i == k) for i in range(rd.n)) for k in range(rd.n)]
+    roots = set(level)
     while level:
         nxt = []
         for beta in level:
-            for k in range(n):
-                pair = sum(beta[l] * rd.cartan[k][l] for l in range(n))
-                lowered = list(beta)
-                lowered[k] -= 1
-                p = 1 if tuple(lowered) in roots else 0
-                if p - pair >= 1:
-                    raised = list(beta)
-                    raised[k] += 1
-                    gamma = tuple(raised)
+            for k, row in enumerate(rd.cartan):
+                lowered = beta[:k] + (beta[k] - 1,) + beta[k + 1:]
+                if sum(map(mul, row, beta)) < (lowered in roots):
+                    gamma = beta[:k] + (beta[k] + 1,) + beta[k + 1:]
                     if gamma not in roots:
                         roots.add(gamma)
                         nxt.append(gamma)
@@ -399,10 +392,10 @@ def weyl_dim(rd: RootDatum, lam: Weight) -> int:
     """dim V(lam) by the product formula over positive roots; exact integers."""
     if not rd.is_dominant(lam):
         raise ValueError("weyl_dim needs a dominant weight")
-    shifted = [rd.pairing(k, lam) + 1 for k in rd.vertices()]  # <h_k, lam + rho>
+    shifted = [p + 1 for p in rd.pairing_vector(lam)]  # <h_k, lam + rho>
     num = den = 1
     for coeffs in positive_roots(rd):
-        num *= sum(c * s for c, s in zip(coeffs, shifted))
+        num *= sum(map(mul, coeffs, shifted))
         den *= sum(coeffs)
     if num % den != 0:
         raise AssertionError("dimension product did not divide evenly")
@@ -412,51 +405,50 @@ def weyl_dim(rd: RootDatum, lam: Weight) -> int:
 def freudenthal_multiplicities(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     """Weight multiplicities of V(lam) by the classical recursion.
 
-    Works level by level below lam; every quantity in the recursion is an
-    integer because the numerator pairs weights against root-lattice
-    elements only.  Weights are returned in the same exact coordinate
-    representation the crystal graphs use, so characters compare directly.
+    Works level by level below lam on subtracted roots r, mu = lam - r,
+    with <h_k, mu> = <h_k, lam> - (C r)_k.  Freudenthal's formula
+
+        (|lam + rho|^2 - |mu + rho|^2) m(mu)
+            = 2 sum_{alpha > 0} sum_{j >= 1} m(mu + j alpha) (mu + j alpha, alpha)
+
+    is integral: the left factor is (r, lam + mu + 2 rho), i.e.
+    sum_k r_k (<h_k, lam> + <h_k, mu> + 2), and along a root string
+    (mu + j alpha, alpha) = (mu, alpha) + j (alpha, alpha).  Weights are
+    returned in the same exact coordinate representation the crystal
+    graphs use, so characters compare directly.
     """
     if not rd.is_dominant(lam):
         raise ValueError("freudenthal_multiplicities needs a dominant weight")
-    proots = positive_roots(rd)
-    mult: dict[Weight, int] = {lam: 1}
-    lam_shifted = [rd.pairing(k, lam) + 1 for k in rd.vertices()]
-    level = [lam]
+    lam_pair = rd.pairing_vector(lam)
+    strings = [  # (alpha, (alpha, alpha))
+        (alpha, sum(a * sum(map(mul, row, alpha)) for a, row in zip(alpha, rd.cartan)))
+        for alpha in positive_roots(rd)
+    ]
+    mult: dict[tuple[int, ...], int] = {(0,) * rd.n: 1}
+    level = list(mult)
     while level:
-        candidates = sorted(
-            {mu.subtract_alpha(k) for mu in level for k in rd.vertices()},
-            key=lambda w: w.root_part,
-        )
-        nxt = []
-        for mu in candidates:
+        candidates = sorted({r[:k] + (r[k] + 1,) + r[k + 1:] for r in level for k in range(rd.n)})
+        level = []
+        for r in candidates:
+            pair = [p - sum(map(mul, row, r)) for p, row in zip(lam_pair, rd.cartan)]
             rhs = 0
-            for coeffs in proots:
-                j = 1
+            for alpha, norm in strings:
+                step = sum(map(mul, alpha, pair))  # (mu, alpha)
+                nu = r
                 while True:
-                    nu = Weight(
-                        mu.lambda_part,
-                        tuple(r - j * c for r, c in zip(mu.root_part, coeffs)),
-                    )
+                    nu = tuple(map(sub, nu, alpha))
                     m = mult.get(nu)
                     if m is None:
                         break  # weight strings are unbroken; nothing further up
-                    rhs += m * sum(c * rd.pairing(k, nu) for c, k in zip(coeffs, rd.vertices()))
-                    j += 1
+                    step += norm
+                    rhs += m * step
             if rhs == 0:
                 continue
-            beta = tuple(m - l for m, l in zip(mu.root_part, lam.root_part))
-            two_lam_rho_beta = 2 * sum(b * s for b, s in zip(beta, lam_shifted))
-            beta_norm = sum(
-                beta[i] * sum(rd.cartan[i][j] * beta[j] for j in range(rd.n))
-                for i in range(rd.n)
-            )
-            denom = two_lam_rho_beta - beta_norm
+            denom = sum(x * (p + q + 2) for x, p, q in zip(r, lam_pair, pair))
             if denom <= 0 or (2 * rhs) % denom != 0:
                 raise AssertionError("multiplicity recursion produced a non-integer")
             m = (2 * rhs) // denom
             if m > 0:
-                mult[mu] = m
-                nxt.append(mu)
-        level = nxt
-    return mult
+                mult[r] = m
+                level.append(r)
+    return {Weight(lam.lambda_part, tuple(map(add, lam.root_part, r))): m for r, m in mult.items()}

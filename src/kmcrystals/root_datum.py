@@ -185,6 +185,9 @@ class RootDatum:
 
 
 def _adjacency_to_cartan(adjacency) -> tuple[tuple[int, ...], ...]:
+    seq = (list, tuple)
+    if not (isinstance(adjacency, seq) and all(isinstance(row, seq) for row in adjacency)):
+        raise ValueError(f"not a preset name, a dict or a list of rows: {adjacency!r}")
     n = len(adjacency)
     rows = [list(r) for r in adjacency]
     for i, row in enumerate(rows):

@@ -201,6 +201,7 @@ def test_non_dominant_weight_exits_2(tmp_path):
 
 def test_malformed_weight_exits_2(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "rd.json").write_text("[1, 2]")
     for argv in (
         ["graph", "--preset", "A2", "--weight", "a,b"],
         ["graph", "--preset", "A2", "--weight", "1"],
@@ -214,6 +215,7 @@ def test_malformed_weight_exits_2(capsys, tmp_path, monkeypatch):
         ["graph", "--preset", "A2", "--weight", "1,0", "--dot", "ok",
          "--json", "/nonexistent/y.json"],
         ["graph", "--preset", "A2", "--weight", "1,0", "--json", "."],
+        ["graph", "--root-datum", "rd.json", "--weight", "1,0"],
     ):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
@@ -245,10 +247,17 @@ def test_unknown_suite_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_budget_exits_3(tmp_path, monkeypatch):
+def test_budget_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "2")
     code = main(["graph", "--preset", "A2", "--weight", "1,0", "--dot", str(tmp_path / "x.dot")])
     assert code == 3
+    for value in ("abc", "-5"):  # a malformed budget is a usage error, found before any work
+        capsys.readouterr()
+        monkeypatch.setenv("CRYSTAL_NODE_BUDGET", value)
+        assert main(["graph", "--preset", "A2", "--weight", "1,0"]) == 2, value
+        out, err = capsys.readouterr()
+        assert out == "", value
+        assert err.startswith("error: ") and err.count("\n") == 1, (value, err)
 
 
 def test_tensor_budget_bounds_factors_only(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 from collections import deque
@@ -219,6 +220,57 @@ def test_finite_type_detection():
     for name in ("A1", "A2", "A3", "D4", "E6", "E7", "E8"):
         assert finite_type_check(build_root_datum(name))
     assert not finite_type_check(RDA)
+
+
+def sylvester_positive_definite(cartan) -> bool:
+    """Reference for finite_type_check: every leading principal minor of C,
+    each an exact Leibniz determinant, is > 0."""
+
+    def det(rows):
+        total = 0
+        for perm in itertools.permutations(range(len(rows))):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            total += (-1) ** inversions * math.prod(row[c] for row, c in zip(rows, perm))
+        return total
+
+    return all(det([row[:r] for row in cartan[:r]]) > 0 for r in range(1, len(cartan) + 1))
+
+
+@st.composite
+def adjacency_matrices(draw, max_n=6, max_entry=2):
+    """Random loop-free symmetric adjacency matrices.  About two thirds of
+    the entries are 0, so sparse diagrams, the finite-type ones among them,
+    are drawn often."""
+    n = draw(st.integers(1, max_n))
+    entry = st.one_of(st.just(0), st.integers(0, max_entry))
+    adj = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        adj[i][j] = adj[j][i] = draw(entry)
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(adj=adjacency_matrices())
+def test_finite_type_check_matches_sylvester(adj):
+    rd = build_root_datum(adj)
+    assert finite_type_check(rd) == sylvester_positive_definite(rd.cartan)
+
+
+@pytest.mark.parametrize("source, lam", [
+    ("D5", (0, 1, 0, 0, 0)),
+    ("D5", (1, 0, 0, 0, 1)),
+    ("A5", (1, 0, 0, 0, 1)),
+    ("A5", (0, 1, 0, 1, 0)),
+    ("E7", (0, 0, 0, 0, 0, 0, 1)),
+    ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], (1, 1, 1)),  # A1 x A2, disconnected
+    ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], (2, 1, 1)),
+])
+def test_recursion_matches_crystal_character(source, lam):
+    rd = build_root_datum(source)
+    wt = rd.weight(lam)
+    mult = freudenthal_multiplicities(rd, wt)
+    assert character(generate_highest_weight_crystal(rd, lam)) == mult
+    assert sum(mult.values()) == weyl_dim(rd, wt)
 
 
 def test_decomposition_sum_rule():

@@ -38,6 +38,12 @@ def test_preset_dict_form():
     assert build_root_datum({"adjacency": [[0, 1], [1, 0]]}).cartan == ((2, -1), (-1, 2))
 
 
+@pytest.mark.parametrize("source", [5, [1, 2], {"preset": 5}, {"adjacency": 5}])
+def test_malformed_source_rejected(source):
+    with pytest.raises(ValueError, match="list of rows"):
+        build_root_datum(source)
+
+
 def test_unknown_preset():
     with pytest.raises(ValueError, match="unknown preset"):
         build_root_datum("Z9")
