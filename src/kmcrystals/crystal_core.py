@@ -180,9 +180,9 @@ def check_axioms(g: CrystalGraph) -> list[str]:
             continue
         b = nd.element
         wt = nd.weight
-        for k in rd.vertices():
+        for k, pair in zip(rd.vertices(), rd.pairing_vector(wt)):
             ep, ph = nd.eps[k - 1], nd.phi[k - 1]
-            if ph != ep + rd.pairing(k, wt):
+            if ph != ep + pair:
                 violations.append(f"(a) phi != eps + <h_{k},wt> at {key}")
             if is_neg_inf(ep) != is_neg_inf(ph):
                 violations.append(f"(a) eps/phi -inf mismatch at k={k}, {key}")

@@ -95,7 +95,7 @@ class RootDatum:
                         f"{c} != {self.cartan[j][i]}"
                     )
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.cartan)
 
@@ -122,12 +122,12 @@ class RootDatum:
 
     @cached_property
     def memo(self) -> dict:
-        """Statistics of the elements queried against this datum, keyed by
-        element: one entry ``(weight, row_1, ..., row_n)`` per element, row k
-        holding vertex k's profile-model statistics or tensor eps/phi
-        profiles.  They are pure functions of (datum, element), so the memo
-        is shared by equal elements and lives exactly as long as the datum.
-        Filled through :meth:`memo_entry` only."""
+        """Statistics of the elements queried against this datum: per element
+        one entry ``(weight, row_1, ..., row_n)``, row k ``(eps, phi, e_site,
+        f_site)`` of vertex k, a site being the slot of a model element or the
+        factor position of a tensor element where e_k or f_k acts.  Entries
+        are pure functions of (datum, element), shared by equal elements and
+        kept as long as the datum.  Filled through :meth:`memo_entry` only."""
         return {}
 
     def memo_entry(self, x, build):
@@ -150,15 +150,12 @@ class RootDatum:
         return range(1, self.n + 1)
 
     def pairing(self, k: int, wt: Weight) -> int:
-        """Coroot pairing <h_k, wt> = lambda_part[k] - sum_l C_kl root_part[l]."""
+        """Coroot pairing <h_k, wt>: row k of :meth:`pairing_vector`."""
         self._check_vertex(k)
-        if len(wt.lambda_part) != self.n:
-            raise ValueError(f"weight has rank {len(wt.lambda_part)}, root datum has rank {self.n}")
-        row = self.cartan[k - 1]
-        return wt.lambda_part[k - 1] - sum(c * v for c, v in zip(row, wt.root_part))
+        return self.pairing_vector(wt)[k - 1]
 
     def pairing_vector(self, wt: Weight) -> tuple[int, ...]:
-        """(<h_1, wt>, ..., <h_n, wt>), the formula of :meth:`pairing` per row."""
+        """The coroot pairings <h_k, wt> = lambda_part[k] - sum_l C_kl root_part[l], k = 1..n."""
         if len(wt.lambda_part) != self.n:
             raise ValueError(f"weight has rank {len(wt.lambda_part)}, root datum has rank {self.n}")
         root = wt.root_part
@@ -167,7 +164,7 @@ class RootDatum:
         )
 
     def is_dominant(self, wt: Weight) -> bool:
-        return all(self.pairing(k, wt) >= 0 for k in self.vertices())
+        return all(p >= 0 for p in self.pairing_vector(wt))
 
     def zero_weight(self) -> Weight:
         return Weight((0,) * self.n, (0,) * self.n)

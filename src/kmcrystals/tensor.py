@@ -9,7 +9,9 @@ where wt_k is the coroot pairing of a factor's weight.  The tensor
 statistics are the maxima of the profiles; e_k acts on the factor at the
 smallest position attaining the eps-maximum, f_k at the largest position
 attaining the phi-maximum.  Any factor-level operator returning None
-collapses the whole result to None.
+collapses the whole result to None.  The memo entry of an element is the
+record model elements keep, ``(wt, (eps, phi, e_site, f_site) per vertex)``,
+its sites factor positions; profiles are only recomputed on demand.
 
 One convention only: f_k prefers the LEFT factor on strict inequality
 phi_k(b_1) > eps_k(b_2), exactly as the two-factor case is stated.  Other
@@ -25,7 +27,8 @@ flattening must produce the same statistics and mirrored operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from itertools import accumulate
+from operator import sub
 
 from .crystal_core import CrystalElement, ext_max, is_neg_inf
 from .root_datum import RootDatum, Weight
@@ -47,98 +50,92 @@ class TensorElement(CrystalElement):
         return h
 
     def weight(self, rd: RootDatum) -> Weight:
-        return rd.memo_entry(self, _profiles)[0]
+        return rd.memo_entry(self, _stats)[0]
 
     def eps_profile(self, rd: RootDatum, k: int) -> list:
-        return list(rd.memo_row(self, k, _profiles)[0])
+        rd._check_vertex(k)
+        return list(_profiles(rd, self)[1][k - 1])
 
     def phi_profile(self, rd: RootDatum, k: int) -> list:
-        return list(rd.memo_row(self, k, _profiles)[1])
+        rd._check_vertex(k)
+        return list(_profiles(rd, self)[2][k - 1])
 
     def eps(self, rd: RootDatum, k: int):
-        return ext_max(rd.memo_row(self, k, _profiles)[0])
+        return rd.memo_row(self, k, _stats)[0]
 
     def phi(self, rd: RootDatum, k: int):
-        return ext_max(rd.memo_row(self, k, _profiles)[1])
+        return rd.memo_row(self, k, _stats)[1]
 
     def eps_vector(self, rd: RootDatum) -> tuple:
-        return tuple(ext_max(eps) for eps, _ in rd.memo_entry(self, _profiles)[1:])
+        return tuple(row[0] for row in rd.memo_entry(self, _stats)[1:])
 
     def phi_vector(self, rd: RootDatum) -> tuple:
-        return tuple(ext_max(phi) for _, phi in rd.memo_entry(self, _profiles)[1:])
+        return tuple(row[1] for row in rd.memo_entry(self, _stats)[1:])
 
     def e(self, rd: RootDatum, k: int):
-        profile = rd.memo_row(self, k, _profiles)[0]
-        top = ext_max(profile)
-        if is_neg_inf(top):
-            return None
-        p = profile.index(top)  # smallest position attaining the max
-        return self._apply_at(rd, k, p, "e")
+        eps, _, e_site, _ = rd.memo_row(self, k, _stats)
+        return None if is_neg_inf(eps) else self._apply_at(rd, k, e_site, "e")
 
     def f(self, rd: RootDatum, k: int):
-        profile = rd.memo_row(self, k, _profiles)[1]
-        top = ext_max(profile)
-        if is_neg_inf(top):
-            return None
-        p = len(profile) - 1 - profile[::-1].index(top)  # largest position
-        return self._apply_at(rd, k, p, "f")
+        _, phi, _, f_site = rd.memo_row(self, k, _stats)
+        return None if is_neg_inf(phi) else self._apply_at(rd, k, f_site, "f")
 
     def _apply_at(self, rd, k, p, op):
         moved = getattr(self.factors[p], op)(rd, k)
         if moved is None:
             return None
-        factors = self.factors[:p] + (moved,) + self.factors[p + 1 :]
-        return TensorElement(factors)
+        return TensorElement(self.factors[:p] + (moved,) + self.factors[p + 1 :])
 
     def serialize(self) -> dict:
         return {"Tensor": [x.serialize() for x in self.factors]}
 
 
 def _profiles(rd: RootDatum, x: TensorElement):
-    """(wt, then (eps profile, phi profile) per vertex) of a tensor element,
-    one pass each.  The builder behind ``rd.memo_entry`` for tensor elements,
-    which runs it once per element."""
-    weights = [factor.weight(rd) for factor in x.factors]
-    pairings = [rd.pairing_vector(wt) for wt in weights]
-    rows = [reduce(lambda a, b: a + b, weights)]
-    for j in rd.vertices():
-        eps_out = []
-        shift = 0  # running sum of wt_j over factors to the left
-        for factor, wt in zip(x.factors, pairings):
-            eps_out.append(factor.eps(rd, j) - shift)
-            shift += wt[j - 1]
-        phi_out = []
-        shift = 0  # running sum of wt_j over factors to the right
-        for factor, wt in zip(reversed(x.factors), reversed(pairings)):
-            phi_out.append(factor.phi(rd, j) + shift)
-            shift += wt[j - 1]
-        phi_out.reverse()
-        rows.append((tuple(eps_out), tuple(phi_out)))
-    return tuple(rows)
+    """(wt, eps profiles, phi profiles) of x, profile k - 1 for vertex k, from
+    one read of each factor's weight, eps_vector and phi_vector."""
+    weights = [b.weight(rd) for b in x.factors]
+    wt = Weight(tuple(map(sum, zip(*(w.lambda_part for w in weights)))),
+                tuple(map(sum, zip(*(w.root_part for w in weights)))))
+    eps_rows, phi_rows = [], []
+    for pairs, eps, phi in zip(zip(*map(rd.pairing_vector, weights)),
+                               zip(*(b.eps_vector(rd) for b in x.factors)),
+                               zip(*(b.phi_vector(rd) for b in x.factors))):
+        left = list(accumulate(pairs, initial=0))  # left[p] = sum_{q<p} wt_k(b_q)
+        eps_rows.append(tuple(map(sub, eps, left)))
+        phi_rows.append(tuple(c + left[-1] - s for c, s in zip(phi, left[1:])))  # + sum_{q>p}
+    return wt, eps_rows, phi_rows
+
+
+def _stats(rd: RootDatum, x: TensorElement):
+    """(wt, then (eps, phi, e_site, f_site) per vertex): the builder behind
+    ``rd.memo_entry`` for tensor elements.  ``max`` keeps the first maximum
+    it meets: scanning forward gives the smallest site, backward the largest."""
+    wt, eps_rows, phi_rows = _profiles(rd, x)
+    out = [wt]
+    for eps, phi in zip(eps_rows, phi_rows):
+        e_site = max(range(len(eps)), key=eps.__getitem__)
+        f_site = max(reversed(range(len(phi))), key=phi.__getitem__)
+        out.append((eps[e_site], phi[f_site], e_site, f_site))
+    return tuple(out)
 
 
 def flatten(x: CrystalElement) -> tuple[CrystalElement, ...]:
     """The canonical re-bracketing bijection: nested tensors to a flat factor list."""
-    if isinstance(x, TensorElement):
-        out: tuple[CrystalElement, ...] = ()
-        for factor in x.factors:
-            out += flatten(factor)
-        return out
-    return (x,)
+    if not isinstance(x, TensorElement):
+        return (x,)
+    return tuple(y for factor in x.factors for y in flatten(factor))
 
 
 # Literal two-factor rule, kept as an independent oracle for the n-fold form.
 
 def binary_eps(rd: RootDatum, x: TensorElement, k: int):
     b1, b2 = x.factors
-    w1 = rd.pairing(k, b1.weight(rd))
-    return ext_max([b1.eps(rd, k), b2.eps(rd, k) - w1])
+    return ext_max([b1.eps(rd, k), b2.eps(rd, k) - rd.pairing(k, b1.weight(rd))])
 
 
 def binary_phi(rd: RootDatum, x: TensorElement, k: int):
     b1, b2 = x.factors
-    w2 = rd.pairing(k, b2.weight(rd))
-    return ext_max([b2.phi(rd, k), b1.phi(rd, k) + w2])
+    return ext_max([b2.phi(rd, k), b1.phi(rd, k) + rd.pairing(k, b2.weight(rd))])
 
 
 def binary_e(rd: RootDatum, x: TensorElement, k: int):

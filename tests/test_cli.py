@@ -304,6 +304,17 @@ def test_verify_suites_pass(capsys):
     assert "#B = 6" in out
 
 
+@pytest.mark.parametrize("depth, count", [(0, 1), (1, 3), (4, 8)])
+def test_oracle_with_depth_compares_the_height_cut(depth, count, capsys):
+    # a depth-d generation holds the elements of height <= d; only the
+    # uncut depth 4 holds all of weyl_dim(1,1) = 8
+    assert main(["verify", "oracle", "--preset", "A2", "--weight", "1,1",
+                 "--depth", str(depth)]) == 0
+    assert capsys.readouterr().out == (
+        f"oracle: #B = {count}, weyl_dim = 8\n"
+        "oracle: character matches multiplicity recursion\nPASS\n")
+
+
 def test_verify_seed_determinism(capsys):
     outputs = []
     for _ in range(2):

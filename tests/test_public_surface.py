@@ -7,10 +7,15 @@ in the test suite instead.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import kmcrystals
+from kmcrystals.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +53,43 @@ def test_tracer_targets_exist_on_their_owners():
     assert targets
     for layer, owner, name, _ in targets:
         assert name in vars(owner), f"{layer}: {owner.__name__} has no {name}"
+
+
+# Installs the tracer in a fresh interpreter (installing patches the package
+# for the rest of the process), runs a verify suite and a closed-family
+# instance traced, and prints what the assertions below need.
+TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+trace = tracer.Tracer()
+trace.install()
+from kmcrystals import build_root_datum, cli, explorer
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["verify", "embedding", "--preset", "A2", "--weight", "1,1"])
+iso = explorer.closed_family_instance(build_root_datum("A2"), (1, 0), (0, 1))[0]
+report = trace.report()
+metrics = tracer.per_layer_metrics(report, 1.0, 0.5)
+print(json.dumps({"code": code, "stdout": out.getvalue(), "iso": iso,
+                  "calls": report["calls"], "metrics": sorted(metrics),
+                  "units": sorted(tracer.PER_LAYER_UNITS)}))
+"""
+
+
+def test_traced_run_matches_untraced(capsys):
+    assert main(["verify", "embedding", "--preset", "A2", "--weight", "1,1"]) == 0
+    untraced = capsys.readouterr().out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(ROOT / "bench" / "tracer.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0 and result["iso"] is True
+    assert result["stdout"] == untraced
+    for layer in ("tensor.ops", "quiver_model.ops", "elementary.ops"):
+        assert result["calls"].get(layer, 0) > 0, layer
+    assert result["metrics"] == result["units"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kmcrystals import (
     NEG_INF,
+    BkElement,
     S0Element,
     TElement,
     TensorElement,
@@ -207,21 +208,50 @@ def test_lowering_power_split_rule():
     assert checked > 10
 
 
+# every element of B(1,0), B(0,1) and B(1,1) on A2
+A2_MODEL_POOL = [
+    g.nodes[key].element
+    for g in (generate_highest_weight_crystal(RD2, lam) for lam in ((1, 0), (0, 1), (1, 1)))
+    for key in g.sorted_keys()
+]
+A2_FACTOR = st.one_of(
+    st.builds(BkElement, st.integers(1, 2), st.integers(-2, 2)),
+    st.builds(lambda lam: TElement(RD2.weight(lam)), st.tuples(st.integers(-1, 2),
+                                                              st.integers(-1, 2))),
+    st.just(S0Element()),
+    st.sampled_from(A2_MODEL_POOL),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     ns=st.lists(st.integers(-2, 2), min_size=2, max_size=2),
     weights=st.lists(st.integers(0, 3), min_size=2, max_size=2),
     k=st.integers(1, 1),
+    a2_factors=st.lists(A2_FACTOR, min_size=2, max_size=4),
+    a2_k=st.integers(1, 2),
 )
-def test_binary_oracle_property_sl2(ns, weights, k):
-    from kmcrystals import BkElement
-
+def test_binary_oracle_property_sl2(ns, weights, k, a2_factors, a2_k):
     factors = (BkElement(1, ns[0]), model_highest_weight(RD1, (weights[0],)))
     x = TensorElement(factors)
     assert binary_eps(RD1, x, k) == x.eps(RD1, k)
     assert binary_phi(RD1, x, k) == x.phi(RD1, k)
     assert binary_e(RD1, x, k) == x.e(RD1, k)
     assert binary_f(RD1, x, k) == x.f(RD1, k)
+    # n-fold sites, where profiles tie or hold NEG_INF, against the binary
+    # rule on every level of the left-nested bracketing ((a x b) x c) x d
+    nested = a2_factors[0]
+    for factor in a2_factors[1:]:
+        nested = TensorElement((nested, factor))
+        flat = TensorElement(flatten(nested))
+        assert binary_eps(RD2, nested, a2_k) == flat.eps(RD2, a2_k)
+        assert binary_phi(RD2, nested, a2_k) == flat.phi(RD2, a2_k)
+        for op, rule in (("e", binary_e), ("f", binary_f)):
+            moved, expected = rule(RD2, nested, a2_k), getattr(flat, op)(RD2, a2_k)
+            if expected is None:
+                assert moved is None
+            else:
+                assert moved is not None and flatten(moved) == expected.factors
 
 
 def test_serialization_preserves_order():
