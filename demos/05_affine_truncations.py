@@ -33,7 +33,7 @@ print("normality violations:", len(report.violations), " skipped:", report.skipp
 
 # The profile model stays in lockstep with its tensor realization even in
 # affine type; zero mismatches across the truncation.
-total = sum(len(embedding_mismatches(rd, g.nodes[key].element)) for key in g.sorted_keys())
+total = sum(len(embedding_mismatches(rd, x)) for x in g.nodes)
 print("embedding mismatches:", total)
 
 # Truncated decomposition never invents multiplicities: components that

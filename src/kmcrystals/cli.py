@@ -193,8 +193,8 @@ def _suite_report(args, rd, weights) -> tuple[list[str], bool]:
                 + report.violations[:10], report.ok())
     if args.suite == "embedding":
         mismatches: list[str] = []
-        for key in g.sorted_keys():
-            mismatches += embedding_mismatches(rd, g.nodes[key].element)
+        for x in g.nodes:
+            mismatches += embedding_mismatches(rd, x)
         return ([f"embedding: {len(mismatches)} mismatches on {g.node_count()} elements"]
                 + mismatches[:10], not mismatches)
     wt = rd.weight(weights[0])  # the oracle suite

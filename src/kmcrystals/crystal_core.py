@@ -6,12 +6,13 @@ operators e_k, f_k.  Elements here are immutable values implementing
 :class:`CrystalElement`; the formal zero of the axioms is represented by
 ``None`` returned from an operator, never by an element.
 
-Graphs are explicit explorations of a crystal up to a depth bound: nodes
-cache wt/eps/phi, edges are colored by the vertex index k and record
-``f_k(source) = target``.  Nodes whose operator images were never computed
-are marked as frontier nodes, and every checker skips (and counts) the
-assertions that would need data beyond the frontier, so that truncations of
-infinite crystals can be tested without false failures.
+Graphs are explicit explorations of a crystal up to a depth bound, keyed
+by the elements themselves: nodes cache wt/eps/phi, edges are colored by
+the vertex index k and record ``f_k(source) = target``.  Nodes whose
+operator images were never computed are marked as frontier nodes, and
+every checker skips (and counts) the assertions that would need data
+beyond the frontier, so that truncations of infinite crystals can be
+tested without false failures.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ class CrystalElement(ABC):
     Operators return None for the formal zero.  Identity is structural:
     concrete elements are frozen dataclasses, compared with ``==`` and
     hashed by value.  ``serialize`` must be injective on structurally
-    distinct elements; its compact JSON dump, ``key``, is the element's
-    label at the JSON/DOT boundary and the node id of explored graphs.
+    distinct elements; its compact JSON dump, ``key``, labels the element
+    only where bytes leave the program: exported node ids, witness maps
+    and violation messages.
     """
 
     tag: ClassVar[str]  # the single key of ``serialize()``, constant per class
@@ -123,31 +125,37 @@ class CrystalElement(ABC):
 
 @dataclass
 class GraphNode:
-    element: CrystalElement
+    element: CrystalElement  # the instance keying this node; edges share it
     weight: Weight
     eps: tuple
     phi: tuple
     depth: int
     frontier: bool
+    _key: str | None = None
+
+    def key(self) -> str:
+        """``element.key()``, serialized at most once per graph."""
+        if self._key is None:
+            self._key = self.element.key()
+        return self._key
 
 
 @dataclass
 class CrystalGraph:
-    """An explored region of a crystal.
+    """An explored region of a crystal, keyed by the elements themselves.
 
-    ``edges`` holds (src_key, k, dst_key) triples meaning f_k(src) = dst,
-    equivalently e_k(dst) = src.  ``generators`` are the seed keys the
+    ``edges`` holds (src, k, dst) triples meaning f_k(src) = dst,
+    equivalently e_k(dst) = src.  ``generators`` are the seed elements the
     exploration started from; ``depth_bound`` is None for a full expansion.
-    ``index`` maps each node's element to its key, so operator images are
-    resolved to nodes structurally, without serializing them.
+    Keys are only needed where bytes leave the program; ``GraphNode.key``
+    serializes a node at most once per graph.
     """
 
     rd: RootDatum
-    nodes: dict[str, GraphNode] = field(default_factory=dict)
-    edges: set[tuple[str, int, str]] = field(default_factory=set)
-    generators: tuple[str, ...] = ()
+    nodes: dict[CrystalElement, GraphNode] = field(default_factory=dict)
+    edges: set[tuple[CrystalElement, int, CrystalElement]] = field(default_factory=set)
+    generators: tuple[CrystalElement, ...] = ()
     depth_bound: int | None = None
-    index: dict[CrystalElement, str] = field(default_factory=dict, init=False)
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -157,12 +165,6 @@ class CrystalGraph:
 
     def frontier_count(self) -> int:
         return sum(1 for nd in self.nodes.values() if nd.frontier)
-
-    def sorted_keys(self) -> list[str]:
-        return sorted(self.nodes)
-
-    def sorted_edges(self) -> list[tuple[str, int, str]]:
-        return sorted(self.edges)
 
 
 def check_axioms(g: CrystalGraph) -> list[str]:
@@ -175,50 +177,52 @@ def check_axioms(g: CrystalGraph) -> list[str]:
     """
     rd = g.rd
     violations: list[str] = []
-    for key, nd in g.nodes.items():
+    for b, nd in g.nodes.items():
         if nd.frontier:
             continue
-        b = nd.element
         wt = nd.weight
         for k, pair in zip(rd.vertices(), rd.pairing_vector(wt)):
             ep, ph = nd.eps[k - 1], nd.phi[k - 1]
             if ph != ep + pair:
-                violations.append(f"(a) phi != eps + <h_{k},wt> at {key}")
+                violations.append(f"(a) phi != eps + <h_{k},wt> at {nd.key()}")
             if is_neg_inf(ep) != is_neg_inf(ph):
-                violations.append(f"(a) eps/phi -inf mismatch at k={k}, {key}")
+                violations.append(f"(a) eps/phi -inf mismatch at k={k}, {nd.key()}")
             eb = b.e(rd, k)
             fb = b.f(rd, k)
             if is_neg_inf(ph) and (eb is not None or fb is not None):
-                violations.append(f"(e) operator defined despite phi=-inf at k={k}, {key}")
+                violations.append(f"(e) operator defined despite phi=-inf at k={k}, {nd.key()}")
             if eb is not None:
                 if eb.weight(rd) != wt.add_alpha(k):
-                    violations.append(f"(b) wt(e_{k} b) != wt(b)+alpha at {key}")
+                    violations.append(f"(b) wt(e_{k} b) != wt(b)+alpha at {nd.key()}")
                 if eb.eps(rd, k) != ep - 1 or eb.phi(rd, k) != ph + 1:
-                    violations.append(f"(b) eps/phi shift wrong under e_{k} at {key}")
+                    violations.append(f"(b) eps/phi shift wrong under e_{k} at {nd.key()}")
                 if eb.f(rd, k) != b:
-                    violations.append(f"(d) f_{k} e_{k} b != b at {key}")
+                    violations.append(f"(d) f_{k} e_{k} b != b at {nd.key()}")
             if fb is not None:
                 if fb.weight(rd) != wt.subtract_alpha(k):
-                    violations.append(f"(c) wt(f_{k} b) != wt(b)-alpha at {key}")
+                    violations.append(f"(c) wt(f_{k} b) != wt(b)-alpha at {nd.key()}")
                 if fb.eps(rd, k) != ep + 1 or fb.phi(rd, k) != ph - 1:
-                    violations.append(f"(c) eps/phi shift wrong under f_{k} at {key}")
+                    violations.append(f"(c) eps/phi shift wrong under f_{k} at {nd.key()}")
                 if fb.e(rd, k) != b:
-                    violations.append(f"(d) e_{k} f_{k} b != b at {key}")
+                    violations.append(f"(d) e_{k} f_{k} b != b at {nd.key()}")
     # recorded edges must agree with the operators in both directions
-    outgoing: set[tuple[str, int]] = set()
-    incoming: set[tuple[str, int]] = set()
+    outgoing: set[tuple[CrystalElement, int]] = set()
+    incoming: set[tuple[CrystalElement, int]] = set()
     for (src, k, dst) in g.edges:
         if (src, k) in outgoing:
-            violations.append(f"duplicate outgoing {k}-edge at {src}")
+            violations.append(f"duplicate outgoing {k}-edge at {g.nodes[src].key()}")
         if (dst, k) in incoming:
-            violations.append(f"duplicate incoming {k}-edge at {dst}")
+            violations.append(f"duplicate incoming {k}-edge at {g.nodes[dst].key()}")
         outgoing.add((src, k))
         incoming.add((dst, k))
-        src_element, dst_element = g.nodes[src].element, g.nodes[dst].element
-        if src_element.f(rd, k) != dst_element:
-            violations.append(f"(d) edge ({src},{k},{dst}) not f_{k}(src)")
-        if dst_element.e(rd, k) != src_element:
-            violations.append(f"(d) edge ({src},{k},{dst}) not e_{k}-inverted")
+        if src.f(rd, k) != dst:
+            violations.append(
+                f"(d) edge ({g.nodes[src].key()},{k},{g.nodes[dst].key()}) not f_{k}(src)"
+            )
+        if dst.e(rd, k) != src:
+            violations.append(
+                f"(d) edge ({g.nodes[src].key()},{k},{g.nodes[dst].key()}) not e_{k}-inverted"
+            )
     return violations
 
 
@@ -257,20 +261,19 @@ def check_normal(g: CrystalGraph) -> CheckReport:
             if nxt is None:
                 return steps
             steps += 1
-            nxt_key = g.index.get(nxt)
-            if nxt_key is None:
+            node = g.nodes.get(nxt)
+            if node is None:
                 return None  # image outside the explored region
-            node = g.nodes[nxt_key]
 
-    for key, nd in g.nodes.items():
+    for nd in g.nodes.values():
         for k in rd.vertices():
             ep, ph = nd.eps[k - 1], nd.phi[k - 1]
             if ep < 0:
-                violations.append(f"eps_{k} = {ep} < 0 at {key}")
+                violations.append(f"eps_{k} = {ep} < 0 at {nd.key()}")
                 checked += 1
                 continue
             if ph < 0:
-                violations.append(f"phi_{k} = {ph} < 0 at {key}")
+                violations.append(f"phi_{k} = {ph} < 0 at {nd.key()}")
                 checked += 1
                 continue
             ups = walk(nd, k, "e")
@@ -280,18 +283,18 @@ def check_normal(g: CrystalGraph) -> CheckReport:
                 continue
             checked += 1
             if ups != ep:
-                violations.append(f"eps_{k} = {ep} but e-string length {ups} at {key}")
+                violations.append(f"eps_{k} = {ep} but e-string length {ups} at {nd.key()}")
             if downs != ph:
-                violations.append(f"phi_{k} = {ph} but f-string length {downs} at {key}")
+                violations.append(f"phi_{k} = {ph} but f-string length {downs} at {nd.key()}")
     return CheckReport(violations, checked, skipped)
 
 
 def check_strict_morphism(
     g1: CrystalGraph,
     g2: CrystalGraph,
-    mapping: dict[str, str],
+    mapping: dict[CrystalElement, CrystalElement],
 ) -> CheckReport:
-    """Verify that ``mapping`` (keys of g1 -> keys of g2) is an injective
+    """Verify that ``mapping`` (nodes of g1 -> nodes of g2) is an injective
     strict morphism.
 
     Checks injectivity, wt/eps/phi preservation on every mapped node and
@@ -303,72 +306,78 @@ def check_strict_morphism(
     rd = g1.rd
     violations: list[str] = []
     checked = skipped = 0
-    for key, nd in g1.nodes.items():
-        if key not in mapping:
+    for x, nd in g1.nodes.items():
+        if x not in mapping:
             if not nd.frontier:
-                raise ValueError(f"morphism map undefined on non-frontier node {key}")
+                raise ValueError(f"morphism map undefined on non-frontier node {nd.key()}")
             skipped += 1
             continue
-        img_key = mapping[key]
-        if img_key not in g2.nodes:
-            violations.append(f"image {img_key} not in target graph")
+        y = mapping[x]
+        img = g2.nodes.get(y)
+        if img is None:
+            violations.append(f"image {y.key()} not in target graph")
             continue
-        img = g2.nodes[img_key]
         if img.weight != nd.weight:
-            violations.append(f"wt not preserved at {key}")
+            violations.append(f"wt not preserved at {nd.key()}")
         if img.eps != nd.eps:
-            violations.append(f"eps not preserved at {key}")
+            violations.append(f"eps not preserved at {nd.key()}")
         if img.phi != nd.phi:
-            violations.append(f"phi not preserved at {key}")
+            violations.append(f"phi not preserved at {nd.key()}")
         if nd.frontier or img.frontier:
             skipped += 1
             continue
         checked += 1
         for k in rd.vertices():
             for op in ("e", "f"):
-                src_img = getattr(nd.element, op)(rd, k)
-                dst_img = getattr(img.element, op)(rd, k)
+                src_img = getattr(x, op)(rd, k)
+                dst_img = getattr(y, op)(rd, k)
                 if src_img is None:
                     if dst_img is not None:
-                        violations.append(f"{op}_{k} None/non-None mismatch at {key}")
+                        violations.append(f"{op}_{k} None/non-None mismatch at {nd.key()}")
                     continue
                 if dst_img is None:
-                    violations.append(f"{op}_{k} non-None/None mismatch at {key}")
+                    violations.append(f"{op}_{k} non-None/None mismatch at {nd.key()}")
                     continue
-                mapped = mapping.get(g1.index.get(src_img))
+                mapped = mapping.get(src_img)
                 if mapped is None:
                     skipped += 1
                     continue
-                if g2.index.get(dst_img) != mapped:
-                    violations.append(f"{op}_{k} does not commute at {key}")
-    seen: dict[str, str] = {}
+                if dst_img != mapped:
+                    violations.append(f"{op}_{k} does not commute at {nd.key()}")
+    seen: dict[CrystalElement, CrystalElement] = {}
     for src, dst in mapping.items():
         if dst in seen:
-            violations.append(f"not injective: {seen[dst]} and {src} both map to {dst}")
+            violations.append(
+                f"not injective: {seen[dst].key()} and {src.key()} both map to {dst.key()}"
+            )
         seen[dst] = src
     return CheckReport(violations, checked, skipped)
 
 
+def _export_order(g: CrystalGraph):
+    """Nodes in key order and edges as sorted key triples, as exports print them."""
+    nodes = sorted(g.nodes.values(), key=GraphNode.key)
+    ids = {nd.element: nd.key() for nd in nodes}
+    return nodes, sorted((ids[a], k, ids[b]) for (a, k, b) in g.edges)
+
+
 def graph_to_json(g: CrystalGraph) -> dict:
     """JSON form of a graph with deterministic node and edge order."""
-    nodes = []
-    for key in g.sorted_keys():
-        nd = g.nodes[key]
-        nodes.append(
+    nodes, edges = _export_order(g)
+    return {
+        "nodes": [
             {
-                "id": key,
+                "id": nd.key(),
                 "kind": nd.element.tag,
                 "wt": nd.weight.serialize(),
                 "eps": [ext_serialize(x) for x in nd.eps],
                 "phi": [ext_serialize(x) for x in nd.phi],
                 "frontier": nd.frontier,
             }
-        )
-    edges = [{"src": a, "k": k, "dst": b} for (a, k, b) in g.sorted_edges()]
-    return {
-        "nodes": nodes,
-        "edges": edges,
-        "generators": sorted(g.generators),
+            for nd in nodes
+        ],
+        "edges": [{"src": a, "k": k, "dst": b} for (a, k, b) in edges],
+        "generators": sorted(g.nodes[x].key() for x in g.generators),
         "depth": g.depth_bound,
     }
 
@@ -382,14 +391,14 @@ _DOT_COLORS = (
 def graph_to_dot(g: CrystalGraph) -> str:
     """DOT form: edge color/label by vertex index, node label = pairing vector,
     frontier nodes dashed.  Byte-stable for fixed input."""
-    index = {key: i for i, key in enumerate(g.sorted_keys())}
+    nodes, edges = _export_order(g)
+    index = {nd.key(): i for i, nd in enumerate(nodes)}
     lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=box, fontname="Helvetica"];']
-    for key, i in index.items():
-        nd = g.nodes[key]
+    for i, nd in enumerate(nodes):
         label = "(" + ",".join(str(x) for x in g.rd.pairing_vector(nd.weight)) + ")"
         style = ', style=dashed' if nd.frontier else ""
         lines.append(f'  n{i} [label="{label}"{style}];')
-    for (a, k, b) in g.sorted_edges():
+    for (a, k, b) in edges:
         color = _DOT_COLORS[(k - 1) % len(_DOT_COLORS)]
         lines.append(f'  n{index[a]} -> n{index[b]} [label="{k}", color="{color}"];')
     lines.append("}")

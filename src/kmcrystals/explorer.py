@@ -67,10 +67,9 @@ def generate(
 
     ``depth`` bounds the number of operator applications from the seed set;
     None means full expansion (the crystal had better be finite).  Nodes at
-    the depth bound stay marked as frontier.  Node identity is structural
-    (element equality, through ``CrystalGraph.index``); an element is
-    serialized once, when admitted, and its key is its node id.  Keys are
-    canonical, so exploration order never changes the result.
+    the depth bound stay marked as frontier.  Nodes are keyed by the
+    elements themselves (structural equality); nothing is serialized, and
+    exploration order never changes the result.
 
     Each edge is derived once.  Expanding b computes every f_k(b), but
     e_k(b) only when no k-edge into b is recorded yet: a recorded edge
@@ -85,44 +84,38 @@ def generate(
     if node_budget is None:
         node_budget = env_node_budget()
     g = CrystalGraph(rd=rd, depth_bound=depth)
-    queue: deque[str] = deque()
-    entered: set[tuple[str, int]] = set()  # (dst, k) of every recorded f_k-edge
+    queue: deque[CrystalElement] = deque()
+    entered: set[tuple[CrystalElement, int]] = set()  # (dst, k) of every recorded f_k-edge
 
-    def admit(element: CrystalElement, d: int) -> str:
-        key = g.index.get(element)
-        if key is None:
-            if len(g.nodes) >= node_budget:
-                raise BudgetExceeded(node_budget, g)
-            key = g.index[element] = element.key()
-            g.nodes[key] = GraphNode(
-                element=element,
-                weight=element.weight(rd),
-                eps=element.eps_vector(rd),
-                phi=element.phi_vector(rd),
-                depth=d,
-                frontier=True,
-            )
-            queue.append(key)
-        return key
+    def admit(x: CrystalElement, d: int) -> CrystalElement:
+        """The graph's instance of x, admitting x as a new node if needed."""
+        nd = g.nodes.get(x)
+        if nd is not None:
+            return nd.element
+        if len(g.nodes) >= node_budget:
+            raise BudgetExceeded(node_budget, g)
+        g.nodes[x] = GraphNode(x, x.weight(rd), x.eps_vector(rd), x.phi_vector(rd), d, True)
+        queue.append(x)
+        return x
 
     g.generators = tuple(admit(s, 0) for s in seeds)
     while queue:
-        key = queue.popleft()
-        nd = g.nodes[key]
+        x = queue.popleft()
+        nd = g.nodes[x]
         if depth is not None and nd.depth >= depth:
             continue  # stays frontier
         nd.frontier = False
         for k in rd.vertices():
-            down = nd.element.f(rd, k)
+            down = x.f(rd, k)
             if down is not None:
-                dst = admit(down, nd.depth + 1)
-                g.edges.add((key, k, dst))
-                entered.add((dst, k))
-            if (key, k) in entered:
+                down = admit(down, nd.depth + 1)
+                g.edges.add((x, k, down))
+                entered.add((down, k))
+            if (x, k) in entered:
                 continue
-            up = nd.element.e(rd, k)
+            up = x.e(rd, k)
             if up is not None:
-                g.edges.add((admit(up, nd.depth + 1), k, key))
+                g.edges.add((admit(up, nd.depth + 1), k, x))
     return g
 
 
@@ -145,14 +138,9 @@ def closed_family_instance(rd: RootDatum, lam, mu, depth: int | None = None):
     return is_isomorphic(component, target)
 
 
-def highest_weight_elements(g: CrystalGraph) -> list[str]:
-    """Keys of nodes killed by every e_k (eps_k = 0, or -inf where nothing acts)."""
-    out = []
-    for key in g.sorted_keys():
-        nd = g.nodes[key]
-        if all(is_neg_inf(x) or x == 0 for x in nd.eps):
-            out.append(key)
-    return out
+def highest_weight_elements(g: CrystalGraph) -> list[CrystalElement]:
+    """Nodes killed by every e_k (eps_k = 0, or -inf where nothing acts)."""
+    return [x for x, nd in g.nodes.items() if all(is_neg_inf(v) or v == 0 for v in nd.eps)]
 
 
 def character(g: CrystalGraph) -> dict[Weight, int]:
@@ -180,7 +168,7 @@ def tensor_product_graph(
                     "tensor_product_graph needs completely explored factors "
                     "unless a depth bound is given"
                 )
-    pools = [[g.nodes[key].element for key in g.sorted_keys()] for g in graphs]
+    pools = [list(g.nodes) for g in graphs]
     seeds = [TensorElement(combo) for combo in itertools.product(*pools)]
     return generate(rd, seeds, depth=depth)
 
@@ -192,8 +180,8 @@ class DecompositionTable:
     entries: dict[Weight, int]
     complete: bool
     depth: int | None
-    flagged: list[str] = field(default_factory=list)
-    component_sizes: dict[str, int] = field(default_factory=dict)
+    flagged: list[CrystalElement] = field(default_factory=list)
+    component_sizes: dict[CrystalElement, int] = field(default_factory=dict)
 
     def sorted_entries(self) -> list[tuple[Weight, int]]:
         return sorted(self.entries.items(), key=lambda kv: (kv[0].lambda_part, kv[0].root_part))
@@ -214,7 +202,7 @@ class DecompositionTable:
             ],
             "complete": self.complete,
             "depth": self.depth,
-            "flagged": sorted(self.flagged),
+            "flagged": sorted(x.key() for x in self.flagged),
         }
 
 
@@ -224,13 +212,13 @@ def decompose(g: CrystalGraph) -> DecompositionTable:
     Components that touch the frontier are reported in ``flagged`` and never
     counted, so truncated graphs cannot produce phantom multiplicities.
     """
-    neighbours: dict[str, set[str]] = {key: set() for key in g.nodes}
+    neighbours: dict[CrystalElement, set[CrystalElement]] = {x: set() for x in g.nodes}
     for (a, _, b) in g.edges:
         neighbours[a].add(b)
         neighbours[b].add(a)
     entries: dict[Weight, int] = {}
-    flagged: list[str] = []
-    sizes: dict[str, int] = {}
+    flagged: list[CrystalElement] = []
+    sizes: dict[CrystalElement, int] = {}
     for hw in highest_weight_elements(g):
         seen = {hw}
         stack = [hw]
@@ -269,7 +257,7 @@ def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
 
     Every factor is generated in full, so the node budget bounds each
     factor, not the product; an infinite factor raises BudgetExceeded.
-    ``component_sizes`` stays empty, as there are no product nodes to key.
+    ``component_sizes`` stays empty, as there are no product nodes.
     ``decompose(tensor_product_graph(...))`` is the reference route.
     """
     if not weights:
@@ -298,7 +286,8 @@ def is_isomorphic(g1: CrystalGraph, g2: CrystalGraph):
     equal-depth truncations comparable.  On success the witness map is
     re-validated as a strict morphism.
 
-    Returns (answer, witness_map_or_None, reason).
+    Returns (answer, witness_map_or_None, reason); the witness maps node
+    keys of g1 to node keys of g2.
     """
     hw1 = highest_weight_elements(g1)
     hw2 = highest_weight_elements(g2)
@@ -314,28 +303,28 @@ def is_isomorphic(g1: CrystalGraph, g2: CrystalGraph):
         a, b = queue.popleft()
         na, nb = g1.nodes[a], g2.nodes[b]
         if na.weight != nb.weight:
-            return False, None, f"weight mismatch at {a}"
+            return False, None, f"weight mismatch at {na.key()}"
         if na.eps != nb.eps or na.phi != nb.phi:
-            return False, None, f"statistics mismatch at {a}"
+            return False, None, f"statistics mismatch at {na.key()}"
         if na.frontier or nb.frontier:
             continue
         for k in g1.rd.vertices():
             fa = out1.get((a, k))
             fb = out2.get((b, k))
             if (fa is None) != (fb is None):
-                return False, None, f"f_{k} defined on one side only at {a}"
+                return False, None, f"f_{k} defined on one side only at {na.key()}"
             if fa is None:
                 continue
             if fa in mapping:
                 if mapping[fa] != fb:
-                    return False, None, f"edge clash at {fa}"
+                    return False, None, f"edge clash at {g1.nodes[fa].key()}"
                 continue
             mapping[fa] = fb
             queue.append((fa, fb))
     report = check_strict_morphism(g1, g2, mapping)
     if not report.ok():
         return False, None, "witness failed strict-morphism check: " + report.violations[0]
-    return True, mapping, ""
+    return True, {g1.nodes[a].key(): g2.nodes[b].key() for a, b in mapping.items()}, ""
 
 
 # ---------------------------------------------------------------------------

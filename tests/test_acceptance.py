@@ -119,11 +119,11 @@ def test_criterion_4_strict_embedding():
         mismatches = []
         g = generate_highest_weight_crystal(RD2, (2, 1))
         assert g.node_count() == 15
-        for key in g.sorted_keys():
-            mismatches += embedding_mismatches(RD2, g.nodes[key].element)
+        for x in g.nodes:
+            mismatches += embedding_mismatches(RD2, x)
         ga = generate_highest_weight_crystal(RDA, (1, 0), depth=6)
-        for key in ga.sorted_keys():
-            mismatches += embedding_mismatches(RDA, ga.nodes[key].element)
+        for x in ga.nodes:
+            mismatches += embedding_mismatches(RDA, x)
         assert mismatches == []
 
 
@@ -131,8 +131,7 @@ def _pair_checks(rd, g1, g2):
     product = tensor_product_graph(rd, [g1, g2])
     assert check_normal(product).ok()
     count = 0
-    for key in product.sorted_keys():
-        x = product.nodes[key].element
+    for x in product.nodes:
         count += 1
         for k in rd.vertices():
             assert binary_eps(rd, x, k) == x.eps(rd, k)
@@ -165,8 +164,7 @@ def _triple_checks(rd, graphs):
     product = tensor_product_graph(rd, graphs)
     assert check_normal(product).ok()
     count = 0
-    for key in product.sorted_keys():
-        x = product.nodes[key].element
+    for x in product.nodes:
         count += 1
         a, b, c = x.factors
         left, right = TensorElement((a, b)), TensorElement((b, c))
@@ -281,10 +279,9 @@ def test_criterion_7_telescoping_identity():
         elements = 0
         for g in _model_graphs():
             rd = g.rd
-            for key in g.sorted_keys():
-                x = g.nodes[key].element
+            for x, nd in g.nodes.items():
                 lo, hi = window(rd, x)
-                wt = g.nodes[key].weight
+                wt = nd.weight
                 for k in rd.vertices():
                     total = sum(rank_complex(rd, x, k, p) for p in range(lo, hi + 1))
                     assert total == rd.pairing(k, wt)

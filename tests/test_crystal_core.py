@@ -62,8 +62,8 @@ def test_forged_edge_detected():
     rd = build_root_datum("A2")
     g = generate_highest_weight_crystal(rd, (1, 0))
     assert check_axioms(g) == []
-    (hw,) = [k for k, nd in g.nodes.items() if nd.depth == 0]
-    (src, color, dst) = sorted(g.edges)[0]
+    (hw,) = [x for x, nd in g.nodes.items() if nd.depth == 0]
+    (src, color, dst) = min(g.edges, key=lambda e: (e[0].key(), e[1], e[2].key()))
     forged = (hw, color, dst) if (hw, color, dst) not in g.edges else (dst, color, hw)
     g.edges.discard((src, color, dst))
     g.edges.add(forged)
@@ -91,7 +91,7 @@ def test_normal_truncated_affine_skips():
 def test_identity_is_strict_morphism():
     rd = build_root_datum("A2")
     g = generate_highest_weight_crystal(rd, (1, 0))
-    mapping = {key: key for key in g.nodes}
+    mapping = {x: x for x in g.nodes}
     report = check_strict_morphism(g, g, mapping)
     assert report.ok()
 
@@ -99,8 +99,8 @@ def test_identity_is_strict_morphism():
 def test_hw_to_lower_map_fails():
     rd = build_root_datum("A2")
     g = generate_highest_weight_crystal(rd, (1, 0))
-    keys = sorted(g.nodes, key=lambda key: g.nodes[key].depth)
-    mapping = {keys[0]: keys[-1], keys[1]: keys[1], keys[2]: keys[0]}
+    xs = sorted(g.nodes, key=lambda x: g.nodes[x].depth)
+    mapping = {xs[0]: xs[-1], xs[1]: xs[1], xs[2]: xs[0]}
     report = check_strict_morphism(g, g, mapping)
     assert any("eps" in v or "wt" in v for v in report.violations)
 
@@ -115,7 +115,7 @@ def test_morphism_requires_total_map():
 def test_non_injective_detected():
     rd = build_root_datum("A1")
     g = generate_highest_weight_crystal(rd, (1,))
-    a, b = sorted(g.nodes)
+    a, b = g.nodes
     report = check_strict_morphism(g, g, {a: a, b: a})
     assert any("injective" in v for v in report.violations)
 
@@ -156,8 +156,10 @@ def test_dot_output_stable_and_marked():
 def test_element_key_round_trip():
     rd = build_root_datum("A2")
     g = generate_highest_weight_crystal(rd, (1, 1))
-    for key, nd in g.nodes.items():
-        assert json.loads(key) == nd.element.serialize()
+    ids = [node["id"] for node in graph_to_json(g)["nodes"]]
+    assert ids == sorted(x.key() for x in g.nodes)
+    for x in g.nodes:
+        assert json.loads(g.nodes[x].key()) == x.serialize()
 
 
 @dataclass(frozen=True)

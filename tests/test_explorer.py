@@ -14,6 +14,8 @@ from kmcrystals import (
     ModelElement,
     build_root_datum,
     character,
+    check_axioms,
+    check_normal,
     closed_family_instance,
     decompose,
     decompose_tensor,
@@ -21,6 +23,8 @@ from kmcrystals import (
     freudenthal_multiplicities,
     generate,
     generate_highest_weight_crystal,
+    graph_to_dot,
+    graph_to_json,
     highest_weight_elements,
     is_isomorphic,
     model_highest_weight,
@@ -84,14 +88,14 @@ def test_hw_scan():
     product = tensor_product_graph(RD2, [g1, g2])
     hws = highest_weight_elements(product)
     assert len(hws) == 2
-    pairings = sorted(RD2.pairing_vector(product.nodes[key].weight) for key in hws)
+    pairings = sorted(RD2.pairing_vector(product.nodes[x].weight) for x in hws)
     assert pairings == [(0, 0), (1, 1)]
 
 
 def test_hw_scan_on_bk_window():
     # eps must be exactly 0 or -inf; b_1(0) qualifies, b_1(n != 0) does not
     g = generate(RD1, [BkElement(1, 0)], depth=2)
-    assert highest_weight_elements(g) == [BkElement(1, 0).key()]
+    assert highest_weight_elements(g) == [BkElement(1, 0)]
 
 
 def test_decompose_sl2_square():
@@ -124,7 +128,7 @@ def test_truncated_decompose_flags_components():
 def test_is_isomorphic_self():
     g = generate_highest_weight_crystal(RD2, (1, 0))
     iso, witness, _ = is_isomorphic(g, g)
-    assert iso and witness == {key: key for key in g.nodes}
+    assert iso and witness == {x.key(): x.key() for x in g.nodes}
 
 
 def test_is_isomorphic_distinguishes_fundamentals():
@@ -289,8 +293,8 @@ def test_triple_decomposition_is_associative():
     pair = tensor_product_graph(RD1, graphs[:2])
     # decompose the pair, then tensor each component against the third factor
     iterated: dict = {}
-    for hw_key, _ in sorted(decompose(pair).component_sizes.items()):
-        component = generate(RD1, [pair.nodes[hw_key].element])
+    for hw in decompose(pair).component_sizes:
+        component = generate(RD1, [hw])
         step = tensor_product_graph(RD1, [component, graphs[2]])
         for wt, m in decompose(step).entries.items():
             iterated[wt] = iterated.get(wt, 0) + m
@@ -387,7 +391,7 @@ def test_exceptional_series_oracles():
         assert min(dims) == smallest_dim
 
 
-def test_generate_serializes_each_node_once(monkeypatch):
+def test_keys_only_where_bytes_leave(monkeypatch):
     calls = []
     original = CrystalElement.key
 
@@ -396,8 +400,16 @@ def test_generate_serializes_each_node_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(CrystalElement, "key", counting_key)
-    g = generate_highest_weight_crystal(build_root_datum("A3"), (1, 1, 1))
-    assert len(calls) == g.node_count() == 64
+    g = generate_highest_weight_crystal(RD3, (1, 1, 1))
+    assert g.node_count() == 64 and calls == []
+    graph_to_dot(g)
+    graph_to_json(g)
+    assert len(calls) == g.node_count()  # each node serialized once, for both exports
+    calls.clear()
+    assert decompose_tensor(RD3, [(1, 0, 0), (0, 1, 0)]).complete
+    assert check_axioms(g) == []
+    assert check_normal(g).ok()
+    assert calls == []
 
 
 def test_generate_derives_each_edge_once(monkeypatch):
@@ -440,30 +452,32 @@ def test_generate_records_every_operator_image(build):
     g = build()
     rd = g.rd
     images = set()
-    for key, nd in g.nodes.items():
+    for x, nd in g.nodes.items():
         if nd.frontier:
             continue
         for k in rd.vertices():
-            down, up = nd.element.f(rd, k), nd.element.e(rd, k)
+            down, up = x.f(rd, k), x.e(rd, k)
             if down is not None:
-                images.add((key, k, g.index[down]))
+                assert down in g.nodes
+                images.add((x, k, down))
             if up is not None:
-                images.add((g.index[up], k, key))
+                assert up in g.nodes
+                images.add((up, k, x))
     assert g.edges == images
     # depths are breadth-first distances from the generators along the edges
-    neighbours = {key: set() for key in g.nodes}
+    neighbours = {x: set() for x in g.nodes}
     for a, _, b in g.edges:
         neighbours[a].add(b)
         neighbours[b].add(a)
     distance = dict.fromkeys(g.generators, 0)
     queue = deque(g.generators)
     while queue:
-        key = queue.popleft()
-        for nxt in neighbours[key]:
+        x = queue.popleft()
+        for nxt in neighbours[x]:
             if nxt not in distance:
-                distance[nxt] = distance[key] + 1
+                distance[nxt] = distance[x] + 1
                 queue.append(nxt)
-    assert distance == {key: nd.depth for key, nd in g.nodes.items()}
+    assert distance == {x: nd.depth for x, nd in g.nodes.items()}
 
 
 def test_memory_freed_with_datum():
@@ -471,7 +485,7 @@ def test_memory_freed_with_datum():
     rd = build_root_datum("A2")
     g = generate_highest_weight_crystal(rd, (1, 1))
     assert closed_family_instance(rd, (1, 0), (0, 1))[0]
-    refs = [weakref.ref(rd), weakref.ref(g.nodes[g.generators[0]].element)]
+    refs = [weakref.ref(rd), weakref.ref(g.generators[0])]
     del rd, g
     gc.collect()
     assert [ref() for ref in refs] == [None, None]

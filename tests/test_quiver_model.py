@@ -145,8 +145,7 @@ def test_embed_psi_window_too_small():
 
 def test_embed_preserves_weight():
     g = generate_highest_weight_crystal(RD2, (1, 1))
-    for key in g.sorted_keys():
-        x = g.nodes[key].element
+    for x in g.nodes:
         emb = embed_psi(RD2, x, window(RD2, x, margin=2))
         assert emb.weight(RD2) == x.weight(RD2)
 
@@ -154,14 +153,14 @@ def test_embed_preserves_weight():
 def test_strict_embedding_on_adjoint_crystal():
     g = generate_highest_weight_crystal(RD2, (1, 1))
     assert g.node_count() == 8
-    for key in g.sorted_keys():
-        assert embedding_mismatches(RD2, g.nodes[key].element) == []
+    for x in g.nodes:
+        assert embedding_mismatches(RD2, x) == []
 
 
 def test_unique_source_element():
     g = generate_highest_weight_crystal(RD2, (2, 1))
     assert len(highest_weight_elements(g)) == 1
-    assert highest_weight_elements(g) == [model_highest_weight(RD2, (2, 1)).key()]
+    assert highest_weight_elements(g) == [model_highest_weight(RD2, (2, 1))]
 
 
 def test_multi_slot_component_matches_tensor():
@@ -186,8 +185,8 @@ def test_multi_slot_component_matches_tensor():
 def test_multi_slot_strictness():
     start = model_element(wprofile({0: (0, 1), 3: (1, 0)}))
     g = generate(RD2, [start])
-    for key in g.sorted_keys():
-        assert embedding_mismatches(RD2, g.nodes[key].element) == []
+    for x in g.nodes:
+        assert embedding_mismatches(RD2, x) == []
 
 
 def test_embedding_is_strict_morphism_of_graphs():
@@ -201,10 +200,7 @@ def test_embedding_is_strict_morphism_of_graphs():
     g_model = generate(RD1, [hw])
     g_tensor = generate(RD1, [embed_psi(RD1, hw, win)])
     assert g_model.node_count() == g_tensor.node_count() == 3
-    mapping = {
-        key: embed_psi(RD1, g_model.nodes[key].element, win).key()
-        for key in g_model.nodes
-    }
+    mapping = {x: embed_psi(RD1, x, win) for x in g_model.nodes}
     report = check_strict_morphism(g_model, g_tensor, mapping)
     assert report.ok() and report.checked == 3
 
@@ -212,8 +208,8 @@ def test_embedding_is_strict_morphism_of_graphs():
 def test_affine_strictness_at_depth():
     g = generate_highest_weight_crystal(RDA, (1, 0), depth=5)
     assert g.node_count() > 5
-    for key in g.sorted_keys():
-        assert embedding_mismatches(RDA, g.nodes[key].element) == []
+    for x in g.nodes:
+        assert embedding_mismatches(RDA, x) == []
 
 
 @settings(max_examples=80, deadline=None)

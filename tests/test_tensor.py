@@ -132,7 +132,7 @@ def _assert_bracketings_agree(rd, flat):
 
 def test_associativity_on_triple_product():
     graphs = [generate_highest_weight_crystal(RD2, w) for w in ((1, 0), (0, 1), (1, 0))]
-    pools = [[g.nodes[key].element for key in g.sorted_keys()] for g in graphs]
+    pools = [list(g.nodes) for g in graphs]
     for a in pools[0]:
         for b in pools[1]:
             for c in pools[2]:
@@ -141,7 +141,7 @@ def test_associativity_on_triple_product():
 
 def test_nfold_matches_iterated_binary():
     graphs = [generate_highest_weight_crystal(RD1, (w,)) for w in (2, 1, 1)]
-    pools = [[g.nodes[key].element for key in g.sorted_keys()] for g in graphs]
+    pools = [list(g.nodes) for g in graphs]
     for a in pools[0]:
         for b in pools[1]:
             for c in pools[2]:
@@ -178,8 +178,7 @@ def test_lowering_power_split_rule():
     g2 = generate_highest_weight_crystal(RD2, (1, 1))
     product = tensor_product_graph(RD2, [g1, g2])
     checked = 0
-    for key in product.sorted_keys():
-        x = product.nodes[key].element
+    for x in product.nodes:
         b1, b2 = x.factors
         for k in RD2.vertices():
             if x.eps(RD2, k) != 0:
@@ -210,9 +209,9 @@ def test_lowering_power_split_rule():
 
 # every element of B(1,0), B(0,1) and B(1,1) on A2
 A2_MODEL_POOL = [
-    g.nodes[key].element
+    x
     for g in (generate_highest_weight_crystal(RD2, lam) for lam in ((1, 0), (0, 1), (1, 1)))
-    for key in g.sorted_keys()
+    for x in g.nodes
 ]
 A2_FACTOR = st.one_of(
     st.builds(BkElement, st.integers(1, 2), st.integers(-2, 2)),
