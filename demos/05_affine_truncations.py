@@ -27,7 +27,7 @@ print("nodes:", g.node_count(), " frontier:", g.frontier_count())
 
 # Axioms hold on the interior; the normality check reports skips for
 # strings that leave the window rather than guessing.
-print("axiom violations:", len(check_axioms(g)))
+print("axiom violations:", len(check_axioms(g).violations))
 report = check_normal(g)
 print("normality violations:", len(report.violations), " skipped:", report.skipped)
 

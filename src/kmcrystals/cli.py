@@ -9,9 +9,10 @@ budget exceeded.  Every usage error in every subcommand (a missing or
 malformed root datum or weight, a weight of the wrong length or not
 dominant, a negative ``--depth``, ``--max-entry`` or ``--pairs``, a
 CRYSTAL_NODE_BUDGET that is not a nonnegative integer, the oracle suite
-on a datum not of finite type, an output path that is a directory or lies
-in a missing one) is found before any work starts and before any file is
-written, and exits 2 with one ``error:`` line on stderr.  The node budget
+on a datum not of finite type, the closed suite on such a datum without
+``--depth``, an output path that is a directory or lies in a missing one)
+is found before any work starts and before any file is written, and exits
+2 with one ``error:`` line on stderr.  The node budget
 is controlled by the environment variable CRYSTAL_NODE_BUDGET (default
 10^6 nodes).  It bounds every graph a command generates.  ``tensor``
 without ``--depth`` decomposes by the highest-weight rule and generates
@@ -121,6 +122,8 @@ def _validate(args):
             for flag, value in (("--max-entry", args.max_entry), ("--pairs", args.pairs)):
                 if value < 0:
                     raise ValueError(f"{flag} must be >= 0")
+            if args.depth is None and not finite_type_check(rd):
+                raise ValueError("closed suite needs --depth on a datum not of finite type")
             return rd, []
         if not args.weight:
             raise ValueError(f"suite {args.suite} needs --weight")
@@ -183,9 +186,9 @@ def _suite_report(args, rd, weights) -> tuple[list[str], bool]:
         return lines, ok
     g = generate_highest_weight_crystal(rd, weights[0], depth=args.depth)
     if args.suite == "axioms":
-        violations = check_axioms(g)
-        return ([f"axioms: {len(violations)} violations on {g.node_count()} nodes"]
-                + violations[:10], not violations)
+        report = check_axioms(g)
+        return ([f"axioms: {len(report.violations)} violations on {g.node_count()} nodes"]
+                + report.violations[:10], report.ok())
     if args.suite == "normal":
         report = check_normal(g)
         return ([f"normal: {len(report.violations)} violations, "

@@ -167,19 +167,35 @@ class CrystalGraph:
         return sum(1 for nd in self.nodes.values() if nd.frontier)
 
 
-def check_axioms(g: CrystalGraph) -> list[str]:
-    """Verify the crystal axioms on every non-frontier node; [] means pass.
+@dataclass
+class CheckReport:
+    """Outcome of a checker that skips and counts what it cannot judge."""
+
+    violations: list[str]
+    checked: int
+    skipped: int
+
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_axioms(g: CrystalGraph) -> CheckReport:
+    """Verify the crystal axioms on every non-frontier node.
 
     Checked per node b and vertex k: phi = eps + <h_k, wt>; the wt/eps/phi
     shifts under e_k and f_k when those are defined; e_k and f_k are mutual
-    inverses; phi = -inf forces e_k b = f_k b = None.  Every recorded edge
+    inverses; phi = -inf forces e_k b = f_k b = None.  The (node, vertex)
+    pairs of frontier nodes are skipped and counted.  Every recorded edge
     (x, k, y) is re-derived from the operators in both directions.
     """
     rd = g.rd
     violations: list[str] = []
+    checked = skipped = 0
     for b, nd in g.nodes.items():
         if nd.frontier:
+            skipped += rd.n
             continue
+        checked += rd.n
         wt = nd.weight
         for k, pair in zip(rd.vertices(), rd.pairing_vector(wt)):
             ep, ph = nd.eps[k - 1], nd.phi[k - 1]
@@ -223,19 +239,7 @@ def check_axioms(g: CrystalGraph) -> list[str]:
             violations.append(
                 f"(d) edge ({g.nodes[src].key()},{k},{g.nodes[dst].key()}) not e_{k}-inverted"
             )
-    return violations
-
-
-@dataclass
-class CheckReport:
-    """Outcome of a checker that skips and counts what it cannot judge."""
-
-    violations: list[str]
-    checked: int
-    skipped: int
-
-    def ok(self) -> bool:
-        return not self.violations
+    return CheckReport(violations, checked, skipped)
 
 
 def check_normal(g: CrystalGraph) -> CheckReport:

@@ -57,19 +57,15 @@ def env_node_budget() -> int:
     return int(text)
 
 
-def generate(
-    rd: RootDatum,
-    seeds,
-    depth: int | None = None,
-    node_budget: int | None = None,
-) -> CrystalGraph:
+def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
     """Explore the closure of ``seeds`` under all e_k and f_k.
 
     ``depth`` bounds the number of operator applications from the seed set;
     None means full expansion (the crystal had better be finite).  Nodes at
-    the depth bound stay marked as frontier.  Nodes are keyed by the
-    elements themselves (structural equality); nothing is serialized, and
-    exploration order never changes the result.
+    the depth bound stay marked as frontier.  Admitting more nodes than
+    CRYSTAL_NODE_BUDGET allows raises BudgetExceeded.  Nodes are keyed by
+    the elements themselves (structural equality); nothing is serialized,
+    and exploration order never changes the result.
 
     Each edge is derived once.  Expanding b computes every f_k(b), but
     e_k(b) only when no k-edge into b is recorded yet: a recorded edge
@@ -81,8 +77,7 @@ def generate(
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
-    if node_budget is None:
-        node_budget = env_node_budget()
+    node_budget = env_node_budget()
     g = CrystalGraph(rd=rd, depth_bound=depth)
     queue: deque[CrystalElement] = deque()
     entered: set[tuple[CrystalElement, int]] = set()  # (dst, k) of every recorded f_k-edge
@@ -119,9 +114,9 @@ def generate(
     return g
 
 
-def generate_highest_weight_crystal(rd: RootDatum, lam, depth=None, node_budget=None):
+def generate_highest_weight_crystal(rd: RootDatum, lam, depth=None):
     """Generate B(lam) from the profile-model source element."""
-    return generate(rd, [model_highest_weight(rd, lam)], depth=depth, node_budget=node_budget)
+    return generate(rd, [model_highest_weight(rd, lam)], depth=depth)
 
 
 def closed_family_instance(rd: RootDatum, lam, mu, depth: int | None = None):

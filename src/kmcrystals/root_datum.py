@@ -237,9 +237,6 @@ def _preset_adjacency(name: str):
     return adj
 
 
-PRESETS = ("A<n>", "D<n>", "E6", "E7", "E8", "affineA1")
-
-
 def build_root_datum(source) -> RootDatum:
     """Build a root datum from a preset name, an adjacency matrix, or a dict.
 

@@ -244,7 +244,7 @@ def test_criterion_6_axiom_suites():
     with criterion("criterion 6 (axiom suites)"):
         skipped_total = 0
         for g in _model_graphs():
-            assert check_axioms(g) == []
+            assert check_axioms(g).violations == []
             report = check_normal(g)
             assert report.ok(), report.violations[:3]
             skipped_total += report.skipped
@@ -264,11 +264,11 @@ def test_criterion_6_axiom_suites():
             ),
         ]
         for g in pair_graphs:
-            assert check_axioms(g) == []
+            assert check_axioms(g).violations == []
             assert check_normal(g).ok()
         # negative control: the elementary string crystal is not normal
         bk = generate(RD1, [BkElement(1, 0)], depth=3)
-        assert check_axioms(bk) == []
+        assert check_axioms(bk).violations == []
         report = check_normal(bk)
         assert report.violations, "B_k must fail the normality check"
         print(f"  (normality skips across truncations: {skipped_total})")

@@ -210,6 +210,7 @@ def test_malformed_weight_exits_2(capsys, tmp_path, monkeypatch):
         ["verify", "closed", "--preset", "A2", "--max-entry", "-1"],
         ["verify", "closed", "--preset", "A2", "--pairs", "-1"],
         ["verify", "oracle", "--preset", "affineA1", "--weight", "1,0"],
+        ["verify", "closed", "--preset", "affineA1"],
         ["graph", "--preset", "A2", "--weight", "1,0", "--dot", "/nonexistent/x.dot"],
         ["tensor", "--preset", "A2", "--weight", "1,0", "--tsv", "/nonexistent/t.tsv"],
         ["graph", "--preset", "A2", "--weight", "1,0", "--dot", "ok",

@@ -45,14 +45,14 @@ def test_t_lambda_graph_passes_axioms():
     rd = build_root_datum("A2")
     g = generate(rd, [TElement(Weight((2, 1), (0, 0)))])
     assert g.node_count() == 1 and not g.has_frontier()
-    assert check_axioms(g) == []
+    assert check_axioms(g).violations == []
 
 
 def test_bk_window_axioms_pass_normal_fails():
     rd = build_root_datum("A1")
     g = generate(rd, [BkElement(1, 0)], depth=3)
     assert g.node_count() == 7  # n in [-3, 3]
-    assert check_axioms(g) == []
+    assert check_axioms(g).violations == []
     report = check_normal(g)
     assert report.violations  # eps or phi negative away from n = 0
     assert report.skipped >= 1  # the n = 0 string exits the window
@@ -61,15 +61,24 @@ def test_bk_window_axioms_pass_normal_fails():
 def test_forged_edge_detected():
     rd = build_root_datum("A2")
     g = generate_highest_weight_crystal(rd, (1, 0))
-    assert check_axioms(g) == []
+    assert check_axioms(g).violations == []
     (hw,) = [x for x, nd in g.nodes.items() if nd.depth == 0]
     (src, color, dst) = min(g.edges, key=lambda e: (e[0].key(), e[1], e[2].key()))
     forged = (hw, color, dst) if (hw, color, dst) not in g.edges else (dst, color, hw)
     g.edges.discard((src, color, dst))
     g.edges.add(forged)
-    violations = check_axioms(g)
+    violations = check_axioms(g).violations
     assert violations
     assert all("(d)" in v or "edge" in v for v in violations)
+
+
+def test_axioms_truncated_affine_skips():
+    rd = build_root_datum("affineA1")
+    g = generate_highest_weight_crystal(rd, (1, 0), depth=4)
+    report = check_axioms(g)
+    assert report.ok()
+    assert report.skipped > 0 and report.skipped == rd.n * g.frontier_count()
+    assert report.checked + report.skipped == rd.n * g.node_count()
 
 
 def test_normal_on_sl2():
@@ -197,7 +206,7 @@ def test_axioms_catch_e_not_inverse_of_f(middle_e):
     # first; check_axioms asks every operator in both directions
     g = generate(build_root_datum("A1"), [BrokenString(0, middle_e)])
     assert g.node_count() == 3 and len(g.edges) == 2
-    violations = check_axioms(g)
+    violations = check_axioms(g).violations
     assert any("e_1 f_1 b != b" in v for v in violations)
     assert any("not e_1-inverted" in v for v in violations)
 
