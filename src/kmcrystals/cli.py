@@ -12,13 +12,12 @@ CRYSTAL_NODE_BUDGET that is not a nonnegative integer, the oracle suite
 on a datum not of finite type, the closed suite on such a datum without
 ``--depth``, an output path that is a directory or lies in a missing one)
 is found before any work starts and before any file is written, and exits
-2 with one ``error:`` line on stderr.  The node budget
-is controlled by the environment variable CRYSTAL_NODE_BUDGET (default
-10^6 nodes).  It bounds every graph a command generates.  ``tensor``
-without ``--depth`` decomposes by the highest-weight rule and generates
-only the factors, so there the budget bounds each factor, not the
-product; with ``--depth`` the truncated product is built and the budget
-bounds it too.  ``verify oracle --depth d`` compares the character with
+2 with one ``error:`` line on stderr.  The node budget is controlled by the
+environment variable CRYSTAL_NODE_BUDGET (default 10^6 nodes).  It bounds
+every graph a command generates.  ``tensor`` without ``--depth``
+decomposes by the highest-weight rule and generates only the factors, so
+there the budget bounds each factor, not the product; with ``--depth``
+the truncated product is built and the budget bounds it too.  ``verify oracle --depth d`` compares the character with
 the recursion's weights of height <= d (a depth-d generation holds exactly
 those elements), and ``#B`` with ``weyl_dim`` only when the cut drops none.
 """

@@ -2,10 +2,12 @@
 
 Generation is a breadth-first closure of a seed set under every e_k and
 f_k, up to an optional depth bound; nodes left unexpanded are frontier
-nodes.  Analyses (highest-weight scan, decomposition, characters,
-isomorphism) are read-only passes over a generated graph, except
-``decompose_tensor``, which decomposes a tensor product from its factors
-alone.
+nodes.  Graphs, highest-weight lists and decomposition tables hold the
+elements themselves; element keys appear only in ``is_isomorphic``'s
+witness and in the JSON form of a table.  Analyses (highest-weight scan,
+decomposition, characters, isomorphism) are read-only passes over a
+generated graph, except ``decompose_tensor``, which decomposes a tensor
+product from its factors alone.
 
 The oracles at the bottom (the finite-type test, positive-root
 enumeration, the product formula for dimensions, the multiplicity
