@@ -9,15 +9,20 @@ budget exceeded.  Every usage error in every subcommand (a missing or
 malformed root datum or weight, a weight of the wrong length or not
 dominant, a negative ``--depth``, ``--max-entry`` or ``--pairs``, a
 CRYSTAL_NODE_BUDGET that is not a nonnegative integer, the oracle suite
-on a datum not of finite type, the closed suite on such a datum without
-``--depth``, an output path that is a directory or lies in a missing one)
-is found before any work starts and before any file is written, and exits
-2 with one ``error:`` line on stderr.  The node budget is controlled by the
-environment variable CRYSTAL_NODE_BUDGET (default 10^6 nodes).  It bounds
-every graph a command generates.  ``tensor`` without ``--depth``
-decomposes by the highest-weight rule and generates only the factors, so
-there the budget bounds each factor, not the product; with ``--depth``
-the truncated product is built and the budget bounds it too.  ``verify oracle --depth d`` compares the character with
+on a datum not of finite type, an infinite crystal without ``--depth``,
+an output path that is a directory or lies in a missing one) is found
+before any work starts and before any file is written, and exits 2 with
+one ``error:`` line on stderr.  A crystal B(lambda) is infinite iff lambda
+is nonzero on a connected component of the diagram not of finite type;
+every subcommand applies this one rule to each ``--weight``, and ``verify
+closed`` to the largest weight its ``--max-entry`` draws.  The node
+budget is controlled by the environment variable CRYSTAL_NODE_BUDGET
+(default 10^6 nodes).  It bounds every graph a command generates, and an
+overrun reports the depth reached and the nodes still queued.  ``tensor``
+without ``--depth`` decomposes by the highest-weight rule and generates
+only the factors, so there the budget bounds each factor, not the
+product; with ``--depth`` the truncated product is built and the budget
+bounds it too.  ``verify oracle --depth d`` compares the character with
 the recursion's weights of height <= d (a depth-d generation holds exactly
 those elements), and ``#B`` with ``weyl_dim`` only when the cut drops none.
 """
@@ -45,7 +50,7 @@ from .explorer import (
     weyl_dim,
 )
 from .quiver_model import embedding_mismatches
-from .root_datum import build_root_datum, load_root_datum
+from .root_datum import RootDatum, build_root_datum, load_root_datum
 
 VERIFY_SUITES = ("axioms", "normal", "closed", "embedding", "oracle")
 
@@ -97,6 +102,27 @@ def _parse_weight(text: str, n: int) -> tuple[int, ...]:
     return coords
 
 
+def _infinite_vertices(rd: RootDatum) -> set[int]:
+    """The vertices on connected components of the diagram not of finite
+    type: B(lambda) is finite iff lambda vanishes on all of them."""
+    infinite: set[int] = set()
+    unseen = set(rd.vertices())
+    while unseen:
+        component, stack = set(), [unseen.pop()]
+        while stack:
+            k = stack.pop()
+            component.add(k)
+            linked = {l for l in unseen if rd.edge_mult[k - 1][l - 1]}
+            unseen -= linked
+            stack += linked
+        block = sorted(component)
+        if not finite_type_check(RootDatum(tuple(
+            tuple(rd.cartan[k - 1][l - 1] for l in block) for k in block
+        ))):
+            infinite |= component
+    return infinite
+
+
 def _validate(args):
     """(root datum, weights) of a command line; ValueError or OSError on bad
     input.  ``weights`` has one entry per ``--weight``, none for ``closed``."""
@@ -114,19 +140,26 @@ def _validate(args):
     if not (args.preset or args.root_datum):
         raise ValueError("a root datum is required (--preset or --root-datum)")
     rd = build_root_datum(args.preset) if args.preset else load_root_datum(args.root_datum)
-    if args.command == "tensor":
-        return rd, [_parse_weight(text, rd.n) for text in args.weight]
-    if args.command == "verify":
-        if args.suite == "closed":
-            for flag, value in (("--max-entry", args.max_entry), ("--pairs", args.pairs)):
-                if value < 0:
-                    raise ValueError(f"{flag} must be >= 0")
-            if args.depth is None and not finite_type_check(rd):
-                raise ValueError("closed suite needs --depth on a datum not of finite type")
-            return rd, []
-        if not args.weight:
+    if args.command == "verify" and args.suite == "closed":
+        for flag, value in (("--max-entry", args.max_entry), ("--pairs", args.pairs)):
+            if value < 0:
+                raise ValueError(f"{flag} must be >= 0")
+        weights = []
+        # the largest weight the suite can draw stands for every draw
+        generated = [(f"the largest weight --max-entry {args.max_entry} draws",
+                      (args.max_entry,) * rd.n)]
+    else:
+        if args.command == "verify" and not args.weight:
             raise ValueError(f"suite {args.suite} needs --weight")
-    weights = [_parse_weight(args.weight, rd.n)]
+        texts = args.weight if args.command == "tensor" else [args.weight]
+        weights = [_parse_weight(text, rd.n) for text in texts]
+        generated = [(f"weight {text}", w) for text, w in zip(texts, weights)]
+    if args.depth is None:
+        infinite = _infinite_vertices(rd)
+        for label, w in generated:
+            if any(w[k - 1] for k in infinite):
+                raise ValueError(f"{label} is nonzero on a component of the diagram not of "
+                                 "finite type, where B(lambda) is infinite; give --depth")
     if args.command == "verify" and args.suite == "oracle" and not finite_type_check(rd):
         raise ValueError("oracle suite needs a finite-type root datum")
     return rd, weights
@@ -148,7 +181,7 @@ def _run_graph(args, rd, weights) -> int:
     g = generate_highest_weight_crystal(rd, weights[0], depth=args.depth)
 
     def as_json():
-        return json.dumps(graph_to_json(g), indent=2) + "\n"
+        return graph_to_json(g)
 
     _emit([(args.dot, lambda: graph_to_dot(g)), (args.json_path, as_json)], as_json)
     return 0

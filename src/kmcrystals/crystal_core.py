@@ -13,6 +13,10 @@ operator images were never computed are marked as frontier nodes, and
 every checker skips (and counts) the assertions that would need data
 beyond the frontier, so that truncations of infinite crystals can be
 tested without false failures.
+
+``graph_to_dot`` and ``graph_to_json`` return text.  Both print nodes in
+key order and edges by node index; that order is computed once per graph,
+on its first export, and shared by the two writers.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import ClassVar
 
 from .root_datum import RootDatum, Weight
@@ -78,8 +83,7 @@ def ext_max(values):
     return max(values, default=NEG_INF)
 
 
-def ext_serialize(x):
-    return "-inf" if is_neg_inf(x) else x
+_KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps(..., separators=...)
 
 
 class CrystalElement(ABC):
@@ -114,7 +118,7 @@ class CrystalElement(ABC):
     def serialize(self) -> dict: ...
 
     def key(self) -> str:
-        return json.dumps(self.serialize(), separators=(",", ":"))
+        return _KEY_ENCODER.encode(self.serialize())
 
     def eps_vector(self, rd: RootDatum) -> tuple:
         return tuple(self.eps(rd, k) for k in rd.vertices())
@@ -148,7 +152,9 @@ class CrystalGraph:
     equivalently e_k(dst) = src.  ``generators`` are the seed elements the
     exploration started from; ``depth_bound`` is None for a full expansion.
     Keys are only needed where bytes leave the program; ``GraphNode.key``
-    serializes a node at most once per graph.
+    serializes a node at most once per graph, and the export order is
+    sorted once, on the first export, and kept: a graph does not change
+    after it is exported.
     """
 
     rd: RootDatum
@@ -156,6 +162,7 @@ class CrystalGraph:
     edges: set[tuple[CrystalElement, int, CrystalElement]] = field(default_factory=set)
     generators: tuple[CrystalElement, ...] = ()
     depth_bound: int | None = None
+    _order: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -358,32 +365,82 @@ def check_strict_morphism(
     return CheckReport(violations, checked, skipped)
 
 
-def _export_order(g: CrystalGraph):
-    """Nodes in key order and edges as sorted key triples, as exports print them."""
+def _sort_for_export(g: CrystalGraph):
+    """Nodes in key order, edges as sorted (src, k, dst) triples of node
+    indices and the generators' indices, sorted: the order both exports
+    print.  Keys are distinct, so index order is key order."""
     nodes = sorted(g.nodes.values(), key=GraphNode.key)
-    ids = {nd.element: nd.key() for nd in nodes}
-    return nodes, sorted((ids[a], k, ids[b]) for (a, k, b) in g.edges)
+    index = {nd.element: i for i, nd in enumerate(nodes)}
+    edges = sorted((index[a], k, index[b]) for (a, k, b) in g.edges)
+    return nodes, edges, sorted(index[x] for x in g.generators)
 
 
-def graph_to_json(g: CrystalGraph) -> dict:
-    """JSON form of a graph with deterministic node and edge order."""
-    nodes, edges = _export_order(g)
-    return {
-        "nodes": [
-            {
-                "id": nd.key(),
-                "kind": nd.element.tag,
-                "wt": nd.weight.serialize(),
-                "eps": [ext_serialize(x) for x in nd.eps],
-                "phi": [ext_serialize(x) for x in nd.phi],
-                "frontier": nd.frontier,
-            }
-            for nd in nodes
-        ],
-        "edges": [{"src": a, "k": k, "dst": b} for (a, k, b) in edges],
-        "generators": sorted(g.nodes[x].key() for x in g.generators),
-        "depth": g.depth_bound,
-    }
+def _export_order(g: CrystalGraph):
+    """``_sort_for_export(g)``, computed on the graph's first export and kept
+    on it, so that writing both DOT and JSON sorts once."""
+    if g._order is None:
+        g._order = _sort_for_export(g)
+    return g._order
+
+
+def _json_list(items, pad: int, brackets: str = "[]") -> str:
+    """Indent-2 JSON text of a list (or, with brackets "{}", an object) whose
+    items are already JSON text, with the items at ``pad`` spaces."""
+    if not items:
+        return brackets
+    inner = " " * pad
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + inner[:-2] + brackets[1])
+
+
+def graph_to_json(g: CrystalGraph) -> str:
+    """JSON text of a graph, ``{nodes, edges, generators, depth}`` with
+    deterministic node and edge order, as ``json.dumps(..., indent=2)``
+    plus a newline would print it; -inf statistics are the string "-inf"."""
+    nodes, edges, generators = _export_order(g)
+    ids = [encode_basestring_ascii(nd.key()) for nd in nodes]
+    texts: dict = {}  # JSON text of each distinct weight and eps/phi vector
+
+    def weight_text(wt: Weight) -> str:
+        text = texts.get(wt)
+        if text is None:
+            text = texts[wt] = _json_list(
+                [f"{encode_basestring_ascii(name)}: {_json_list(list(map(str, values)), 10)}"
+                 for name, values in wt.serialize().items()], 8, "{}")
+        return text
+
+    def stats_text(values: tuple) -> str:
+        text = texts.get(values)
+        if text is None:
+            text = texts[values] = _json_list(
+                ['"-inf"' if is_neg_inf(x) else str(x) for x in values], 8)
+        return text
+
+    # One flat list of short pieces, joined once.  Building each node, edge
+    # or section as a string of its own first left more freed memory held
+    # by the allocator after the export (higher RSS once the text is gone).
+    parts = ['{\n  "nodes": [']
+    sep = "\n    "
+    for node_id, nd in zip(ids, nodes):
+        parts += (sep, '{\n      "id": ', node_id,
+                  ',\n      "kind": ', encode_basestring_ascii(nd.element.tag),
+                  ',\n      "wt": ', weight_text(nd.weight),
+                  ',\n      "eps": ', stats_text(nd.eps),
+                  ',\n      "phi": ', stats_text(nd.phi),
+                  ',\n      "frontier": ', "true" if nd.frontier else "false", "\n    }")
+        sep = ",\n    "
+    parts.append("\n  ]" if nodes else "]")
+    parts.append(',\n  "edges": [')
+    sep = "\n    "
+    for (a, k, b) in edges:
+        parts += (sep, '{\n      "src": ', ids[a], ',\n      "k": ', str(k),
+                  ',\n      "dst": ', ids[b], "\n    }")
+        sep = ",\n    "
+    parts.append("\n  ]" if edges else "]")
+    depth = "null" if g.depth_bound is None else str(g.depth_bound)
+    parts.append(f',\n  "generators": {_json_list([ids[i] for i in generators], 4)},\n'
+                 f'  "depth": {depth}\n}}\n')
+    return "".join(parts)
 
 
 _DOT_COLORS = (
@@ -395,15 +452,17 @@ _DOT_COLORS = (
 def graph_to_dot(g: CrystalGraph) -> str:
     """DOT form: edge color/label by vertex index, node label = pairing vector,
     frontier nodes dashed.  Byte-stable for fixed input."""
-    nodes, edges = _export_order(g)
-    index = {nd.key(): i for i, nd in enumerate(nodes)}
+    nodes, edges, _ = _export_order(g)
     lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=box, fontname="Helvetica"];']
+    labels: dict[Weight, str] = {}  # one pairing vector per distinct weight
     for i, nd in enumerate(nodes):
-        label = "(" + ",".join(str(x) for x in g.rd.pairing_vector(nd.weight)) + ")"
+        label = labels.get(nd.weight)
+        if label is None:
+            label = labels[nd.weight] = ",".join(map(str, g.rd.pairing_vector(nd.weight)))
         style = ', style=dashed' if nd.frontier else ""
-        lines.append(f'  n{i} [label="{label}"{style}];')
+        lines.append(f'  n{i} [label="({label})"{style}];')
     for (a, k, b) in edges:
         color = _DOT_COLORS[(k - 1) % len(_DOT_COLORS)]
-        lines.append(f'  n{index[a]} -> n{index[b]} [label="{k}", color="{color}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f'  n{a} -> n{b} [label="{k}", color="{color}"];')
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -42,12 +42,18 @@ DEFAULT_NODE_BUDGET = 10**6
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when generation would exceed the node budget; carries the partial graph."""
+    """Raised when generation would exceed the node budget.  Carries the
+    partial graph, the largest depth of a node in it and the number of its
+    nodes still queued for expansion."""
 
-    def __init__(self, budget: int, partial: CrystalGraph):
-        super().__init__(f"node budget {budget} exceeded")
+    def __init__(self, budget: int, partial: CrystalGraph, depth: int, queued: int):
+        super().__init__(
+            f"node budget {budget} exceeded at depth {depth} with {queued} nodes queued"
+        )
         self.budget = budget
         self.partial = partial
+        self.depth = depth
+        self.queued = queued
 
 
 def env_node_budget() -> int:
@@ -90,7 +96,8 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
         if nd is not None:
             return nd.element
         if len(g.nodes) >= node_budget:
-            raise BudgetExceeded(node_budget, g)
+            reached = max((nd.depth for nd in g.nodes.values()), default=0)
+            raise BudgetExceeded(node_budget, g, reached, len(queue))
         g.nodes[x] = GraphNode(x, x.weight(rd), x.eps_vector(rd), x.phi_vector(rd), d, True)
         queue.append(x)
         return x

@@ -1,7 +1,8 @@
 """Benchmark outputs stay byte-identical to their recorded digests.
 
 For every slot of the benchmark's workloads (``bench/workloads.py``) the
-smallest instance runs in-process, through ``cli.main`` or
+smallest instance runs in-process (for the graph slots, whose exports are
+the widest outputs, the largest as well), through ``cli.main`` or
 ``closed_family_instance`` as the benchmark's worker runs it.  Its output
 is hashed the way ``bench/worker.py`` hashes it and compared with the
 digest in ``bench/pins.json``.  Both files are only read.
@@ -49,15 +50,23 @@ def _digest(instance) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("workload", ["graph", "tensor", "verify"])
-def test_smallest_instance_of_each_slot_matches_its_pin(workload, monkeypatch):
-    monkeypatch.delenv("CRYSTAL_NODE_BUDGET", raising=False)
+def _check_slots(workload, pick):
+    """Re-hash the instance ``pick`` chooses by size from every slot."""
     pins = json.loads((BENCH / "pins.json").read_text())
-    workloads = _workloads()
     checked = []
-    for name, pool, _ in workloads.slots(workload):
-        group = min(pool, key=lambda calls: sum(c["elements"] for c in calls))
-        for instance in group:
+    for name, pool, _ in _workloads().slots(workload):
+        for instance in pick(pool, key=lambda calls: sum(c["elements"] for c in calls)):
             assert _digest(instance) == pins[instance["id"]], (name, instance["id"])
             checked.append(instance["id"])
     assert len(checked) >= 3
+
+
+@pytest.mark.parametrize("workload", ["graph", "tensor", "verify"])
+def test_smallest_instance_of_each_slot_matches_its_pin(workload, monkeypatch):
+    monkeypatch.delenv("CRYSTAL_NODE_BUDGET", raising=False)
+    _check_slots(workload, min)
+
+
+def test_largest_graph_instance_of_each_slot_matches_its_pin(monkeypatch):
+    monkeypatch.delenv("CRYSTAL_NODE_BUDGET", raising=False)
+    _check_slots("graph", max)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kmcrystals import build_root_datum, closed_family_instance
+from kmcrystals import build_root_datum, closed_family_instance, crystal_core
 from kmcrystals.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,6 +114,20 @@ def test_stdout_golden_bytes(command, capsys):
     assert captured.err == ""
 
 
+def test_dot_and_json_sort_once(capsys, monkeypatch):
+    calls = []
+    original = crystal_core._sort_for_export
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(crystal_core, "_sort_for_export", counting)
+    assert main("graph --preset A2 --weight 1,0 --dot - --json -".split()) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (GOLDEN / "graph_A2_10_dot_json.txt").read_text()
+
+
 def test_graph_golden_bytes(tmp_path):
     paths = [tmp_path / "a.dot", tmp_path / "b.dot"]
     for path in paths:
@@ -211,6 +225,11 @@ def test_malformed_weight_exits_2(capsys, tmp_path, monkeypatch):
         ["verify", "closed", "--preset", "A2", "--pairs", "-1"],
         ["verify", "oracle", "--preset", "affineA1", "--weight", "1,0"],
         ["verify", "closed", "--preset", "affineA1"],
+        ["graph", "--preset", "affineA1", "--weight", "1,0"],
+        ["tensor", "--preset", "affineA1", "--weight", "0,0", "--weight", "0,1"],
+        ["verify", "axioms", "--preset", "affineA1", "--weight", "0,1"],
+        ["verify", "normal", "--preset", "affineA1", "--weight", "1,1"],
+        ["verify", "embedding", "--preset", "affineA1", "--weight", "1,0"],
         ["graph", "--preset", "A2", "--weight", "1,0", "--dot", "/nonexistent/x.dot"],
         ["tensor", "--preset", "A2", "--weight", "1,0", "--tsv", "/nonexistent/t.tsv"],
         ["graph", "--preset", "A2", "--weight", "1,0", "--dot", "ok",
@@ -252,6 +271,7 @@ def test_budget_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "2")
     code = main(["graph", "--preset", "A2", "--weight", "1,0", "--dot", str(tmp_path / "x.dot")])
     assert code == 3
+    assert capsys.readouterr().err == "error: node budget 2 exceeded at depth 1 with 0 nodes queued\n"
     for value in ("abc", "-5"):  # a malformed budget is a usage error, found before any work
         capsys.readouterr()
         monkeypatch.setenv("CRYSTAL_NODE_BUDGET", value)
@@ -279,11 +299,37 @@ def test_tensor_budget_exits_3(tmp_path, monkeypatch, capsys):
     path = tmp_path / "t.tsv"
     assert main(["tensor", "--preset", "A2", "--weight", "1,0", "--weight", "0,1",
                  "--tsv", str(path)]) == 3
-    # an infinite factor without --depth
+    assert "budget" in capsys.readouterr().err
+    # an infinite factor without --depth is a usage error, found before any work
     monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "50")
     assert main(["tensor", "--preset", "affineA1", "--weight", "0,0", "--weight", "1,0",
-                 "--tsv", str(path)]) == 3
-    assert "budget" in capsys.readouterr().err
+                 "--tsv", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: weight 1,0 is nonzero on a component")
+
+
+def test_finiteness_decided_per_component(tmp_path, capsys):
+    # vertex 1 alone (A1) beside vertices 2-3 joined by a double edge (affine A1)
+    path = tmp_path / "rd.json"
+    path.write_text('{"adjacency": [[0, 0, 0], [0, 0, 2], [0, 2, 0]]}')
+    assert main(["graph", "--root-datum", str(path), "--weight", "1,0,0", "--json", "-"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["nodes"]) == 2
+    assert main(["verify", "closed", "--root-datum", str(path), "--max-entry", "0",
+                 "--pairs", "1"]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["graph", "--root-datum", str(path), "--weight", "1,0,1"],
+        ["verify", "closed", "--root-datum", str(path), "--pairs", "1"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "give --depth" in err
+    assert main(["graph", "--root-datum", str(path), "--weight", "1,0,1", "--depth", "2",
+                 "--json", "-"]) == 0
+    capsys.readouterr()
+    # B(0) is one node on any datum
+    assert main(["graph", "--preset", "affineA1", "--weight", "0,0", "--json", "-"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["nodes"]) == 1
 
 
 def test_root_datum_file(tmp_path, capsys):

@@ -19,6 +19,7 @@ from kmcrystals import (
     graph_to_dot,
     graph_to_json,
     model_highest_weight,
+    tensor_product_graph,
 )
 from kmcrystals.crystal_core import ext_max, is_neg_inf
 from kmcrystals.root_datum import Weight
@@ -133,7 +134,7 @@ def test_json_schema_and_determinism():
     rd = build_root_datum("A2")
     g1 = generate_highest_weight_crystal(rd, (1, 0))
     g2 = generate_highest_weight_crystal(rd, (1, 0))
-    d1, d2 = graph_to_json(g1), graph_to_json(g2)
+    d1, d2 = json.loads(graph_to_json(g1)), json.loads(graph_to_json(g2))
     assert d1 == d2
     assert json.dumps(d1) == json.dumps(d2)
     assert {"nodes", "edges", "generators", "depth"} <= set(d1)
@@ -145,12 +146,70 @@ def test_json_schema_and_determinism():
 def test_json_neg_inf_encoding():
     rd = build_root_datum("A1")
     g = generate(rd, [BkElement(1, 0)], depth=1)
-    data = graph_to_json(g)
+    data = json.loads(graph_to_json(g))
     assert any("-inf" in nd["eps"] or "-inf" in nd["phi"] for nd in data["nodes"]) is False
     rd2 = build_root_datum("A2")
     g2 = generate(rd2, [BkElement(1, 0)], depth=1)
-    data2 = graph_to_json(g2)
+    data2 = json.loads(graph_to_json(g2))
     assert any("-inf" in nd["eps"] for nd in data2["nodes"])
+
+
+def _reference_json(g):
+    """The graph's JSON as a dict, built field by field: the oracle for the
+    text ``graph_to_json`` writes directly."""
+    nodes = sorted(g.nodes.values(), key=lambda nd: nd.element.key())
+    stat = lambda x: "-inf" if is_neg_inf(x) else x  # noqa: E731
+    return {
+        "nodes": [
+            {
+                "id": nd.element.key(),
+                "kind": nd.element.tag,
+                "wt": nd.weight.serialize(),
+                "eps": [stat(x) for x in nd.eps],
+                "phi": [stat(x) for x in nd.phi],
+                "frontier": nd.frontier,
+            }
+            for nd in nodes
+        ],
+        "edges": [
+            {"src": a, "k": k, "dst": b}
+            for (a, k, b) in sorted((a.key(), k, b.key()) for (a, k, b) in g.edges)
+        ],
+        "generators": sorted(x.key() for x in g.generators),
+        "depth": g.depth_bound,
+    }
+
+
+def _oracle_graphs():
+    rd2 = build_root_datum("A2")
+    factors = [generate_highest_weight_crystal(rd2, w) for w in ((1, 1), (1, 0))]
+    return {
+        "A2 (1,1)": generate_highest_weight_crystal(rd2, (1, 1)),
+        "D4 (1,0,1,0)": generate_highest_weight_crystal(build_root_datum("D4"), (1, 0, 1, 0)),
+        "tensor A2 (1,1) x (1,0)": tensor_product_graph(rd2, factors),
+        "Bk A2 depth 2": generate(rd2, [BkElement(1, 0)], depth=2),
+        "affineA1 (1,0) depth 3": generate_highest_weight_crystal(
+            build_root_datum("affineA1"), (1, 0), depth=3),
+        "one node": generate_highest_weight_crystal(rd2, (0, 0)),
+        "no nodes": generate(rd2, []),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_graphs()))
+def test_json_text_is_indented_json_dumps(name):
+    g = _oracle_graphs()[name]
+    assert graph_to_json(g) == json.dumps(_reference_json(g), indent=2) + "\n"
+
+
+def test_json_oracle_graphs_cover_the_schema():
+    graphs = _oracle_graphs()
+    assert len(graphs["tensor A2 (1,1) x (1,0)"].generators) > 1
+    assert all(x.tag == "Tensor" for x in graphs["tensor A2 (1,1) x (1,0)"].nodes)
+    assert any(is_neg_inf(v) for nd in graphs["Bk A2 depth 2"].nodes.values() for v in nd.eps)
+    affine = graphs["affineA1 (1,0) depth 3"]
+    assert affine.has_frontier() and affine.depth_bound == 3
+    assert graphs["one node"].node_count() == 1 and not graphs["one node"].edges
+    assert graphs["no nodes"].node_count() == 0
 
 
 def test_dot_output_stable_and_marked():
@@ -165,7 +224,7 @@ def test_dot_output_stable_and_marked():
 def test_element_key_round_trip():
     rd = build_root_datum("A2")
     g = generate_highest_weight_crystal(rd, (1, 1))
-    ids = [node["id"] for node in graph_to_json(g)["nodes"]]
+    ids = [node["id"] for node in json.loads(graph_to_json(g))["nodes"]]
     assert ids == sorted(x.key() for x in g.nodes)
     for x in g.nodes:
         assert json.loads(g.nodes[x].key()) == x.serialize()

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import weakref
 from collections import deque
@@ -79,6 +80,9 @@ def test_budget_exceeded_carries_partial(monkeypatch):
     with pytest.raises(BudgetExceeded) as info:
         generate_highest_weight_crystal(RD2, (1, 1))
     assert info.value.partial.node_count() == 3
+    assert (info.value.depth, info.value.queued) == (1, 1)
+    assert info.value.queued == info.value.partial.frontier_count()
+    assert str(info.value) == "node budget 3 exceeded at depth 1 with 1 nodes queued"
 
 
 def test_hw_scan():
@@ -404,7 +408,7 @@ def test_keys_only_where_bytes_leave(monkeypatch):
     g = generate_highest_weight_crystal(RD3, (1, 1, 1))
     assert g.node_count() == 64 and calls == []
     graph_to_dot(g)
-    graph_to_json(g)
+    assert len(json.loads(graph_to_json(g))["nodes"]) == g.node_count()
     assert len(calls) == g.node_count()  # each node serialized once, for both exports
     calls.clear()
     assert decompose_tensor(RD3, [(1, 0, 0), (0, 1, 0)]).complete
