@@ -366,9 +366,9 @@ def check_strict_morphism(
 
 
 def _sort_for_export(g: CrystalGraph):
-    """Nodes in key order, edges as sorted (src, k, dst) triples of node
-    indices and the generators' indices, sorted: the order both exports
-    print.  Keys are distinct, so index order is key order."""
+    """The order both exports print: the nodes sorted by key, the edges as
+    sorted (src index, k, dst index) triples and the generators' indices,
+    sorted.  Keys are distinct, so index order is key order."""
     nodes = sorted(g.nodes.values(), key=GraphNode.key)
     index = {nd.element: i for i, nd in enumerate(nodes)}
     edges = sorted((index[a], k, index[b]) for (a, k, b) in g.edges)

@@ -271,7 +271,8 @@ def test_budget_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "2")
     code = main(["graph", "--preset", "A2", "--weight", "1,0", "--dot", str(tmp_path / "x.dot")])
     assert code == 3
-    assert capsys.readouterr().err == "error: node budget 2 exceeded at depth 1 with 0 nodes queued\n"
+    err = capsys.readouterr().err
+    assert err == "error: node budget 2 exceeded at depth 1 with 0 nodes queued\n"
     for value in ("abc", "-5"):  # a malformed budget is a usage error, found before any work
         capsys.readouterr()
         monkeypatch.setenv("CRYSTAL_NODE_BUDGET", value)
