@@ -7,10 +7,10 @@ operators e_k, f_k.  Elements here are immutable values implementing
 ``None`` returned from an operator, never by an element.
 
 Graphs are explicit explorations of a crystal up to a depth bound, keyed
-by the elements themselves: nodes cache wt/eps/phi, edges are colored by
-the vertex index k and record ``f_k(source) = target``.  Nodes whose
-operator images were never computed are marked as frontier nodes, and
-every checker skips (and counts) the assertions that would need data
+by the elements themselves: nodes cache wt/eps/phi and hold the edges,
+``down[k-1]`` the node f_k leads to and ``up[k-1]`` the element e_k leads
+to.  Nodes whose operator images were never computed are frontier nodes,
+and every checker skips (and counts) the assertions that would need data
 beyond the frontier, so that truncations of infinite crystals can be
 tested without false failures.
 
@@ -127,14 +127,21 @@ class CrystalElement(ABC):
         return tuple(self.phi(rd, k) for k in rd.vertices())
 
 
-@dataclass
+@dataclass(eq=False)
 class GraphNode:
-    element: CrystalElement  # the instance keying this node; edges share it
+    """An explored element, its statistics and its edges, each recorded in
+    both directions: ``x.down[k-1] is y`` exactly when ``y.up[k-1] is
+    x.element``.  ``up`` holds elements, not nodes, so a graph holds no
+    reference cycle.  Nodes compare and hash by identity."""
+
+    element: CrystalElement  # the instance keying this node
     weight: Weight
     eps: tuple
     phi: tuple
     depth: int
     frontier: bool
+    down: list = field(repr=False)  # down[k-1]: the node of f_k(element), or None
+    up: list  # up[k-1]: e_k(element), the instance keying its node, or None
     _key: str | None = None
 
     def key(self) -> str:
@@ -148,21 +155,25 @@ class GraphNode:
 class CrystalGraph:
     """An explored region of a crystal, keyed by the elements themselves.
 
-    ``edges`` holds (src, k, dst) triples meaning f_k(src) = dst,
-    equivalently e_k(dst) = src.  ``generators`` are the seed elements the
-    exploration started from; ``depth_bound`` is None for a full expansion.
-    Keys are only needed where bytes leave the program; ``GraphNode.key``
-    serializes a node at most once per graph, and the export order is
-    sorted once, on the first export, and kept: a graph does not change
-    after it is exported.
+    The edges live on the nodes (``GraphNode.down`` and ``up``).
+    ``generators`` are the seed elements the exploration started from;
+    ``depth_bound`` is None for a full expansion.  Keys are only needed
+    where bytes leave the program; ``GraphNode.key`` serializes a node at
+    most once per graph, and the export order is sorted once, on the first
+    export, and kept: a graph does not change after it is exported.
     """
 
     rd: RootDatum
     nodes: dict[CrystalElement, GraphNode] = field(default_factory=dict)
-    edges: set[tuple[CrystalElement, int, CrystalElement]] = field(default_factory=set)
     generators: tuple[CrystalElement, ...] = ()
     depth_bound: int | None = None
     _order: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def edges(self) -> set[tuple[CrystalElement, int, CrystalElement]]:
+        """The (src, k, dst) triples with f_k(src) = dst, read off ``down``."""
+        return {(x, k, y.element) for x, nd in self.nodes.items()
+                for k, y in enumerate(nd.down, 1) if y is not None}
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -193,7 +204,8 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
     shifts under e_k and f_k when those are defined; e_k and f_k are mutual
     inverses; phi = -inf forces e_k b = f_k b = None.  The (node, vertex)
     pairs of frontier nodes are skipped and counted.  Every recorded edge
-    (x, k, y) is re-derived from the operators in both directions.
+    must be recorded in both directions, and is re-derived from the
+    operators in both directions.
     """
     rd = g.rd
     violations: list[str] = []
@@ -228,24 +240,21 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
                     violations.append(f"(c) eps/phi shift wrong under f_{k} at {nd.key()}")
                 if fb.e(rd, k) != b:
                     violations.append(f"(d) e_{k} f_{k} b != b at {nd.key()}")
-    # recorded edges must agree with the operators in both directions
-    outgoing: set[tuple[CrystalElement, int]] = set()
-    incoming: set[tuple[CrystalElement, int]] = set()
-    for (src, k, dst) in g.edges:
-        if (src, k) in outgoing:
-            violations.append(f"duplicate outgoing {k}-edge at {g.nodes[src].key()}")
-        if (dst, k) in incoming:
-            violations.append(f"duplicate incoming {k}-edge at {g.nodes[dst].key()}")
-        outgoing.add((src, k))
-        incoming.add((dst, k))
-        if src.f(rd, k) != dst:
-            violations.append(
-                f"(d) edge ({g.nodes[src].key()},{k},{g.nodes[dst].key()}) not f_{k}(src)"
-            )
-        if dst.e(rd, k) != src:
-            violations.append(
-                f"(d) edge ({g.nodes[src].key()},{k},{g.nodes[dst].key()}) not e_{k}-inverted"
-            )
+    # recorded edges must be paired and agree with the operators both ways
+    for x, nd in g.nodes.items():
+        for k, (nxt, up) in enumerate(zip(nd.down, nd.up), 1):
+            if nxt is not None:
+                if nxt.up[k - 1] is not nd.element:
+                    violations.append(f"(d) edge ({nd.key()},{k},{nxt.key()}) has no e_{k} entry")
+                if x.f(rd, k) != nxt.element:
+                    violations.append(f"(d) edge ({nd.key()},{k},{nxt.key()}) not f_{k}(src)")
+                if nxt.element.e(rd, k) != x:
+                    violations.append(
+                        f"(d) edge ({nd.key()},{k},{nxt.key()}) not e_{k}-inverted")
+            if up is not None:
+                src = g.nodes.get(up)
+                if src is None or src.down[k - 1] is not nd:
+                    violations.append(f"(d) e_{k} entry at {nd.key()} has no f_{k}-edge")
     return CheckReport(violations, checked, skipped)
 
 
@@ -367,12 +376,13 @@ def check_strict_morphism(
 
 def _sort_for_export(g: CrystalGraph):
     """The order both exports print: the nodes sorted by key, the edges as
-    sorted (src index, k, dst index) triples and the generators' indices,
-    sorted.  Keys are distinct, so index order is key order."""
+    (src index, k, dst index) triples and the generators' indices, all
+    sorted.  Reading ``down`` in node order yields the edges sorted."""
     nodes = sorted(g.nodes.values(), key=GraphNode.key)
-    index = {nd.element: i for i, nd in enumerate(nodes)}
-    edges = sorted((index[a], k, index[b]) for (a, k, b) in g.edges)
-    return nodes, edges, sorted(index[x] for x in g.generators)
+    index = {nd: i for i, nd in enumerate(nodes)}
+    edges = [(i, k, index[nxt]) for i, nd in enumerate(nodes)
+             for k, nxt in enumerate(nd.down, 1) if nxt is not None]
+    return nodes, edges, sorted(index[g.nodes[x]] for x in g.generators)
 
 
 def _export_order(g: CrystalGraph):

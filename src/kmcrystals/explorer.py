@@ -75,11 +75,12 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
     the elements themselves (structural equality); nothing is serialized,
     and exploration order never changes the result.
 
-    Each edge is derived once.  Expanding b computes every f_k(b), but
-    e_k(b) only when no k-edge into b is recorded yet: a recorded edge
-    f_k(a) = b already is e_k(b) = a by the crystal axiom, so node set,
-    edge set and depths are those of applying every operator.  A structure
-    that breaks the axiom may lose nodes and edges here, never gain them;
+    Each edge is derived once, from any seed set.  Expanding b computes
+    f_k(b) only while ``down[k-1]`` is None and e_k(b) only while ``up[k-1]``
+    is None: a recorded edge f_k(a) = b already is e_k(b) = a by the crystal
+    axiom, and the other way round, so node set, edge set and depths are
+    those of applying every operator.  A structure that breaks the axiom may
+    lose nodes and edges here, never gain them;
     :func:`~kmcrystals.crystal_core.check_axioms` re-derives every operator
     in both directions and reports it.
     """
@@ -87,39 +88,36 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
         raise ValueError("depth must be >= 0")
     node_budget = env_node_budget()
     g = CrystalGraph(rd=rd, depth_bound=depth)
-    queue: deque[CrystalElement] = deque()
-    entered: set[tuple[CrystalElement, int]] = set()  # (dst, k) of every recorded f_k-edge
+    queue: deque[GraphNode] = deque()
 
-    def admit(x: CrystalElement, d: int) -> CrystalElement:
-        """The graph's instance of x, admitting x as a new node if needed."""
+    def admit(x: CrystalElement, d: int) -> GraphNode:
+        """The graph's node of x, admitting x as a new node if needed."""
         nd = g.nodes.get(x)
         if nd is not None:
-            return nd.element
+            return nd
         if len(g.nodes) >= node_budget:
             reached = max((nd.depth for nd in g.nodes.values()), default=0)
             raise BudgetExceeded(node_budget, g, reached, len(queue))
-        g.nodes[x] = GraphNode(x, x.weight(rd), x.eps_vector(rd), x.phi_vector(rd), d, True)
-        queue.append(x)
-        return x
+        nd = g.nodes[x] = GraphNode(x, x.weight(rd), x.eps_vector(rd), x.phi_vector(rd), d,
+                                    True, [None] * rd.n, [None] * rd.n)
+        queue.append(nd)
+        return nd
 
-    g.generators = tuple(admit(s, 0) for s in seeds)
+    g.generators = tuple(admit(s, 0).element for s in seeds)
     while queue:
-        x = queue.popleft()
-        nd = g.nodes[x]
+        nd = queue.popleft()
         if depth is not None and nd.depth >= depth:
             continue  # stays frontier
         nd.frontier = False
+        x = nd.element
         for k in rd.vertices():
-            down = x.f(rd, k)
-            if down is not None:
-                down = admit(down, nd.depth + 1)
-                g.edges.add((x, k, down))
-                entered.add((down, k))
-            if (x, k) in entered:
-                continue
-            up = x.e(rd, k)
-            if up is not None:
-                g.edges.add((admit(up, nd.depth + 1), k, x))
+            if nd.down[k - 1] is None and (y := x.f(rd, k)) is not None:
+                nxt = nd.down[k - 1] = admit(y, nd.depth + 1)
+                nxt.up[k - 1] = x
+            if nd.up[k - 1] is None and (y := x.e(rd, k)) is not None:
+                src = admit(y, nd.depth + 1)
+                nd.up[k - 1] = src.element
+                src.down[k - 1] = nd
     return g
 
 
@@ -216,30 +214,23 @@ def decompose(g: CrystalGraph) -> DecompositionTable:
     Components that touch the frontier are reported in ``flagged`` and never
     counted, so truncated graphs cannot produce phantom multiplicities.
     """
-    neighbours: dict[CrystalElement, set[CrystalElement]] = {x: set() for x in g.nodes}
-    for (a, _, b) in g.edges:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
     entries: dict[Weight, int] = {}
     flagged: list[CrystalElement] = []
     sizes: dict[CrystalElement, int] = {}
     for hw in highest_weight_elements(g):
-        seen = {hw}
-        stack = [hw]
-        touches_frontier = False
+        start = g.nodes[hw]
+        seen = {start}
+        stack = [start]
         while stack:
             cur = stack.pop()
-            if g.nodes[cur].frontier:
-                touches_frontier = True
-            for nxt in neighbours[cur]:
-                if nxt not in seen:
+            for nxt in itertools.chain(cur.down, (g.nodes[x] for x in cur.up if x is not None)):
+                if nxt is not None and nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        if touches_frontier:
+        if any(nd.frontier for nd in seen):
             flagged.append(hw)
             continue
-        wt = g.nodes[hw].weight
-        entries[wt] = entries.get(wt, 0) + 1
+        entries[start.weight] = entries.get(start.weight, 0) + 1
         sizes[hw] = len(seen)
     return DecompositionTable(
         entries=entries,
@@ -284,10 +275,10 @@ def is_isomorphic(g1: CrystalGraph, g2: CrystalGraph):
     """Decide isomorphism of two highest-weight crystal graphs.
 
     Both graphs must contain exactly one highest-weight element.  Matching
-    is a parallel walk down the colored f-edges from the two sources;
-    highest-weight crystal isomorphisms are unique, so the first mismatch
-    settles the question.  Frontier pairs are not expanded, which makes
-    equal-depth truncations comparable.  On success the witness map is
+    is a parallel walk of node pairs (keyed by identity) down the ``down``
+    arrays from the two sources; highest-weight crystal isomorphisms are
+    unique, so the first mismatch settles the question.  Frontier pairs are
+    not expanded, which makes equal-depth truncations comparable.  On success the witness map is
     re-validated as a strict morphism.
 
     Returns (answer, witness_map_or_None, reason); the witness maps node
@@ -299,36 +290,32 @@ def is_isomorphic(g1: CrystalGraph, g2: CrystalGraph):
         raise ValueError(
             f"is_isomorphic needs unique highest-weight elements, got {len(hw1)} and {len(hw2)}"
         )
-    out1 = {(a, k): b for (a, k, b) in g1.edges}
-    out2 = {(a, k): b for (a, k, b) in g2.edges}
-    mapping = {hw1[0]: hw2[0]}
-    queue = deque([(hw1[0], hw2[0])])
+    na, nb = g1.nodes[hw1[0]], g2.nodes[hw2[0]]
+    mapping = {na: nb}  # node of g1 -> node of g2
+    queue = deque([(na, nb)])
     while queue:
-        a, b = queue.popleft()
-        na, nb = g1.nodes[a], g2.nodes[b]
+        na, nb = queue.popleft()
         if na.weight != nb.weight:
             return False, None, f"weight mismatch at {na.key()}"
         if na.eps != nb.eps or na.phi != nb.phi:
             return False, None, f"statistics mismatch at {na.key()}"
         if na.frontier or nb.frontier:
             continue
-        for k in g1.rd.vertices():
-            fa = out1.get((a, k))
-            fb = out2.get((b, k))
+        for k, (fa, fb) in enumerate(zip(na.down, nb.down), 1):
             if (fa is None) != (fb is None):
                 return False, None, f"f_{k} defined on one side only at {na.key()}"
             if fa is None:
                 continue
             if fa in mapping:
-                if mapping[fa] != fb:
-                    return False, None, f"edge clash at {g1.nodes[fa].key()}"
+                if mapping[fa] is not fb:
+                    return False, None, f"edge clash at {fa.key()}"
                 continue
             mapping[fa] = fb
             queue.append((fa, fb))
-    report = check_strict_morphism(g1, g2, mapping)
+    report = check_strict_morphism(g1, g2, {a.element: b.element for a, b in mapping.items()})
     if not report.ok():
         return False, None, "witness failed strict-morphism check: " + report.violations[0]
-    return True, {g1.nodes[a].key(): g2.nodes[b].key() for a, b in mapping.items()}, ""
+    return True, {a.key(): b.key() for a, b in mapping.items()}, ""
 
 
 # ---------------------------------------------------------------------------

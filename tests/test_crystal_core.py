@@ -66,11 +66,26 @@ def test_forged_edge_detected():
     (hw,) = [x for x, nd in g.nodes.items() if nd.depth == 0]
     (src, color, dst) = min(g.edges, key=lambda e: (e[0].key(), e[1], e[2].key()))
     forged = (hw, color, dst) if (hw, color, dst) not in g.edges else (dst, color, hw)
-    g.edges.discard((src, color, dst))
-    g.edges.add(forged)
+    g.nodes[src].down[color - 1] = g.nodes[dst].up[color - 1] = None
+    (a, k, b) = forged
+    g.nodes[a].down[k - 1] = g.nodes[b]
+    g.nodes[b].up[k - 1] = a
     violations = check_axioms(g).violations
     assert violations
     assert all("(d)" in v or "edge" in v for v in violations)
+
+
+@pytest.mark.parametrize("kept", ["down", "up"])
+def test_edge_recorded_on_one_side_detected(kept):
+    g = generate_highest_weight_crystal(build_root_datum("A2"), (1, 0))
+    (src, k, dst) = min(g.edges, key=lambda e: (e[0].key(), e[1], e[2].key()))
+    if kept == "down":
+        g.nodes[dst].up[k - 1] = None
+        expected = f"(d) edge ({src.key()},{k},{dst.key()}) has no e_{k} entry"
+    else:
+        g.nodes[src].down[k - 1] = None
+        expected = f"(d) e_{k} entry at {dst.key()} has no f_{k}-edge"
+    assert check_axioms(g).violations == [expected]
 
 
 def test_axioms_truncated_affine_skips():

@@ -417,8 +417,22 @@ def test_keys_only_where_bytes_leave(monkeypatch):
     assert calls == []
 
 
-def test_generate_derives_each_edge_once(monkeypatch):
-    # an e-edge into a node already reached by an f-edge is not re-derived
+def _lowest_element(rd, lam):
+    full = generate_highest_weight_crystal(rd, lam)
+    (lowest,) = [nd.element for nd in full.nodes.values() if not any(nd.phi)]
+    return lowest  # from it, every node is first reached by an e-edge
+
+
+SEEDS = {
+    "highest_weight": model_highest_weight,
+    "lowest_element": _lowest_element,
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS.values(), ids=SEEDS.keys())
+def test_generate_derives_each_edge_once(monkeypatch, seed):
+    # an edge already recorded in the other direction is not re-derived
+    x = seed(build_root_datum("A3"), (1, 1, 1))
     deltas, builds = [], []
     with_delta, stats = ModelElement.with_delta, quiver_model._stats
 
@@ -432,15 +446,13 @@ def test_generate_derives_each_edge_once(monkeypatch):
 
     monkeypatch.setattr(ModelElement, "with_delta", counting_with_delta)
     monkeypatch.setattr(quiver_model, "_stats", counting_stats)
-    g = generate_highest_weight_crystal(build_root_datum("A3"), (1, 1, 1))
+    g = generate(build_root_datum("A3"), [x])
     assert len(deltas) == len(g.edges) == 102
     assert len(builds) == g.node_count() == 64
 
 
 def _from_lowest_element(rd, lam):
-    full = generate_highest_weight_crystal(rd, lam)
-    (lowest,) = [nd.element for nd in full.nodes.values() if not any(nd.phi)]
-    return generate(rd, [lowest])  # every node is first reached by an e-edge
+    return generate(rd, [_lowest_element(rd, lam)])
 
 
 EXPLORED = {
@@ -494,3 +506,35 @@ def test_memory_freed_with_datum():
     del rd, g
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_graph_freed_without_cycle_collector():
+    # up holds elements, not nodes, so a graph holds no reference cycle
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rd = build_root_datum("A2")
+        g = generate_highest_weight_crystal(rd, (1, 1))
+        assert closed_family_instance(rd, (1, 0), (0, 1))[0]
+        x = g.generators[0]
+        refs = [weakref.ref(rd), weakref.ref(x), weakref.ref(g.nodes[x])]
+        del rd, g, x
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_exports_hash_no_element(monkeypatch):
+    g = generate_highest_weight_crystal(build_root_datum("A3"), (1, 1, 1))
+    calls = []
+    original = ModelElement.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ModelElement, "__hash__", counting_hash)
+    graph_to_dot(g)
+    graph_to_json(g)
+    assert len(calls) <= len(g.generators)
