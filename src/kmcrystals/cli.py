@@ -10,7 +10,8 @@ malformed root datum or weight, a weight of the wrong length or not
 dominant, a negative ``--depth``, ``--max-entry`` or ``--pairs``, a
 CRYSTAL_NODE_BUDGET that is not a nonnegative integer, the oracle suite
 on a datum not of finite type, an infinite crystal without ``--depth``,
-an output path that is a directory or lies in a missing one) is found
+an output path that is a directory or lies in a missing one, one file
+given to two outputs) is found
 before any work starts and before any file is written, and exits 2 with
 one ``error:`` line on stderr.  A crystal B(lambda) is infinite iff lambda
 is nonzero on a connected component of the diagram not of finite type;
@@ -129,12 +130,18 @@ def _validate(args):
     if args.depth is not None and args.depth < 0:
         raise ValueError("--depth must be >= 0")
     env_node_budget()
-    for path in (getattr(args, name, None) for name in ("dot", "tsv", "json_path")):
+    flags: dict[str, str] = {}  # real path -> the flag that names it
+    for flag, name in (("--dot", "dot"), ("--tsv", "tsv"), ("--json", "json_path")):
+        path = getattr(args, name, None)
         if path and path != "-":
             if os.path.isdir(path):
                 raise ValueError(f"output path {path} is a directory")
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"directory of output path {path} does not exist")
+            real = os.path.realpath(path)
+            if real in flags:
+                raise ValueError(f"output path {path} is given to both {flags[real]} and {flag}")
+            flags[real] = flag
     if args.preset and args.root_datum:
         raise ValueError("give either --preset or --root-datum, not both")
     if not (args.preset or args.root_datum):

@@ -94,7 +94,9 @@ class CrystalElement(ABC):
     hashed by value.  ``serialize`` must be injective on structurally
     distinct elements; its compact JSON dump, ``key``, labels the element
     only where bytes leave the program: exported node ids, witness maps
-    and violation messages.
+    and violation messages.  The default ``key`` encodes ``serialize()``;
+    the classes keyed in bulk (model and tensor elements) write the same
+    text directly, and a test pins that the bytes agree.
     """
 
     tag: ClassVar[str]  # the single key of ``serialize()``, constant per class
@@ -145,7 +147,8 @@ class GraphNode:
     _key: str | None = None
 
     def key(self) -> str:
-        """``element.key()``, serialized at most once per graph."""
+        """``element.key()``, computed at most once per graph: the export
+        order sorts the nodes by it and both writers print it."""
         if self._key is None:
             self._key = self.element.key()
         return self._key

@@ -37,6 +37,7 @@ exactly how the model is verified end to end.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -49,18 +50,24 @@ from .tensor import TensorElement
 
 @dataclass(frozen=True)
 class WProfile:
-    """Slot placement of the framing dimensions: p -> nonnegative vector over I."""
+    """Slot placement of the framing dimensions: p -> nonzero nonnegative
+    vector over I, slots listed in increasing order (see :func:`wprofile`)."""
 
-    slots: tuple[tuple[int, tuple[int, ...]], ...]  # sorted by slot index
+    slots: tuple[tuple[int, tuple[int, ...]], ...]  # strictly increasing slot indices
 
     def __post_init__(self):
-        seen = set()
+        # one form per profile, the one ``wprofile`` builds: equal profiles
+        # are equal tuples and have equal keys
+        prev = None
         for p, vec in self.slots:
-            if p in seen:
-                raise ValueError(f"duplicate W slot {p}")
-            seen.add(p)
+            if prev is not None and p <= prev:
+                raise ValueError(f"duplicate W slot {p}" if p == prev
+                                 else f"W slot {p} follows slot {prev}; slots must increase")
+            prev = p
             if any(x < 0 for x in vec):
                 raise ValueError(f"negative W entry at slot {p}")
+            if not any(vec):
+                raise ValueError(f"all-zero W vector at slot {p}; leave the slot out")
 
     def __hash__(self):
         h = self.__dict__.get("_hash")
@@ -73,6 +80,15 @@ class WProfile:
 
     def serialize(self) -> dict:
         return {str(p): list(vec) for p, vec in self.slots}
+
+    def _key_prefix(self) -> str:
+        """The text every model element's key on this profile starts with,
+        up to its first ``v`` entry; written once and kept on the profile."""
+        prefix = self.__dict__.get("_prefix")
+        if prefix is None:
+            w = json.dumps(self.serialize(), separators=(",", ":"))
+            prefix = self.__dict__["_prefix"] = '{"Model":{"w":' + w + ',"v":{'
+        return prefix
 
 
 def wprofile(slots: dict[int, object]) -> WProfile:
@@ -87,7 +103,12 @@ def wprofile(slots: dict[int, object]) -> WProfile:
 
 @dataclass(frozen=True)
 class ModelElement(CrystalElement):
-    """A dimension profile v against a fixed W-profile; entries always >= 0."""
+    """A dimension profile v against a fixed W-profile; entries always >= 0.
+
+    ``key`` writes the compact JSON of ``serialize()`` as text, from a W
+    prefix written once per ``WProfile``: every element of one B(lambda)
+    shares it, so a key costs one formatted piece per entry of ``v``.
+    """
 
     tag = "Model"
     wp: WProfile
@@ -147,6 +168,11 @@ class ModelElement(CrystalElement):
                 "v": {f"{k},{p}": c for (k, p), c in self.v},
             }
         }
+
+    def key(self) -> str:
+        """The compact JSON of ``serialize()``, written as text."""
+        return (self.wp._key_prefix() + ",".join([f'"{k},{p}":{c}' for (k, p), c in self.v])
+                + "}}}")
 
 
 def model_element(wp: WProfile, v: dict[tuple[int, int], int] | None = None) -> ModelElement:

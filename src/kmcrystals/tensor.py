@@ -89,6 +89,11 @@ class TensorElement(CrystalElement):
     def serialize(self) -> dict:
         return {"Tensor": [x.serialize() for x in self.factors]}
 
+    def key(self) -> str:
+        """The compact JSON of ``serialize()``, built from the factors' keys:
+        compact JSON of a list is its items' texts joined by commas."""
+        return '{"Tensor":[' + ",".join([x.key() for x in self.factors]) + "]}"
+
 
 def _profiles(rd: RootDatum, x: TensorElement):
     """(wt, eps profiles, phi profiles) of x, profile k - 1 for vertex k, from

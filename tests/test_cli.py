@@ -244,6 +244,29 @@ def test_malformed_weight_exits_2(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "ok").exists()
 
 
+def test_one_file_for_two_outputs_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept").write_text("old\n")
+    (tmp_path / "link").symlink_to(tmp_path / "kept")
+    for argv, message in (
+        (["graph", "--preset", "A2", "--weight", "1,0", "--dot", "f", "--json", "f"],
+         "output path f is given to both --dot and --json"),
+        (["tensor", "--preset", "A2", "--weight", "1,0", "--weight", "0,1",
+          "--tsv", "f", "--json", "./f"], "output path ./f is given to both --tsv and --json"),
+        (["graph", "--preset", "A2", "--weight", "1,0", "--dot", "kept",
+          "--json", str(tmp_path / "link")], "is given to both --dot and --json"),
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, (argv, err)
+        assert err.startswith("error: ") and message in err, (argv, err)
+    assert not (tmp_path / "f").exists()
+    assert (tmp_path / "kept").read_text() == "old\n"
+    # stdout may take both outputs
+    assert main(["graph", "--preset", "A2", "--weight", "1,0", "--dot", "-", "--json", "-"]) == 0
+    assert capsys.readouterr().out.startswith("digraph crystal")
+
+
 def test_usage_error_without_traceback():
     path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

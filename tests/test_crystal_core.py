@@ -2,6 +2,7 @@ import json
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kmcrystals import (
     NEG_INF,
@@ -18,10 +19,12 @@ from kmcrystals import (
     generate_highest_weight_crystal,
     graph_to_dot,
     graph_to_json,
+    model_element,
     model_highest_weight,
     tensor_product_graph,
+    wprofile,
 )
-from kmcrystals.crystal_core import ext_max, is_neg_inf
+from kmcrystals.crystal_core import _sort_for_export, ext_max, is_neg_inf
 from kmcrystals.root_datum import Weight
 
 
@@ -243,6 +246,58 @@ def test_element_key_round_trip():
     assert ids == sorted(x.key() for x in g.nodes)
     for x in g.nodes:
         assert json.loads(g.nodes[x].key()) == x.serialize()
+
+
+def _dump(x) -> str:
+    """The key oracle: the compact JSON of ``serialize()``."""
+    return json.dumps(x.serialize(), separators=(",", ":"))
+
+
+_ints = st.integers(-15, 15)  # slots and coordinates, signs and two digits both drawn
+
+
+@st.composite
+def _model_elements(draw):
+    n = draw(st.integers(1, 12))  # vertices >= 10 are drawn too
+    slots = draw(st.dictionaries(_ints, st.lists(st.integers(0, 12), min_size=n, max_size=n),
+                                 max_size=3))
+    v = draw(st.dictionaries(st.tuples(st.integers(1, n), _ints), st.integers(0, 25),
+                             max_size=6))
+    return model_element(wprofile(slots), v)
+
+
+_leaves = st.one_of(
+    _model_elements(),
+    st.builds(BkElement, st.integers(1, 12), _ints),
+    st.integers(1, 3).flatmap(lambda n: st.builds(
+        Weight, *[st.lists(_ints, min_size=n, max_size=n).map(tuple)] * 2)).map(TElement),
+    st.just(S0Element()),
+)
+_elements = st.recursive(
+    _leaves, lambda inner: st.lists(inner, min_size=1, max_size=4).map(
+        lambda factors: TensorElement(tuple(factors))), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elements)
+@example(model_element(wprofile({})))
+@example(model_element(wprofile({-3: (0, 10), 0: (1, 0), 12: (2, 2)}), {(1, -1): 12, (2, 0): 1}))
+@example(TensorElement((model_element(wprofile({0: (1,)}), {(1, 1): 1}),)))
+@example(TensorElement((TensorElement((S0Element(), BkElement(1, -2))), S0Element())))
+def test_key_is_compact_json_of_serialize(x):
+    assert x.key() == _dump(x)
+
+
+@pytest.mark.parametrize("graph", ["model_A3_111", "tensor_A2_10_01"])
+def test_export_order_is_the_order_of_json_dumps(graph):
+    if graph == "model_A3_111":
+        g = generate_highest_weight_crystal(build_root_datum("A3"), (1, 1, 1))
+    else:
+        rd = build_root_datum("A2")
+        g = tensor_product_graph(rd, [generate_highest_weight_crystal(rd, w)
+                                      for w in ((1, 0), (0, 1))])
+    nodes, _, _ = _sort_for_export(g)
+    assert [nd.element for nd in nodes] == sorted(g.nodes, key=_dump)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from kmcrystals import (
     S0Element,
     TElement,
     TensorElement,
+    WProfile,
     build_root_datum,
     embed_psi,
     embedding_mismatches,
@@ -250,10 +251,27 @@ def test_serialization_format():
 def test_profile_validation():
     with pytest.raises(ValueError, match="negative"):
         wprofile({0: (-1, 0)})
+    with pytest.raises(ValueError, match="negative W entry at slot 2"):
+        WProfile(((2, (1, -1)),))
+    with pytest.raises(ValueError, match="duplicate W slot 0"):
+        WProfile(((0, (1, 0)), (0, (0, 1))))
     with pytest.raises(ValueError, match="dominant"):
         model_highest_weight(RD2, (-1, 0))
     with pytest.raises(ValueError, match="length"):
         model_highest_weight(RD2, (1,))
+
+
+def test_wprofile_has_one_form():
+    # the form wprofile builds is the only one accepted, so equal profiles
+    # compare equal and key alike
+    canonical = wprofile({1: (0, 1), 0: (1, 0), 5: (0, 0)})
+    assert canonical == WProfile(((0, (1, 0)), (1, (0, 1))))
+    with pytest.raises(ValueError, match="W slot 0 follows slot 1"):
+        WProfile(((1, (0, 1)), (0, (1, 0))))
+    with pytest.raises(ValueError, match="all-zero W vector at slot 5"):
+        WProfile(((0, (1, 0)), (5, (0, 0))))
+    with pytest.raises(ValueError, match="all-zero W vector at slot 0"):
+        WProfile(((0, ()),))
 
 
 def test_zero_weight_crystal():
