@@ -7,12 +7,12 @@ operators e_k, f_k.  Elements here are immutable values implementing
 ``None`` returned from an operator, never by an element.
 
 Graphs are explicit explorations of a crystal up to a depth bound, keyed
-by the elements themselves: nodes cache wt/eps/phi and hold the edges,
-``down[k-1]`` the node f_k leads to and ``up[k-1]`` the element e_k leads
-to.  Nodes whose operator images were never computed are frontier nodes,
-and every checker skips (and counts) the assertions that would need data
-beyond the frontier, so that truncations of infinite crystals can be
-tested without false failures.
+by the elements themselves: nodes share their element's wt/eps/phi
+objects and hold the edges, ``down[k-1]`` the node f_k leads to and
+``up[k-1]`` the element e_k leads to.  Nodes whose operator images were
+never computed are frontier nodes, and every checker skips (and counts)
+the assertions that would need data beyond the frontier, so that
+truncations of infinite crystals can be tested without false failures.
 
 ``graph_to_dot`` and ``graph_to_json`` return text.  Both print nodes in
 key order and edges by node index; that order is computed once per graph,
@@ -129,9 +129,26 @@ class CrystalElement(ABC):
         return tuple(self.phi(rd, k) for k in rd.vertices())
 
 
+def stats_record(x: CrystalElement, rd: RootDatum, build, k: int | None = None) -> tuple:
+    """The statistics record of x against rd, ``(rd, wt, eps, phi, e_sites,
+    f_sites)``, each of the last four a tuple indexed by vertex - 1, the
+    sites being where e_k and f_k act.  ``build(rd, x)`` returns it; it is
+    kept in ``x.__dict__`` and rebuilt when x is queried against another
+    datum, so it lives as long as the element.  ValueError when k is given
+    and is not a vertex."""
+    rec = x.__dict__.get("_record")
+    if rec is None or rec[0] is not rd:
+        rec = x.__dict__["_record"] = build(rd, x)
+    if k is not None and not 0 < k <= len(rec[2]):
+        raise ValueError(f"vertex index {k} out of range 1..{rd.n}")
+    return rec
+
+
 @dataclass(eq=False)
 class GraphNode:
-    """An explored element, its statistics and its edges, each recorded in
+    """An explored element, its statistics and its edges.  For model and
+    tensor elements the statistics are the objects of the element's own
+    record (:func:`stats_record`), not copies.  Each edge is recorded in
     both directions: ``x.down[k-1] is y`` exactly when ``y.up[k-1] is
     x.element``.  ``up`` holds elements, not nodes, so a graph holds no
     reference cycle.  Nodes compare and hash by identity."""

@@ -42,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .crystal_core import CrystalElement
+from .crystal_core import CrystalElement, stats_record
 from .elementary import BkElement, S0Element, TElement
 from .root_datum import RootDatum, Weight
 from .tensor import TensorElement
@@ -115,9 +115,16 @@ class ModelElement(CrystalElement):
     v: tuple[tuple[tuple[int, int], int], ...]  # ((k, p), count), k then p ascending
 
     def __post_init__(self):
-        for (_, _), c in self.v:
+        # one form per element, the one ``model_element`` builds: equal
+        # elements are equal tuples and have equal keys
+        prev = None
+        for kp, c in self.v:
             if c <= 0:
                 raise ValueError("profile stores only strictly positive entries")
+            if prev is not None and kp <= prev:
+                raise ValueError(f"profile entry {kp} follows entry {prev}; "
+                                 "entries must strictly increase in (k, p)")
+            prev = kp
 
     def __hash__(self):
         h = self.__dict__.get("_hash")
@@ -139,27 +146,27 @@ class ModelElement(CrystalElement):
         return ModelElement(self.wp, v[:i] + entry + tail)
 
     def weight(self, rd: RootDatum) -> Weight:
-        return rd.memo_entry(self, _stats)[0]
+        return stats_record(self, rd, _stats)[1]
 
     def eps_vector(self, rd: RootDatum) -> tuple:
-        return tuple(row[0] for row in rd.memo_entry(self, _stats)[1:])
+        return stats_record(self, rd, _stats)[2]
 
     def phi_vector(self, rd: RootDatum) -> tuple:
-        return tuple(row[1] for row in rd.memo_entry(self, _stats)[1:])
+        return stats_record(self, rd, _stats)[3]
 
     def eps(self, rd: RootDatum, k: int) -> int:
-        return rd.memo_row(self, k, _stats)[0]
+        return stats_record(self, rd, _stats, k)[2][k - 1]
 
     def phi(self, rd: RootDatum, k: int) -> int:
-        return rd.memo_row(self, k, _stats)[1]
+        return stats_record(self, rd, _stats, k)[3][k - 1]
 
     def e(self, rd: RootDatum, k: int):
-        eps, _, e_slot, _ = rd.memo_row(self, k, _stats)
-        return None if eps == 0 else self.with_delta(k, e_slot, -1)
+        _, _, eps, _, e_slots, _ = stats_record(self, rd, _stats, k)
+        return None if eps[k - 1] == 0 else self.with_delta(k, e_slots[k - 1], -1)
 
     def f(self, rd: RootDatum, k: int):
-        _, phi, _, f_slot = rd.memo_row(self, k, _stats)
-        return None if phi == 0 else self.with_delta(k, f_slot, +1)
+        _, _, _, phi, _, f_slots = stats_record(self, rd, _stats, k)
+        return None if phi[k - 1] == 0 else self.with_delta(k, f_slots[k - 1], +1)
 
     def serialize(self) -> dict:
         return {
@@ -248,15 +255,15 @@ def rank_complex(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
 
 
 def _stats(rd: RootDatum, x: ModelElement):
-    """(wt, then (eps, phi, e_slot, f_slot) per vertex) from one rank pass: the
-    builder behind ``rd.memo_entry`` for model elements, run once per
-    element.  phi_bar is the prefix sum of a rank row, and
+    """The record of :func:`~kmcrystals.crystal_core.stats_record` for a
+    model element, ``(rd, wt, eps, phi, e_slots, f_slots)``, from one rank
+    pass.  phi_bar is the prefix sum of a rank row, and
     eps_bar = phi_bar - <h_k, wt>.  Also asserts the telescoping identity
     sum_p rank(k, p) = <h_k, wt> on every element whose statistics are ever
     computed."""
     lo, rows, wt = _rank_rows(rd, x)
     pairings = rd.pairing_vector(wt)
-    out = [wt]
+    out = []
     for k, row, total in zip(rd.vertices(), rows, pairings):
         pbar = list(accumulate(row))
         if pbar[-1] != total:
@@ -268,7 +275,8 @@ def _stats(rd: RootDatum, x: ModelElement):
         e_slot = lo + len(pbar) - 1 - pbar[::-1].index(phi)  # largest attaining slot
         f_slot = lo + pbar.index(phi)  # smallest attaining slot
         out.append((eps, phi, e_slot, f_slot))
-    return tuple(out)
+    # the four columns; empty ones on a datum of rank 0
+    return (rd, wt, *(tuple(zip(*out)) or ((),) * 4))
 
 
 def embed_psi(rd: RootDatum, x: ModelElement, win: tuple[int, int]) -> TensorElement:

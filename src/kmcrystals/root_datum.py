@@ -120,32 +120,6 @@ class RootDatum:
             out.append((below, above))
         return tuple(out)
 
-    @cached_property
-    def memo(self) -> dict:
-        """Statistics of the elements queried against this datum: per element
-        one entry ``(weight, row_1, ..., row_n)``, row k ``(eps, phi, e_site,
-        f_site)`` of vertex k, a site being the slot of a model element or the
-        factor position of a tensor element where e_k or f_k acts.  Entries
-        are pure functions of (datum, element), shared by equal elements and
-        kept as long as the datum.  Filled through :meth:`memo_entry` only."""
-        return {}
-
-    def memo_entry(self, x, build):
-        """The memo entry ``(weight, row_1, ..., row_n)`` of element x.
-        ``build(self, x)`` returns it; it runs on the first query of x and
-        its result is kept in :attr:`memo`."""
-        entry = self.memo.get(x)
-        if entry is None:
-            entry = self.memo[x] = build(self, x)
-        return entry
-
-    def memo_row(self, x, k: int, build):
-        """Vertex k's row of :meth:`memo_entry`; ValueError when k is not a vertex."""
-        entry = self.memo_entry(x, build)
-        if not 0 < k < len(entry):
-            raise ValueError(f"vertex index {k} out of range 1..{self.n}")
-        return entry[k]
-
     def vertices(self) -> range:
         return range(1, self.n + 1)
 

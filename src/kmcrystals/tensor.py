@@ -9,9 +9,10 @@ where wt_k is the coroot pairing of a factor's weight.  The tensor
 statistics are the maxima of the profiles; e_k acts on the factor at the
 smallest position attaining the eps-maximum, f_k at the largest position
 attaining the phi-maximum.  Any factor-level operator returning None
-collapses the whole result to None.  The memo entry of an element is the
-record model elements keep, ``(wt, (eps, phi, e_site, f_site) per vertex)``,
-its sites factor positions; profiles are only recomputed on demand.
+collapses the whole result to None.  An element keeps the record model
+elements keep, ``(rd, wt, eps, phi, e_sites, f_sites)`` (see
+:func:`~kmcrystals.crystal_core.stats_record`), its sites factor positions;
+profiles are only recomputed on demand.
 
 One convention only: f_k prefers the LEFT factor on strict inequality
 phi_k(b_1) > eps_k(b_2), exactly as the two-factor case is stated.  Other
@@ -28,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
+from operator import getitem, sub
 
-from .crystal_core import CrystalElement, ext_max, is_neg_inf
+from .crystal_core import CrystalElement, ext_max, is_neg_inf, stats_record
 from .root_datum import RootDatum, Weight
 
 
@@ -50,7 +51,7 @@ class TensorElement(CrystalElement):
         return h
 
     def weight(self, rd: RootDatum) -> Weight:
-        return rd.memo_entry(self, _stats)[0]
+        return stats_record(self, rd, _stats)[1]
 
     def eps_profile(self, rd: RootDatum, k: int) -> list:
         rd._check_vertex(k)
@@ -61,24 +62,24 @@ class TensorElement(CrystalElement):
         return list(_profiles(rd, self)[2][k - 1])
 
     def eps(self, rd: RootDatum, k: int):
-        return rd.memo_row(self, k, _stats)[0]
+        return stats_record(self, rd, _stats, k)[2][k - 1]
 
     def phi(self, rd: RootDatum, k: int):
-        return rd.memo_row(self, k, _stats)[1]
+        return stats_record(self, rd, _stats, k)[3][k - 1]
 
     def eps_vector(self, rd: RootDatum) -> tuple:
-        return tuple(row[0] for row in rd.memo_entry(self, _stats)[1:])
+        return stats_record(self, rd, _stats)[2]
 
     def phi_vector(self, rd: RootDatum) -> tuple:
-        return tuple(row[1] for row in rd.memo_entry(self, _stats)[1:])
+        return stats_record(self, rd, _stats)[3]
 
     def e(self, rd: RootDatum, k: int):
-        eps, _, e_site, _ = rd.memo_row(self, k, _stats)
-        return None if is_neg_inf(eps) else self._apply_at(rd, k, e_site, "e")
+        _, _, eps, _, e_sites, _ = stats_record(self, rd, _stats, k)
+        return None if is_neg_inf(eps[k - 1]) else self._apply_at(rd, k, e_sites[k - 1], "e")
 
     def f(self, rd: RootDatum, k: int):
-        _, phi, _, f_site = rd.memo_row(self, k, _stats)
-        return None if is_neg_inf(phi) else self._apply_at(rd, k, f_site, "f")
+        _, _, _, phi, _, f_sites = stats_record(self, rd, _stats, k)
+        return None if is_neg_inf(phi[k - 1]) else self._apply_at(rd, k, f_sites[k - 1], "f")
 
     def _apply_at(self, rd, k, p, op):
         moved = getattr(self.factors[p], op)(rd, k)
@@ -112,16 +113,15 @@ def _profiles(rd: RootDatum, x: TensorElement):
 
 
 def _stats(rd: RootDatum, x: TensorElement):
-    """(wt, then (eps, phi, e_site, f_site) per vertex): the builder behind
-    ``rd.memo_entry`` for tensor elements.  ``max`` keeps the first maximum
-    it meets: scanning forward gives the smallest site, backward the largest."""
+    """The record of :func:`~kmcrystals.crystal_core.stats_record` for a
+    tensor element, ``(rd, wt, eps, phi, e_sites, f_sites)``, its sites
+    factor positions.  ``max`` keeps the first maximum it meets: scanning
+    forward gives the smallest site, backward the largest."""
     wt, eps_rows, phi_rows = _profiles(rd, x)
-    out = [wt]
-    for eps, phi in zip(eps_rows, phi_rows):
-        e_site = max(range(len(eps)), key=eps.__getitem__)
-        f_site = max(reversed(range(len(phi))), key=phi.__getitem__)
-        out.append((eps[e_site], phi[f_site], e_site, f_site))
-    return tuple(out)
+    e_sites = tuple(max(range(len(eps)), key=eps.__getitem__) for eps in eps_rows)
+    f_sites = tuple(max(reversed(range(len(phi))), key=phi.__getitem__) for phi in phi_rows)
+    return (rd, wt, tuple(map(getitem, eps_rows, e_sites)),
+            tuple(map(getitem, phi_rows, f_sites)), e_sites, f_sites)
 
 
 def flatten(x: CrystalElement) -> tuple[CrystalElement, ...]:

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 import weakref
 from collections import deque
 
@@ -501,7 +502,7 @@ def test_generate_records_every_operator_image(build):
 
 
 def test_memory_freed_with_datum():
-    # statistics live on the datum, so nothing outlives the datum and its graphs
+    # statistics live on the elements, so nothing outlives the datum and its graphs
     rd = build_root_datum("A2")
     g = generate_highest_weight_crystal(rd, (1, 1))
     assert closed_family_instance(rd, (1, 0), (0, 1))[0]
@@ -526,6 +527,62 @@ def test_graph_freed_without_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_memory_does_not_grow_with_pairs_on_one_datum():
+    # a record lives on its element, so nothing of a pair outlives the pair,
+    # however many pairs share the datum
+    rd = build_root_datum("A3")
+    weights = [w for w in itertools.product((0, 1), repeat=3) if any(w)]
+    pairs = list(itertools.combinations(weights, 2))[:13]
+
+    def held(batch):
+        for lam, mu in batch:
+            assert closed_family_instance(rd, lam, mu)[0]
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        held(pairs[:1])  # first-use caches of the datum and the interpreter
+        after_4 = held(pairs[1:5])
+        after_12 = held(pairs[5:13])
+    finally:
+        tracemalloc.stop()
+    assert after_12 - after_4 < 10_000
+
+
+def _edge_count(g):
+    """The number of edges, read off ``down`` without hashing an element."""
+    return sum(nxt is not None for nd in g.nodes.values() for nxt in nd.down)
+
+
+@pytest.mark.parametrize("rd, lam", [(RD3, (1, 1, 1)), (RD4, (1, 1, 1, 1))], ids=["A3", "D4"])
+def test_generate_hashes_each_element_once_per_lookup(monkeypatch, rd, lam):
+    # generate looks an element up once per edge and seed, and stores each
+    # node once; statistics are read off the element, not looked up by hash
+    seeds = [model_highest_weight(rd, lam)]
+    calls = []
+    original = ModelElement.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ModelElement, "__hash__", counting_hash)
+    g = generate(rd, seeds)
+    monkeypatch.undo()
+    assert len(calls) <= g.node_count() + _edge_count(g) + len(seeds)
+
+
+@pytest.mark.parametrize("build", EXPLORED.values(), ids=EXPLORED.keys())
+def test_nodes_share_the_element_record(build):
+    # a node's statistics are its element's own record, not copies of it
+    g = build()
+    for nd in g.nodes.values():
+        assert nd.weight is nd.element.weight(g.rd)
+        assert nd.eps is nd.element.eps_vector(g.rd)
+        assert nd.phi is nd.element.phi_vector(g.rd)
 
 
 def test_exports_hash_no_element(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kmcrystals import (
     BkElement,
+    ModelElement,
     S0Element,
     TElement,
     TensorElement,
@@ -274,6 +275,41 @@ def test_wprofile_has_one_form():
         WProfile(((0, ()),))
 
 
+def test_model_element_has_one_form():
+    # the form model_element builds is the only one accepted, so equal
+    # elements compare equal and key alike
+    wp = wprofile({0: (1, 1)})
+    canonical = model_element(wp, {(2, 1): 1, (1, 1): 1})
+    assert canonical == ModelElement(wp, (((1, 1), 1), ((2, 1), 1)))
+    with pytest.raises(ValueError, match=r"entry \(1, 1\) follows entry \(2, 1\)"):
+        ModelElement(wp, (((2, 1), 1), ((1, 1), 1)))
+    with pytest.raises(ValueError, match=r"entry \(1, 1\) follows entry \(1, 1\)"):
+        ModelElement(wp, (((1, 1), 1), ((1, 1), 2)))
+    with pytest.raises(ValueError, match="strictly positive"):
+        ModelElement(wp, (((1, 1), 0),))
+
+
+def test_record_is_per_datum():
+    # A2 and affineA1 have the same rank; an element queried against both
+    # must never read one datum's numbers on the other
+    wp = wprofile({0: (1, 1)})
+    v = {(1, 1): 1, (2, 1): 1, (2, 2): 1}
+    expected = {
+        RD2: ((0, 2), (1, 0), {(1, 1): 2, (2, 1): 1, (2, 2): 1}, {(1, 1): 1, (2, 2): 1}),
+        RDA: ((0, 1), (3, 0), {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1},
+              {(1, 1): 1, (2, 1): 1}),
+    }
+    for order in ((RD2, RDA, RD2), (RDA, RD2, RDA)):
+        x = model_element(wp, v)
+        y = model_highest_weight(RD2, (1, 0)).f(RD2, 1)
+        for rd in order:
+            eps, phi, f1, e2 = expected[rd]
+            assert (x.eps_vector(rd), x.phi_vector(rd)) == (eps, phi)
+            assert x.f(rd, 1) == model_element(wp, f1)  # f_1 at this datum's slot
+            assert x.e(rd, 2) == model_element(wp, e2)  # e_2 likewise
+            assert y.phi_vector(rd) == ((0, 1) if rd is RD2 else (0, 2))
+
+
 def test_zero_weight_crystal():
     hw = model_highest_weight(RD2, (0, 0))
     assert hw.eps_vector(RD2) == (0, 0)
@@ -302,7 +338,7 @@ def test_vertex_out_of_range(op, kind, k):
         "t": TElement(RD2.weight((1, 0))),
         "s0": S0Element(),
     }[kind]
-    b.f(RD2, 2)  # the statistics of model and tensor elements are now memoised
+    b.f(RD2, 2)  # model and tensor elements now keep their statistics record
     with pytest.raises(ValueError, match="out of range"):
         getattr(b, op)(RD2, k)
 
