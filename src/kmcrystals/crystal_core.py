@@ -225,11 +225,19 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
     inverses; phi = -inf forces e_k b = f_k b = None.  The (node, vertex)
     pairs of frontier nodes are skipped and counted.  Every recorded edge
     must be recorded in both directions, and is re-derived from the
-    operators in both directions.
+    operators in both directions.  The statistics of an operator image are
+    read from the graph's equal element when there is one, whose record is
+    already built, else from the image itself.
     """
     rd = g.rd
     violations: list[str] = []
     checked = skipped = 0
+
+    def recorded(y):
+        """The graph's element equal to y if there is one, else y."""
+        node = g.nodes.get(y)
+        return y if node is None else node.element
+
     for b, nd in g.nodes.items():
         if nd.frontier:
             skipped += rd.n
@@ -242,8 +250,8 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
                 violations.append(f"(a) phi != eps + <h_{k},wt> at {nd.key()}")
             if is_neg_inf(ep) != is_neg_inf(ph):
                 violations.append(f"(a) eps/phi -inf mismatch at k={k}, {nd.key()}")
-            eb = b.e(rd, k)
-            fb = b.f(rd, k)
+            eb = recorded(b.e(rd, k))
+            fb = recorded(b.f(rd, k))
             if is_neg_inf(ph) and (eb is not None or fb is not None):
                 violations.append(f"(e) operator defined despite phi=-inf at k={k}, {nd.key()}")
             if eb is not None:

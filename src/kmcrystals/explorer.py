@@ -7,7 +7,7 @@ elements themselves; element keys appear only in ``is_isomorphic``'s
 witness and in the JSON form of a table.  Analyses (highest-weight scan,
 decomposition, characters, isomorphism) are read-only passes over a
 generated graph, except ``decompose_tensor``, which decomposes a tensor
-product from its factors alone.
+product from the first factor's weight and the other factors alone.
 
 The oracles at the bottom (the finite-type test, positive-root
 enumeration, the product formula for dimensions, the multiplicity
@@ -250,16 +250,22 @@ def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
     B(nu + wt(b)).  Folding that rule left to right needs only the factors
     and the running table, never the product crystal.
 
-    Every factor is generated in full, so the node budget bounds each
-    factor, not the product; an infinite factor raises BudgetExceeded.
+    The rule reads only the weight lambda_1 from the first factor, so
+    B(lambda_1) is never generated: the running table starts at lambda_1
+    (a bad first weight raises ValueError from ``model_highest_weight``),
+    and B(lambda_2) ... B(lambda_n) are generated in full.  The node budget
+    bounds each of those factors, not the product, and an infinite one
+    raises BudgetExceeded; lambda_1 may be any dominant weight, so an
+    infinite first factor still gives an exact, finite table.
     ``component_sizes`` stays empty, as there are no product nodes.
     ``decompose(tensor_product_graph(...))`` is the reference route.
     """
     if not weights:
         raise ValueError("decompose_tensor needs at least one factor")
-    first, *rest = [generate_highest_weight_crystal(rd, lam) for lam in weights]
-    entries = {first.nodes[first.generators[0]].weight: 1}
-    for g in rest:
+    first, *rest = weights
+    entries = {model_highest_weight(rd, first).weight(rd): 1}
+    for lam in rest:
+        g = generate_highest_weight_crystal(rd, lam)
         step: dict[Weight, int] = {}
         for nu, mult in entries.items():
             caps = rd.pairing_vector(nu)

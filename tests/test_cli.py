@@ -329,6 +329,11 @@ def test_tensor_budget_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["tensor", "--preset", "affineA1", "--weight", "0,0", "--weight", "1,0",
                  "--tsv", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: weight 1,0 is nonzero on a component")
+    # the library decomposes an infinite first factor exactly, but the CLI
+    # applies the one per-weight rule to every --weight
+    assert main(["tensor", "--preset", "affineA1", "--weight", "1,0", "--weight", "0,0",
+                 "--tsv", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: weight 1,0 is nonzero on a component")
 
 
 def test_finiteness_decided_per_component(tmp_path, capsys):

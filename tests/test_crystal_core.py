@@ -24,6 +24,7 @@ from kmcrystals import (
     tensor_product_graph,
     wprofile,
 )
+from kmcrystals import quiver_model
 from kmcrystals.crystal_core import _sort_for_export, ext_max, is_neg_inf
 from kmcrystals.root_datum import Weight
 
@@ -98,6 +99,24 @@ def test_axioms_truncated_affine_skips():
     assert report.ok()
     assert report.skipped > 0 and report.skipped == rd.n * g.frontier_count()
     assert report.checked + report.skipped == rd.n * g.node_count()
+
+
+@pytest.mark.parametrize("name, lam, depth", [("A3", (1, 1, 1), None), ("affineA1", (1, 0), 4)])
+def test_axioms_read_image_statistics_from_the_graph(monkeypatch, name, lam, depth):
+    # every operator image of a non-frontier node is a node, whose record is built
+    rd = build_root_datum(name)
+    g = generate_highest_weight_crystal(rd, lam, depth=depth)
+    calls = []
+    original = quiver_model._stats
+
+    def counting(rd, x):
+        calls.append(x)
+        return original(rd, x)
+
+    monkeypatch.setattr(quiver_model, "_stats", counting)
+    report = check_axioms(g)
+    assert report.ok() and report.checked > 0
+    assert calls == []
 
 
 def test_normal_on_sl2():

@@ -33,7 +33,7 @@ from kmcrystals import (
     tensor_product_graph,
     weyl_dim,
 )
-from kmcrystals import quiver_model
+from kmcrystals import explorer, quiver_model
 from kmcrystals.root_datum import Weight
 from kmcrystals.tensor import TensorElement
 
@@ -350,6 +350,48 @@ def test_decompose_tensor_property_a2_a3(data):
 def test_decompose_tensor_needs_a_factor():
     with pytest.raises(ValueError, match="at least one"):
         decompose_tensor(RD2, [])
+
+
+@pytest.mark.parametrize("weights", [[(1, 1)], [(1, 1), (1, 0)], [(1, 1), (1, 0), (0, 1)]],
+                         ids=["N1", "N2", "N3"])
+def test_decompose_tensor_skips_the_first_factor(monkeypatch, weights):
+    # the rule reads only the first weight, so B(lambda_1) is never generated
+    calls = []
+    original = explorer.generate
+
+    def counting(rd, seeds, depth=None):
+        calls.append(seeds)
+        return original(rd, seeds, depth=depth)
+
+    monkeypatch.setattr(explorer, "generate", counting)
+    table = decompose_tensor(RD2, weights)
+    assert len(calls) == len(weights) - 1
+    if len(weights) == 1:
+        assert table.entries == {RD2.weight(weights[0]): 1}
+
+
+def test_decompose_tensor_budget_skips_the_first_factor(monkeypatch):
+    # B(1,1) has 8 nodes and B(1,0) has 3: only the second counts
+    unbudgeted = decompose_tensor(RD2, [(1, 1), (1, 0)])
+    monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "5")
+    assert decompose_tensor(RD2, [(1, 1), (1, 0)]) == unbudgeted
+
+
+def test_decompose_tensor_infinite_first_factor(monkeypatch):
+    # affine A1 on vertices 1-2 beside A1 on vertex 3: B(1,0,0) is infinite,
+    # B(0,0,1) = {b, f_3 b}, and eps_3(f_3 b) = 1 > <h_3, (1,0,0)> = 0; the
+    # small budget stops a generated first factor quickly
+    monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "10")
+    rd = build_root_datum([[0, 2, 0], [2, 0, 0], [0, 0, 0]])
+    table = decompose_tensor(rd, [(1, 0, 0), (0, 0, 1)])
+    assert table.entries == {Weight((1, 0, 1), (0, 0, 0)): 1}
+    assert table.complete
+
+
+@pytest.mark.parametrize("first", [(1, 0, 0), (1, -1)], ids=["wrong-length", "not-dominant"])
+def test_decompose_tensor_rejects_a_bad_first_weight(first):
+    with pytest.raises(ValueError, match="length 2|dominant"):
+        decompose_tensor(RD2, [first, (1, 0)])
 
 
 def test_tensor_product_graph_guards_frontier():
