@@ -132,16 +132,29 @@ class CrystalElement(ABC):
 def stats_record(x: CrystalElement, rd: RootDatum, build, k: int | None = None) -> tuple:
     """The statistics record of x against rd, ``(rd, wt, eps, phi, e_sites,
     f_sites)``, each of the last four a tuple indexed by vertex - 1, the
-    sites being where e_k and f_k act.  ``build(rd, x)`` returns it; it is
-    kept in ``x.__dict__`` and rebuilt when x is queried against another
-    datum, so it lives as long as the element.  ValueError when k is given
-    and is not a vertex."""
+    sites being where e_k and f_k act (a model element's is None where
+    the operator is undefined).  ``build(rd, x)`` returns it; it is kept
+    in ``x.__dict__`` and rebuilt when x is queried against another datum,
+    so it lives as long as the element.  A record may carry working data
+    after its six fields, which the builder reads to derive the records of
+    x's operator images (a model record's rank rows) and
+    :func:`trim_record` drops.  ValueError when k is given and is not a
+    vertex."""
     rec = x.__dict__.get("_record")
     if rec is None or rec[0] is not rd:
         rec = x.__dict__["_record"] = build(rd, x)
     if k is not None and not 0 < k <= len(rec[2]):
         raise ValueError(f"vertex index {k} out of range 1..{rd.n}")
     return rec
+
+
+def trim_record(x: CrystalElement) -> None:
+    """Drop what x's record keeps after its six fields, once x's operator
+    images have been built from it; the six fields keep their objects.  A
+    record without such data, or none at all, is left as it is."""
+    rec = x.__dict__.get("_record")
+    if rec is not None and len(rec) > 6:
+        x.__dict__["_record"] = rec[:6]
 
 
 @dataclass(eq=False)

@@ -33,6 +33,7 @@ from .crystal_core import (
     GraphNode,
     check_strict_morphism,
     is_neg_inf,
+    trim_record,
 )
 from .quiver_model import model_highest_weight
 from .root_datum import RootDatum, Weight
@@ -83,6 +84,12 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
     lose nodes and edges here, never gain them;
     :func:`~kmcrystals.crystal_core.check_axioms` re-derives every operator
     in both directions and reports it.
+
+    A model node's record holds its rank rows while the node waits in the
+    queue, so that its operator images derive their records from them;
+    the rows are dropped (:func:`~kmcrystals.crystal_core.trim_record`)
+    once the node is expanded or left at the frontier, and on
+    BudgetExceeded.
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
@@ -97,6 +104,8 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
             return nd
         if len(g.nodes) >= node_budget:
             reached = max((nd.depth for nd in g.nodes.values()), default=0)
+            for nd in g.nodes.values():
+                trim_record(nd.element)
             raise BudgetExceeded(node_budget, g, reached, len(queue))
         nd = g.nodes[x] = GraphNode(x, x.weight(rd), x.eps_vector(rd), x.phi_vector(rd), d,
                                     True, [None] * rd.n, [None] * rd.n)
@@ -106,18 +115,18 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
     g.generators = tuple(admit(s, 0).element for s in seeds)
     while queue:
         nd = queue.popleft()
-        if depth is not None and nd.depth >= depth:
-            continue  # stays frontier
-        nd.frontier = False
         x = nd.element
-        for k in rd.vertices():
-            if nd.down[k - 1] is None and (y := x.f(rd, k)) is not None:
-                nxt = nd.down[k - 1] = admit(y, nd.depth + 1)
-                nxt.up[k - 1] = x
-            if nd.up[k - 1] is None and (y := x.e(rd, k)) is not None:
-                src = admit(y, nd.depth + 1)
-                nd.up[k - 1] = src.element
-                src.down[k - 1] = nd
+        if depth is None or nd.depth < depth:  # else it stays frontier
+            nd.frontier = False
+            for k in rd.vertices():
+                if nd.down[k - 1] is None and (y := x.f(rd, k)) is not None:
+                    nxt = nd.down[k - 1] = admit(y, nd.depth + 1)
+                    nxt.up[k - 1] = x
+                if nd.up[k - 1] is None and (y := x.e(rd, k)) is not None:
+                    src = admit(y, nd.depth + 1)
+                    nd.up[k - 1] = src.element
+                    src.down[k - 1] = nd
+        trim_record(x)  # its images' records are built; a node keeps only its six fields
     return g
 
 

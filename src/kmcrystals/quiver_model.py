@@ -15,10 +15,25 @@ canonical orientation (arrows from smaller to larger vertex).  Partial sums
     phi_bar(k, p) =  sum_{q<=p} rank(k, q)
 
 are eventually constant on both sides, and eps_bar = phi_bar - <h_k, wt>
-since the ranks sum to <h_k, wt>.  The statistics are their maxima, read
-from one rank pass per element: phi_k = max phi_bar, eps_k = phi_k -
-<h_k, wt>.  e_k removes one unit of v_k at the LARGEST slot attaining the
-maximum, f_k adds one unit at the SMALLEST.
+since the ranks sum to <h_k, wt>.  The statistics are their maxima:
+phi_k = max phi_bar, eps_k = phi_k - <h_k, wt>.  e_k removes one unit of
+v_k at the LARGEST slot attaining the maximum, f_k adds one unit at the
+SMALLEST.  Where an operator is undefined (eps_k = 0 for e_k, phi_k = 0
+for f_k) its site is None: every slot beyond the support on one side
+attains the maximum there, so a slot number would depend on the window.
+
+The formula has one implementation, the per-entry update of
+:func:`_add_entry`, and two entry points.  The full pass
+(:func:`_rank_rows`) builds every rank row from w and every entry of v; it
+runs for seeds and for elements built directly.  An image of e_k or f_k
+differs from its source in one entry of v, at (k, p), which moves only the
+rows of k and of its neighbours, so its record is derived from the
+source's rows (:func:`_derive`): that one entry is added to those rows,
+only their statistics are recomputed, and every other vertex shares its
+row and statistics with the source.  Both routes assert the telescoping
+identity on every row they compute.  The rows stay on a record only until
+the element's images are built; :func:`~kmcrystals.explorer.generate`
+drops them once it has expanded a node.
 
 The slot choice deserves a comment, because a plausible alternative (min
 for e, max for f) is wrong: on a one-vertex datum with w^0 = 1 the maximum
@@ -161,12 +176,20 @@ class ModelElement(CrystalElement):
         return stats_record(self, rd, _stats, k)[3][k - 1]
 
     def e(self, rd: RootDatum, k: int):
-        _, _, eps, _, e_slots, _ = stats_record(self, rd, _stats, k)
-        return None if eps[k - 1] == 0 else self.with_delta(k, e_slots[k - 1], -1)
+        rec = stats_record(self, rd, _stats, k)
+        return None if rec[2][k - 1] == 0 else self._step(k, rec[4][k - 1], -1)
 
     def f(self, rd: RootDatum, k: int):
-        _, _, _, phi, _, f_slots = stats_record(self, rd, _stats, k)
-        return None if phi[k - 1] == 0 else self.with_delta(k, f_slots[k - 1], +1)
+        rec = stats_record(self, rd, _stats, k)
+        return None if rec[3][k - 1] == 0 else self._step(k, rec[5][k - 1], +1)
+
+    def _step(self, k: int, p: int, delta: int) -> "ModelElement":
+        """``with_delta``, with a link back to self in the image's
+        ``__dict__``: :func:`_stats` pops it and derives the image's record
+        from self's rank rows while self's record still holds them."""
+        y = self.with_delta(k, p, delta)
+        y.__dict__["_link"] = (self, k, p, delta)
+        return y
 
     def serialize(self) -> dict:
         return {
@@ -214,11 +237,13 @@ def window(rd: RootDatum, x: ModelElement, margin: int = 1) -> tuple[int, int]:
 
 def _rank_rows(rd: RootDatum, x: ModelElement) -> tuple[int, list[list[int]], Weight]:
     """(lo, rows, wt) with rows[k - 1][p - lo] = rank(k, p) over
-    ``window(rd, x)`` and wt the weight of x; the one place the rank formula
-    is evaluated, in one pass over the entries of w and v that also sums
-    wt.  Every write (slot p or p+1 of a support slot p) lands inside the
-    window; a negative index would wrap around silently.  Raises ValueError
-    on an entry of v at a vertex outside 1..n."""
+    ``window(rd, x)`` and wt the weight of x: the full rank pass, one pass
+    over the entries of w and v that also sums wt.  Each entry of v goes
+    through :func:`_add_entry`, which :func:`_derive` shares, so the rank
+    formula is written once.  Every write (slot p or p+1 of a support slot
+    p) lands inside the window; a negative index would wrap around
+    silently.  Raises ValueError on an entry of v at a vertex outside
+    1..n."""
     n, split = rd.n, rd.neighbor_split
     lo, hi = window(rd, x)
     rows = [[0] * (hi - lo + 1) for _ in range(n)]
@@ -234,15 +259,22 @@ def _rank_rows(rd: RootDatum, x: ModelElement) -> tuple[int, list[list[int]], We
         if not 0 < l <= n:
             raise ValueError(f"vertex index {l} out of range 1..{n}")
         root[l - 1] += c
-        i = p - lo
-        rows[l - 1][i] -= c
-        rows[l - 1][i + 1] -= c
-        below, above = split[l - 1]
-        for k, m in below:
-            rows[k - 1][i] += m * c
-        for k, m in above:
-            rows[k - 1][i + 1] += m * c
+        _add_entry(rows, split, l, p - lo, c)
     return lo, rows, Weight(lam, tuple(root))
+
+
+def _add_entry(rows: list, split: tuple, l: int, i: int, c: int) -> None:
+    """Add the terms of c units of v at vertex l and slot p to the rank
+    rows, i = p - lo: -c at (l, p) and (l, p+1), and m_kl * c at (k, p)
+    for each neighbour k < l, at (k, p+1) for each neighbour k > l."""
+    row = rows[l - 1]
+    row[i] -= c
+    row[i + 1] -= c
+    below, above = split[l - 1]
+    for k, m in below:
+        rows[k - 1][i] += m * c
+    for k, m in above:
+        rows[k - 1][i + 1] += m * c
 
 
 def rank_complex(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
@@ -254,29 +286,83 @@ def rank_complex(rd: RootDatum, x: ModelElement, k: int, p: int) -> int:
     return row[p - lo] if 0 <= p - lo < len(row) else 0
 
 
+def _row_stats(x: ModelElement, k: int, lo: int, row: tuple, total: int) -> tuple:
+    """(eps, phi, e_site, f_site) of vertex k from its rank row (index 0 is
+    slot lo) and <h_k, wt>.  phi_bar is the prefix sum of the row and
+    eps_bar = phi_bar - <h_k, wt>.  The site of an undefined operator is
+    None (see the module docstring).  Asserts the telescoping identity
+    sum_p rank(k, p) = <h_k, wt> and that neither statistic is
+    negative."""
+    pbar = list(accumulate(row))
+    if pbar[-1] != total:
+        raise AssertionError(f"telescoping identity failed at vertex {k} on {x.key()}")
+    phi = max(pbar)
+    eps = phi - total
+    if eps < 0 or phi < 0:
+        raise AssertionError(f"negative statistic at vertex {k} on {x.key()}")
+    e_site = lo + len(pbar) - 1 - pbar[::-1].index(phi) if eps else None  # largest attaining
+    f_site = lo + pbar.index(phi) if phi else None  # smallest attaining slot
+    return eps, phi, e_site, f_site
+
+
 def _stats(rd: RootDatum, x: ModelElement):
     """The record of :func:`~kmcrystals.crystal_core.stats_record` for a
-    model element, ``(rd, wt, eps, phi, e_slots, f_slots)``, from one rank
-    pass.  phi_bar is the prefix sum of a rank row, and
-    eps_bar = phi_bar - <h_k, wt>.  Also asserts the telescoping identity
-    sum_p rank(k, p) = <h_k, wt> on every element whose statistics are ever
-    computed."""
+    model element, ``(rd, wt, eps, phi, e_slots, f_slots, (lo, rows))``,
+    the last field its rank rows as tuples, kept until
+    :func:`~kmcrystals.crystal_core.trim_record` drops it.
+
+    An image of ``e``/``f`` carries a link to its source; it is popped
+    here, and while the source's record is for rd and still holds its rows
+    the record is derived from them (:func:`_derive`).  Any other element
+    (a seed, an element built directly, a source recorded against another
+    datum or with its rows dropped) takes the full pass of
+    :func:`_rank_rows`.  Either way every row computed goes through
+    :func:`_row_stats`."""
+    link = x.__dict__.pop("_link", None)
+    if link is not None:
+        rec = link[0].__dict__.get("_record")
+        if rec is not None and rec[0] is rd and len(rec) > 6:
+            return _derive(rd, x, rec, *link[1:])
     lo, rows, wt = _rank_rows(rd, x)
-    pairings = rd.pairing_vector(wt)
-    out = []
-    for k, row, total in zip(rd.vertices(), rows, pairings):
-        pbar = list(accumulate(row))
-        if pbar[-1] != total:
-            raise AssertionError(f"telescoping identity failed at vertex {k} on {x.key()}")
-        phi = max(pbar)
-        eps = phi - total
-        if eps < 0 or phi < 0:
-            raise AssertionError(f"negative statistic at vertex {k} on {x.key()}")
-        e_slot = lo + len(pbar) - 1 - pbar[::-1].index(phi)  # largest attaining slot
-        f_slot = lo + pbar.index(phi)  # smallest attaining slot
-        out.append((eps, phi, e_slot, f_slot))
+    rows = tuple(map(tuple, rows))
+    out = [_row_stats(x, k, lo, row, total)
+           for k, row, total in zip(rd.vertices(), rows, rd.pairing_vector(wt))]
     # the four columns; empty ones on a datum of rank 0
-    return (rd, wt, *(tuple(zip(*out)) or ((),) * 4))
+    return (rd, wt, *(tuple(zip(*out)) or ((),) * 4), (lo, rows))
+
+
+def _derive(rd: RootDatum, x: ModelElement, rec: tuple, k: int, p: int, c: int) -> tuple:
+    """The record of x, which is the source of ``rec`` with c units added
+    to v at (k, p).  Only the rows of k and its neighbours change: they get
+    that one entry's terms from :func:`_add_entry`, after the window is
+    widened where (k, p) sits at or past its edge, and only their
+    statistics are recomputed, each against the source's <h_l, wt> =
+    phi - eps moved by -C_lk * c.  Every other vertex shares its row, its
+    statistics and its sites with the source."""
+    _, wt, eps, phi, e_sites, f_sites, (lo, rows) = rec
+    if p <= lo:  # slot lo stays empty on every row, so phi_bar starts at 0
+        rows = tuple((0,) * (lo - p + 1) + row for row in rows)
+        lo = p - 1
+    split, cartan = rd.neighbor_split, rd.cartan
+    below, above = split[k - 1]
+    touched = [k, *[l for l, _ in below], *[l for l, _ in above]]
+    rows = list(rows)
+    width = p + 2 - lo
+    for l in touched:  # a row shorter than another is zero beyond its end
+        row = rows[l - 1] = list(rows[l - 1])
+        if len(row) < width:
+            row += [0] * (width - len(row))
+    _add_entry(rows, split, k, p - lo, c)
+    eps, phi, e_sites, f_sites = list(eps), list(phi), list(e_sites), list(f_sites)
+    for l in touched:
+        i = l - 1
+        row = rows[i] = tuple(rows[i])
+        total = phi[i] - eps[i] - cartan[i][k - 1] * c
+        eps[i], phi[i], e_sites[i], f_sites[i] = _row_stats(x, l, lo, row, total)
+    root = list(wt.root_part)
+    root[k - 1] += c
+    return (rd, Weight(wt.lambda_part, tuple(root)), tuple(eps), tuple(phi), tuple(e_sites),
+            tuple(f_sites), (lo, tuple(rows)))
 
 
 def embed_psi(rd: RootDatum, x: ModelElement, win: tuple[int, int]) -> TensorElement:

@@ -3,6 +3,8 @@ rank formula by hand (rank tables for one- and two-vertex data) and every
 operator fact is cross-checked against the capped tensor realization, which
 is the model's independent oracle."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,7 @@ from kmcrystals import (
     rank_complex,
     wprofile,
 )
+from kmcrystals import quiver_model
 from kmcrystals.quiver_model import window
 from kmcrystals.root_datum import Weight
 
@@ -289,7 +292,7 @@ def test_model_element_has_one_form():
         ModelElement(wp, (((1, 1), 0),))
 
 
-def test_record_is_per_datum():
+def test_record_is_per_datum(monkeypatch):
     # A2 and affineA1 have the same rank; an element queried against both
     # must never read one datum's numbers on the other
     wp = wprofile({0: (1, 1)})
@@ -308,6 +311,38 @@ def test_record_is_per_datum():
             assert x.f(rd, 1) == model_element(wp, f1)  # f_1 at this datum's slot
             assert x.e(rd, 2) == model_element(wp, e2)  # e_2 likewise
             assert y.phi_vector(rd) == ((0, 1) if rd is RD2 else (0, 2))
+    # an image derives its record from its source's rows only when the
+    # source is recorded against the datum asked about
+    passes = []
+    original = quiver_model._rank_rows
+
+    def counting(rd, x):
+        passes.append(x)
+        return original(rd, x)
+
+    monkeypatch.setattr(quiver_model, "_rank_rows", counting)
+    hw = model_highest_weight(RD2, (1, 0))
+    y = hw.f(RD2, 1)  # hw is recorded against A2
+    assert y.phi_vector(RDA) == (0, 2) and passes == [hw, y]
+    y = hw.f(RD2, 1)
+    assert hw.phi_vector(RDA) == (1, 0)  # hw recorded again, now against affineA1
+    del passes[:]
+    assert y.phi_vector(RDA) == (0, 2) and passes == []
+
+
+def test_derived_record_widens_the_window(monkeypatch):
+    # a step at or past either edge of the source's window widens it, so the
+    # derived record still equals a full pass; any single-entry step derives
+    x = model_element(wprofile({0: (1, 1)}), {(1, 1): 1})
+    x.weight(RD2)
+    lo, rows = x.__dict__["_record"][6]
+    hi = lo + len(rows[0]) - 1
+    steps = [x._step(k, p, +1) for k, p in itertools.product((1, 2), (lo - 1, lo, hi, hi + 1))]
+    full = [quiver_model._stats(RD2, ModelElement(y.wp, y.v))[:6] for y in steps]
+    monkeypatch.setattr(quiver_model, "_rank_rows", None)  # no full pass from here on
+    for y, record in zip(steps, full):
+        y.weight(RD2)
+        assert y.__dict__["_record"][:6] == record
 
 
 def test_zero_weight_crystal():
