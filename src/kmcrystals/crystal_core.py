@@ -132,10 +132,10 @@ class CrystalElement(ABC):
 def stats_record(x: CrystalElement, rd: RootDatum, build, k: int | None = None) -> tuple:
     """The statistics record of x against rd, ``(rd, wt, eps, phi, e_sites,
     f_sites)``, each of the last four a tuple indexed by vertex - 1, the
-    sites being where e_k and f_k act (a model element's is None where
-    the operator is undefined).  ``build(rd, x)`` returns it; it is kept
-    in ``x.__dict__`` and rebuilt when x is queried against another datum,
-    so it lives as long as the element.  A record may carry working data
+    sites being where e_k and f_k act (a model or elementary element's is
+    None where the operator is undefined).  ``build(rd, x)`` returns it;
+    it is kept in ``x.__dict__`` and rebuilt when x is queried against
+    another datum, so it lives as long as the element.  A record may carry working data
     after its six fields, which the builder reads to derive the records of
     x's operator images (a model record's rank rows) and
     :func:`trim_record` drops.  ValueError when k is given and is not a
@@ -159,12 +159,12 @@ def trim_record(x: CrystalElement) -> None:
 
 @dataclass(eq=False)
 class GraphNode:
-    """An explored element, its statistics and its edges.  For model and
-    tensor elements the statistics are the objects of the element's own
-    record (:func:`stats_record`), not copies.  Each edge is recorded in
-    both directions: ``x.down[k-1] is y`` exactly when ``y.up[k-1] is
-    x.element``.  ``up`` holds elements, not nodes, so a graph holds no
-    reference cycle.  Nodes compare and hash by identity."""
+    """An explored element, its statistics and its edges.  For the element
+    classes of this package the statistics are the objects of the
+    element's own record (:func:`stats_record`), not copies.  Each edge is
+    recorded in both directions: ``x.down[k-1] is y`` exactly when
+    ``y.up[k-1] is x.element``.  ``up`` holds elements, not nodes, so a
+    graph holds no reference cycle.  Nodes compare and hash by identity."""
 
     element: CrystalElement  # the instance keying this node
     weight: Weight

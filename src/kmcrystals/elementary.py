@@ -9,15 +9,18 @@ T_lambda is a single frozen element of weight lambda with all statistics
 with eps = phi = 0; the difference matters: in a tensor product S_0 caps
 operator strings while T_lambda is transparent to them.
 
-As for every element class, asking any of them about a vertex index outside
-1..n (or B_k's weight when k is not a vertex) raises ValueError.
+Each keeps the record of :func:`~kmcrystals.crystal_core.stats_record`,
+its sites 0 where an operator acts and None elsewhere.  As for every
+element class, asking about a vertex index outside 1..n raises ValueError,
+and so does asking B_k anything when k is not a vertex, or T_lambda for
+its weight or statistics when lambda is not of the datum's rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crystal_core import NEG_INF, CrystalElement
+from .crystal_core import NEG_INF, CrystalElement, stats_record
 from .root_datum import RootDatum, Weight
 
 
@@ -28,29 +31,39 @@ class BkElement(CrystalElement):
     n: int
 
     def weight(self, rd: RootDatum) -> Weight:
-        rd._check_vertex(self.k)
-        root = [0] * rd.n
-        root[self.k - 1] = -self.n  # wt = n*alpha_k, stored as subtracted roots
-        return Weight((0,) * rd.n, tuple(root))
+        return stats_record(self, rd, _bk_record)[1]
 
     def eps(self, rd: RootDatum, l: int):
-        rd._check_vertex(l)
-        return -self.n if l == self.k else NEG_INF
+        return stats_record(self, rd, _bk_record, l)[2][l - 1]
 
     def phi(self, rd: RootDatum, l: int):
-        rd._check_vertex(l)
-        return self.n if l == self.k else NEG_INF
+        return stats_record(self, rd, _bk_record, l)[3][l - 1]
+
+    def eps_vector(self, rd: RootDatum) -> tuple:
+        return stats_record(self, rd, _bk_record)[2]
+
+    def phi_vector(self, rd: RootDatum) -> tuple:
+        return stats_record(self, rd, _bk_record)[3]
 
     def e(self, rd: RootDatum, l: int):
-        rd._check_vertex(l)
-        return BkElement(self.k, self.n + 1) if l == self.k else None
+        site = stats_record(self, rd, _bk_record, l)[4][l - 1]
+        return None if site is None else BkElement(self.k, self.n + 1)
 
     def f(self, rd: RootDatum, l: int):
-        rd._check_vertex(l)
-        return BkElement(self.k, self.n - 1) if l == self.k else None
+        site = stats_record(self, rd, _bk_record, l)[5][l - 1]
+        return None if site is None else BkElement(self.k, self.n - 1)
 
     def serialize(self) -> dict:
         return {"Bk": {"k": self.k, "n": self.n}}
+
+
+def _bk_record(rd: RootDatum, x: BkElement) -> tuple:
+    rd._check_vertex(x.k)
+    i, n = x.k - 1, rd.n
+    root, eps, phi, sites = [0] * n, [NEG_INF] * n, [NEG_INF] * n, [None] * n
+    root[i], eps[i], phi[i], sites[i] = -x.n, -x.n, x.n, 0  # wt = n*alpha_k, subtracted roots
+    sites = tuple(sites)
+    return rd, Weight((0,) * n, tuple(root)), tuple(eps), tuple(phi), sites, sites
 
 
 @dataclass(frozen=True)
@@ -59,15 +72,19 @@ class TElement(CrystalElement):
     lam: Weight
 
     def weight(self, rd: RootDatum) -> Weight:
-        return self.lam
+        return stats_record(self, rd, _t_record)[1]
 
     def eps(self, rd: RootDatum, k: int):
-        rd._check_vertex(k)
-        return NEG_INF
+        return stats_record(self, rd, _t_record, k)[2][k - 1]
 
     def phi(self, rd: RootDatum, k: int):
-        rd._check_vertex(k)
-        return NEG_INF
+        return stats_record(self, rd, _t_record, k)[3][k - 1]
+
+    def eps_vector(self, rd: RootDatum) -> tuple:
+        return stats_record(self, rd, _t_record)[2]
+
+    def phi_vector(self, rd: RootDatum) -> tuple:
+        return stats_record(self, rd, _t_record)[3]
 
     def e(self, rd: RootDatum, k: int):
         rd._check_vertex(k)
@@ -81,20 +98,30 @@ class TElement(CrystalElement):
         return {"T": self.lam.serialize()}
 
 
+def _t_record(rd: RootDatum, x: TElement) -> tuple:
+    if len(x.lam.lambda_part) != rd.n:
+        raise ValueError(f"weight has rank {len(x.lam.lambda_part)}, root datum has rank {rd.n}")
+    return rd, x.lam, (NEG_INF,) * rd.n, (NEG_INF,) * rd.n, (None,) * rd.n, (None,) * rd.n
+
+
 @dataclass(frozen=True)
 class S0Element(CrystalElement):
     tag = "S0"
 
     def weight(self, rd: RootDatum) -> Weight:
-        return rd.zero_weight()
+        return stats_record(self, rd, _s0_record)[1]
 
     def eps(self, rd: RootDatum, k: int):
-        rd._check_vertex(k)
-        return 0
+        return stats_record(self, rd, _s0_record, k)[2][k - 1]
 
     def phi(self, rd: RootDatum, k: int):
-        rd._check_vertex(k)
-        return 0
+        return stats_record(self, rd, _s0_record, k)[3][k - 1]
+
+    def eps_vector(self, rd: RootDatum) -> tuple:
+        return stats_record(self, rd, _s0_record)[2]
+
+    def phi_vector(self, rd: RootDatum) -> tuple:
+        return stats_record(self, rd, _s0_record)[3]
 
     def e(self, rd: RootDatum, k: int):
         rd._check_vertex(k)
@@ -106,3 +133,7 @@ class S0Element(CrystalElement):
 
     def serialize(self) -> dict:
         return {"S0": {}}
+
+
+def _s0_record(rd: RootDatum, x: S0Element) -> tuple:
+    return rd, rd.zero_weight(), (0,) * rd.n, (0,) * rd.n, (None,) * rd.n, (None,) * rd.n

@@ -371,20 +371,23 @@ def embed_psi(rd: RootDatum, x: ModelElement, win: tuple[int, int]) -> TensorEle
     Factors, left to right: s_0, then for each slot p from win[1] down to
     win[0] the block t_{w^p} (x) b_1(-v_1^p) (x) ... (x) b_n(-v_n^p), then
     s_0.  The window must cover the supports of v and of the W-profile
-    with at least one empty slot on each side.
+    with at least one empty slot on each side.  The caps, every t_0 and
+    each vertex's b_k(0) are one instance each, which builds its record once.
     """
     lo, hi = win
     support = sorted({p for (_, p), _ in x.v} | set(x.wp.support()))
     for p in support:
         if not lo < p < hi:
             raise ValueError(f"window [{lo},{hi}] does not cover slot {p} with margin 1")
-    v, w = dict(x.v), dict(x.wp.slots)
-    factors: list[CrystalElement] = [S0Element()]
+    cap, t_zero = S0Element(), TElement(rd.zero_weight())
+    b_zero = [BkElement(k, 0) for k in rd.vertices()]
+    w = {p: TElement(Weight(vec, (0,) * rd.n)) for p, vec in x.wp.slots}
+    v = {kp: BkElement(kp[0], -c) for kp, c in x.v}
+    factors: list[CrystalElement] = [cap]
     for p in range(hi, lo - 1, -1):
-        factors.append(TElement(Weight(w.get(p, (0,) * rd.n), (0,) * rd.n)))
-        for k in rd.vertices():
-            factors.append(BkElement(k, -v.get((k, p), 0)))
-    factors.append(S0Element())
+        factors.append(w.get(p, t_zero))
+        factors += [v.get((k, p), b) for k, b in enumerate(b_zero, 1)]
+    factors.append(cap)
     return TensorElement(tuple(factors))
 
 

@@ -98,12 +98,16 @@ class TensorElement(CrystalElement):
 
 def _profiles(rd: RootDatum, x: TensorElement):
     """(wt, eps profiles, phi profiles) of x, profile k - 1 for vertex k, from
-    one read of each factor's weight, eps_vector and phi_vector."""
+    one read of each factor's weight, eps_vector and phi_vector, and one
+    pairing per distinct weight object: :func:`~kmcrystals.quiver_model.embed_psi`
+    places a few factor instances at most positions."""
     weights = [b.weight(rd) for b in x.factors]
     wt = Weight(tuple(map(sum, zip(*(w.lambda_part for w in weights)))),
                 tuple(map(sum, zip(*(w.root_part for w in weights)))))
+    pairings = {id(w): w for w in weights}  # by identity: hashing a Weight costs more
+    pairings = {i: rd.pairing_vector(w) for i, w in pairings.items()}
     eps_rows, phi_rows = [], []
-    for pairs, eps, phi in zip(zip(*map(rd.pairing_vector, weights)),
+    for pairs, eps, phi in zip(zip(*[pairings[id(w)] for w in weights]),
                                zip(*(b.eps_vector(rd) for b in x.factors)),
                                zip(*(b.phi_vector(rd) for b in x.factors))):
         left = list(accumulate(pairs, initial=0))  # left[p] = sum_{q<p} wt_k(b_q)

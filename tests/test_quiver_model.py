@@ -140,6 +140,37 @@ def test_embed_psi_expansion():
     assert emb.factors == expected
 
 
+def _fresh_embedding(rd, x, win):
+    """embed_psi as it reads in its docstring, a new instance per factor."""
+    lo, hi = win
+    v, w = dict(x.v), dict(x.wp.slots)
+    factors = [S0Element()]
+    for p in range(hi, lo - 1, -1):
+        factors.append(TElement(Weight(w.get(p, (0,) * rd.n), (0,) * rd.n)))
+        factors += [BkElement(k, -v.get((k, p), 0)) for k in rd.vertices()]
+    factors.append(S0Element())
+    return TensorElement(tuple(factors))
+
+
+@pytest.mark.parametrize("name, lam", [("A3", (1, 1, 1)), ("affineA1", (1, 1))])
+def test_embed_psi_shares_equal_factors(name, lam):
+    # sharing instances changes no value: the embedding equals, hashes and
+    # keys like one with a fresh instance per factor, and so do its
+    # statistics and operator images; only v's entries and the W slots get
+    # factors of their own, besides the caps, t_0 and each b_k(0)
+    rd = build_root_datum(name)
+    for x in generate_highest_weight_crystal(rd, lam, depth=8).nodes:
+        win = window(rd, x, margin=2)
+        emb, ref = embed_psi(rd, x, win), _fresh_embedding(rd, x, win)
+        assert emb == ref and hash(emb) == hash(ref) and emb.key() == ref.key()
+        assert (emb.weight(rd), emb.eps_vector(rd), emb.phi_vector(rd)) == (
+            ref.weight(rd), ref.eps_vector(rd), ref.phi_vector(rd))
+        for k in rd.vertices():
+            assert emb.e(rd, k) == ref.e(rd, k) and emb.f(rd, k) == ref.f(rd, k)
+        distinct = len({id(b) for b in emb.factors})
+        assert distinct <= len(x.v) + len(x.wp.slots) + rd.n + 2
+
+
 def test_embed_psi_window_too_small():
     x = model_element(wprofile({0: (1,)}), {(1, 1): 1})
     with pytest.raises(ValueError, match="slot 1"):
@@ -208,6 +239,32 @@ def test_embedding_is_strict_morphism_of_graphs():
     mapping = {x: embed_psi(RD1, x, win) for x in g_model.nodes}
     report = check_strict_morphism(g_model, g_tensor, mapping)
     assert report.ok() and report.checked == 3
+
+
+def test_embedding_sees_a_wrong_f_tie_break(monkeypatch):
+    # f_k adding its unit at the LARGEST slot attaining the maximum is the
+    # plausible wrong choice; the capped tensor, whose factors are shared,
+    # must still tell it from the model's smallest slot.  The nodes come
+    # from the correct model (generating with the wrong one stops on a
+    # RuntimeError), and each is checked as a fresh copy, which builds its
+    # record with whichever tie-break is in force
+    nodes = {rd: list(generate_highest_weight_crystal(rd, lam, depth=6).nodes)
+             for rd, lam in ((RD2, (2, 1)), (RDA, (1, 0)))}
+    for rd, xs in nodes.items():
+        assert all(embedding_mismatches(rd, ModelElement(x.wp, x.v)) == [] for x in xs)
+    original = quiver_model._row_stats
+
+    def largest_f_site(x, k, lo, row, total):
+        eps, phi, e_site, f_site = original(x, k, lo, row, total)
+        if f_site is not None:
+            pbar = list(itertools.accumulate(row))
+            f_site = lo + len(pbar) - 1 - pbar[::-1].index(phi)
+        return eps, phi, e_site, f_site
+
+    monkeypatch.setattr(quiver_model, "_row_stats", largest_f_site)
+    for rd, xs in nodes.items():
+        found = [m for x in xs for m in embedding_mismatches(rd, ModelElement(x.wp, x.v))]
+        assert found and all(m.startswith("f_") for m in found), rd
 
 
 def test_affine_strictness_at_depth():
