@@ -97,24 +97,37 @@ class CrystalElement(ABC):
     and violation messages.  The default ``key`` encodes ``serialize()``;
     the classes keyed in bulk (model and tensor elements) write the same
     text directly, and a test pins that the bytes agree.
+
+    The readers and the operators are written once, here, on the record of
+    :func:`stats_record`.  An element class plugs in with two methods:
+
+    * ``_build(rd)`` returns x's record against rd.  Every element class,
+      including one written for a test, must supply it.
+    * ``_move(rd, k, site, delta)`` returns the image of e_k (delta -1) or
+      f_k (delta +1) acting at ``site``, or None.  Only a class whose
+      elements have an operator that acts needs it.
+
+    ``e``/``f`` rest on one site rule: a site is None where the operator
+    cannot act, and then ``e``/``f`` return None without calling
+    ``_move``.  For a model or elementary element that is exactly where
+    the operator returns None; for a tensor element, exactly where eps_k
+    (for e_k) or phi_k (for f_k) is -inf, and its ``_move`` still returns
+    None when the factor at the site does.
     """
 
     tag: ClassVar[str]  # the single key of ``serialize()``, constant per class
 
-    @abstractmethod
-    def weight(self, rd: RootDatum) -> Weight: ...
+    def __init_subclass__(cls, **kwargs):
+        # bench/tracer.py counts each class's calls of these names in that
+        # class's layer by wrapping them in the class's own __dict__, so
+        # every subclass gets an entry of its own: the function it inherits
+        super().__init_subclass__(**kwargs)
+        for name in ("weight", "eps", "phi", "e", "f"):
+            if name not in cls.__dict__:
+                setattr(cls, name, getattr(cls, name))
 
     @abstractmethod
-    def eps(self, rd: RootDatum, k: int): ...
-
-    @abstractmethod
-    def phi(self, rd: RootDatum, k: int): ...
-
-    @abstractmethod
-    def e(self, rd: RootDatum, k: int): ...
-
-    @abstractmethod
-    def f(self, rd: RootDatum, k: int): ...
+    def _build(self, rd: RootDatum) -> tuple: ...
 
     @abstractmethod
     def serialize(self) -> dict: ...
@@ -122,27 +135,45 @@ class CrystalElement(ABC):
     def key(self) -> str:
         return _KEY_ENCODER.encode(self.serialize())
 
+    def weight(self, rd: RootDatum) -> Weight:
+        return stats_record(self, rd)[1]
+
+    def eps(self, rd: RootDatum, k: int):
+        return stats_record(self, rd, k)[2][k - 1]
+
+    def phi(self, rd: RootDatum, k: int):
+        return stats_record(self, rd, k)[3][k - 1]
+
     def eps_vector(self, rd: RootDatum) -> tuple:
-        return tuple(self.eps(rd, k) for k in rd.vertices())
+        return stats_record(self, rd)[2]
 
     def phi_vector(self, rd: RootDatum) -> tuple:
-        return tuple(self.phi(rd, k) for k in rd.vertices())
+        return stats_record(self, rd)[3]
+
+    def e(self, rd: RootDatum, k: int):
+        site = stats_record(self, rd, k)[4][k - 1]
+        return None if site is None else self._move(rd, k, site, -1)
+
+    def f(self, rd: RootDatum, k: int):
+        site = stats_record(self, rd, k)[5][k - 1]
+        return None if site is None else self._move(rd, k, site, +1)
 
 
-def stats_record(x: CrystalElement, rd: RootDatum, build, k: int | None = None) -> tuple:
+def stats_record(x: CrystalElement, rd: RootDatum, k: int | None = None) -> tuple:
     """The statistics record of x against rd, ``(rd, wt, eps, phi, e_sites,
     f_sites)``, each of the last four a tuple indexed by vertex - 1, the
-    sites being where e_k and f_k act (a model or elementary element's is
-    None where the operator is undefined).  ``build(rd, x)`` returns it;
-    it is kept in ``x.__dict__`` and rebuilt when x is queried against
-    another datum, so it lives as long as the element.  A record may carry working data
-    after its six fields, which the builder reads to derive the records of
-    x's operator images (a model record's rank rows) and
-    :func:`trim_record` drops.  ValueError when k is given and is not a
-    vertex."""
+    sites being where e_k and f_k act: a slot for a model element, a
+    factor position for a tensor element, 0 for an elementary one, and
+    None wherever the operator is undefined (see :class:`CrystalElement`).
+    ``x._build(rd)`` returns it; it is kept in ``x.__dict__`` and rebuilt
+    when x is queried against another datum, so it lives as long as the
+    element.  A record may carry working data after its six fields, which
+    the builder reads to derive the records of x's operator images (a
+    model record's rank rows) and :func:`trim_record` drops.  ValueError
+    when k is given and is not a vertex."""
     rec = x.__dict__.get("_record")
     if rec is None or rec[0] is not rd:
-        rec = x.__dict__["_record"] = build(rd, x)
+        rec = x.__dict__["_record"] = x._build(rd)
     if k is not None and not 0 < k <= len(rec[2]):
         raise ValueError(f"vertex index {k} out of range 1..{rd.n}")
     return rec

@@ -57,7 +57,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .crystal_core import CrystalElement, stats_record
+from .crystal_core import CrystalElement
 from .elementary import BkElement, S0Element, TElement
 from .root_datum import RootDatum, Weight
 from .tensor import TensorElement
@@ -160,30 +160,10 @@ class ModelElement(CrystalElement):
         tail = v[i + 1 :] if old else v[i:]
         return ModelElement(self.wp, v[:i] + entry + tail)
 
-    def weight(self, rd: RootDatum) -> Weight:
-        return stats_record(self, rd, _stats)[1]
+    def _build(self, rd: RootDatum) -> tuple:
+        return _stats(rd, self)
 
-    def eps_vector(self, rd: RootDatum) -> tuple:
-        return stats_record(self, rd, _stats)[2]
-
-    def phi_vector(self, rd: RootDatum) -> tuple:
-        return stats_record(self, rd, _stats)[3]
-
-    def eps(self, rd: RootDatum, k: int) -> int:
-        return stats_record(self, rd, _stats, k)[2][k - 1]
-
-    def phi(self, rd: RootDatum, k: int) -> int:
-        return stats_record(self, rd, _stats, k)[3][k - 1]
-
-    def e(self, rd: RootDatum, k: int):
-        rec = stats_record(self, rd, _stats, k)
-        return None if rec[2][k - 1] == 0 else self._step(k, rec[4][k - 1], -1)
-
-    def f(self, rd: RootDatum, k: int):
-        rec = stats_record(self, rd, _stats, k)
-        return None if rec[3][k - 1] == 0 else self._step(k, rec[5][k - 1], +1)
-
-    def _step(self, k: int, p: int, delta: int) -> "ModelElement":
+    def _move(self, rd: RootDatum, k: int, p: int, delta: int) -> "ModelElement":
         """``with_delta``, with a link back to self in the image's
         ``__dict__``: :func:`_stats` pops it and derives the image's record
         from self's rank rows while self's record still holds them."""

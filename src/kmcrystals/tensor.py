@@ -9,10 +9,15 @@ where wt_k is the coroot pairing of a factor's weight.  The tensor
 statistics are the maxima of the profiles; e_k acts on the factor at the
 smallest position attaining the eps-maximum, f_k at the largest position
 attaining the phi-maximum.  Any factor-level operator returning None
-collapses the whole result to None.  An element keeps the record model
-elements keep, ``(rd, wt, eps, phi, e_sites, f_sites)`` (see
-:func:`~kmcrystals.crystal_core.stats_record`), its sites factor positions;
-profiles are only recomputed on demand.
+collapses the whole result to None.  An element keeps the record every
+element keeps, ``(rd, wt, eps, phi, e_sites, f_sites)`` (see
+:func:`~kmcrystals.crystal_core.stats_record`), its sites factor
+positions, and None exactly where eps_k (for e_k) or phi_k (for f_k) is
+-inf; profiles are only recomputed on demand.  :class:`TensorElement`
+supplies the ``_build`` and ``_move`` of
+:class:`~kmcrystals.crystal_core.CrystalElement`, which reads the record
+and applies the operators: ``_move`` applies the operator to the factor
+at the site, and returns None when that factor does.
 
 One convention only: f_k prefers the LEFT factor on strict inequality
 phi_k(b_1) > eps_k(b_2), exactly as the two-factor case is stated.  Other
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import getitem, sub
 
-from .crystal_core import CrystalElement, ext_max, is_neg_inf, stats_record
+from .crystal_core import CrystalElement, ext_max, is_neg_inf
 from .root_datum import RootDatum, Weight
 
 
@@ -50,9 +55,6 @@ class TensorElement(CrystalElement):
             h = self.__dict__["_hash"] = hash(self.factors)
         return h
 
-    def weight(self, rd: RootDatum) -> Weight:
-        return stats_record(self, rd, _stats)[1]
-
     def eps_profile(self, rd: RootDatum, k: int) -> list:
         rd._check_vertex(k)
         return list(_profiles(rd, self)[1][k - 1])
@@ -61,28 +63,11 @@ class TensorElement(CrystalElement):
         rd._check_vertex(k)
         return list(_profiles(rd, self)[2][k - 1])
 
-    def eps(self, rd: RootDatum, k: int):
-        return stats_record(self, rd, _stats, k)[2][k - 1]
+    def _build(self, rd: RootDatum) -> tuple:
+        return _stats(rd, self)
 
-    def phi(self, rd: RootDatum, k: int):
-        return stats_record(self, rd, _stats, k)[3][k - 1]
-
-    def eps_vector(self, rd: RootDatum) -> tuple:
-        return stats_record(self, rd, _stats)[2]
-
-    def phi_vector(self, rd: RootDatum) -> tuple:
-        return stats_record(self, rd, _stats)[3]
-
-    def e(self, rd: RootDatum, k: int):
-        _, _, eps, _, e_sites, _ = stats_record(self, rd, _stats, k)
-        return None if is_neg_inf(eps[k - 1]) else self._apply_at(rd, k, e_sites[k - 1], "e")
-
-    def f(self, rd: RootDatum, k: int):
-        _, _, _, phi, _, f_sites = stats_record(self, rd, _stats, k)
-        return None if is_neg_inf(phi[k - 1]) else self._apply_at(rd, k, f_sites[k - 1], "f")
-
-    def _apply_at(self, rd, k, p, op):
-        moved = getattr(self.factors[p], op)(rd, k)
+    def _move(self, rd: RootDatum, k: int, p: int, delta: int):
+        moved = self.factors[p].e(rd, k) if delta < 0 else self.factors[p].f(rd, k)
         if moved is None:
             return None
         return TensorElement(self.factors[:p] + (moved,) + self.factors[p + 1 :])
@@ -119,13 +104,19 @@ def _profiles(rd: RootDatum, x: TensorElement):
 def _stats(rd: RootDatum, x: TensorElement):
     """The record of :func:`~kmcrystals.crystal_core.stats_record` for a
     tensor element, ``(rd, wt, eps, phi, e_sites, f_sites)``, its sites
-    factor positions.  ``max`` keeps the first maximum it meets: scanning
-    forward gives the smallest site, backward the largest."""
+    factor positions, None where the statistic is -inf.  ``max`` keeps the
+    first maximum it meets: scanning forward gives the smallest site,
+    backward the largest."""
     wt, eps_rows, phi_rows = _profiles(rd, x)
-    e_sites = tuple(max(range(len(eps)), key=eps.__getitem__) for eps in eps_rows)
-    f_sites = tuple(max(reversed(range(len(phi))), key=phi.__getitem__) for phi in phi_rows)
-    return (rd, wt, tuple(map(getitem, eps_rows, e_sites)),
-            tuple(map(getitem, phi_rows, f_sites)), e_sites, f_sites)
+    e_sites = [max(range(len(eps)), key=eps.__getitem__) for eps in eps_rows]
+    f_sites = [max(reversed(range(len(phi))), key=phi.__getitem__) for phi in phi_rows]
+    eps, phi = tuple(map(getitem, eps_rows, e_sites)), tuple(map(getitem, phi_rows, f_sites))
+    return (rd, wt, eps, phi, _defined(e_sites, eps), _defined(f_sites, phi))
+
+
+def _defined(sites: list, stats: tuple) -> tuple:
+    """The sites, each None where its statistic is -inf."""
+    return tuple(None if is_neg_inf(c) else p for p, c in zip(sites, stats))
 
 
 def flatten(x: CrystalElement) -> tuple[CrystalElement, ...]:

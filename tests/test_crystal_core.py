@@ -328,14 +328,9 @@ class BrokenString(CrystalElement):
     i: int
     middle_e: int | None
 
-    def weight(self, rd):
-        return Weight((2,), (self.i,))
-
-    def eps(self, rd, k):
-        return self.i
-
-    def phi(self, rd, k):
-        return 2 - self.i
+    def _build(self, rd):
+        # weight, eps and phi; the sites are unread, since e and f are its own
+        return rd, Weight((2,), (self.i,)), (self.i,), (2 - self.i,), (0,), (0,)
 
     def e(self, rd, k):
         up = self.middle_e if self.i == 1 else self.i - 1

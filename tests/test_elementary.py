@@ -67,10 +67,11 @@ def test_keys_injective():
 
 
 def test_t_element_of_the_wrong_rank():
-    # a rank-1 weight is no weight of A2: every read says so, naming both
-    # ranks, as a tensor containing it does
+    # a rank-1 weight is no weight of A2: every read and every operator says
+    # so, naming both ranks, as a tensor containing it does
     t = TElement(Weight((1,), (0,)))
-    for read in (lambda: t.weight(RD), lambda: t.eps_vector(RD), lambda: t.phi(RD, 1)):
+    for read in (lambda: t.weight(RD), lambda: t.eps_vector(RD), lambda: t.phi(RD, 1),
+                 lambda: t.e(RD, 1), lambda: t.f(RD, 1)):
         with pytest.raises(ValueError, match="weight has rank 1, root datum has rank 2"):
             read()
     assert t.weight(RD1) == Weight((1,), (0,))

@@ -20,6 +20,7 @@ from kmcrystals import (
     closed_family_instance,
     decompose,
     decompose_tensor,
+    embed_psi,
     embedding_mismatches,
     finite_type_check,
     freudenthal_multiplicities,
@@ -35,6 +36,8 @@ from kmcrystals import (
     weyl_dim,
 )
 from kmcrystals import explorer, quiver_model
+from kmcrystals.crystal_core import stats_record
+from kmcrystals.quiver_model import window
 from kmcrystals.root_datum import Weight
 from kmcrystals.tensor import TensorElement
 
@@ -666,7 +669,9 @@ def test_tensor_factor_records_equal_the_full_pass():
 def test_random_diagram_records_and_checks(data):
     # random loop-free symmetric diagrams of rank <= 5 with edges <= 3, at a
     # bounded depth since most of them are infinite: derived records equal
-    # the full pass, and the checkers and the embedding find nothing
+    # the full pass, the checkers and the embedding find nothing, and on
+    # each model element and each elementary factor of its embedding a site
+    # is None exactly where the operator returns None
     rd = build_root_datum(data.draw(adjacency_matrices(max_n=5, max_entry=3)))
     lam = data.draw(st.tuples(*[st.integers(0, 2)] * rd.n))
     g = generate_highest_weight_crystal(rd, lam, depth=data.draw(st.integers(1, 4)))
@@ -675,6 +680,11 @@ def test_random_diagram_records_and_checks(data):
     assert check_axioms(g).ok() and check_normal(g).ok()
     for x in g.nodes:
         assert embedding_mismatches(rd, x) == []
+        for b in {x, *embed_psi(rd, x, window(rd, x, margin=2)).factors}:
+            e_sites, f_sites = stats_record(b, rd)[4:6]
+            for k in rd.vertices():
+                assert (e_sites[k - 1] is None) == (b.e(rd, k) is None)
+                assert (f_sites[k - 1] is None) == (b.f(rd, k) is None)
 
 
 @pytest.mark.parametrize("rd, lam", [(RD3, (1, 1, 1)), (RD4, (1, 1, 1, 1))], ids=["A3", "D4"])

@@ -3,7 +3,11 @@
 The benchmark's tracer (``bench/tracer.py``) wraps attributes by name on
 their defining class or module; every one of them must exist there, or each
 traced benchmark run breaks.  Checking the names here makes a removal fail
-in the test suite instead.
+in the test suite instead.  The element classes inherit ``weight``,
+``eps``, ``phi``, ``e`` and ``f`` from ``CrystalElement``; the traced ones
+reach each class's own namespace through the base class's
+``__init_subclass__`` hook, which can be deleted once the tracer wraps the
+resolved method on each class (ROADMAP item 1(b)).
 """
 
 import importlib.util

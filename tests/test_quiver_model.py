@@ -394,7 +394,8 @@ def test_derived_record_widens_the_window(monkeypatch):
     x.weight(RD2)
     lo, rows = x.__dict__["_record"][6]
     hi = lo + len(rows[0]) - 1
-    steps = [x._step(k, p, +1) for k, p in itertools.product((1, 2), (lo - 1, lo, hi, hi + 1))]
+    steps = [x._move(RD2, k, p, +1)
+             for k, p in itertools.product((1, 2), (lo - 1, lo, hi, hi + 1))]
     full = [quiver_model._stats(RD2, ModelElement(y.wp, y.v))[:6] for y in steps]
     monkeypatch.setattr(quiver_model, "_rank_rows", None)  # no full pass from here on
     for y, record in zip(steps, full):

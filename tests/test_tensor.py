@@ -20,6 +20,7 @@ from kmcrystals import (
     model_highest_weight,
     tensor_product_graph,
 )
+from kmcrystals.crystal_core import is_neg_inf, stats_record
 from kmcrystals.tensor import binary_e, binary_eps, binary_f, binary_phi
 
 RD1 = build_root_datum("A1")
@@ -105,11 +106,22 @@ def test_binary_rule_matches_nfold_on_200_random_elements():
     rng = random.Random(0)
     start = TensorElement((model_highest_weight(RD2, (1, 0)), model_highest_weight(RD2, (0, 1))))
     for x in _walk_elements(RD2, start, 200, rng):
-        for k in RD2.vertices():
-            assert binary_eps(RD2, x, k) == x.eps(RD2, k)
-            assert binary_phi(RD2, x, k) == x.phi(RD2, k)
-            assert binary_e(RD2, x, k) == x.e(RD2, k)
-            assert binary_f(RD2, x, k) == x.f(RD2, k)
+        # and for each a t_wt (x) b_l(n), whose statistics are -inf at the other vertex
+        pad = TensorElement((TElement(x.weight(RD2)),
+                             BkElement(rng.choice((1, 2)), rng.randint(-2, 2))))
+        for y in (x, pad):
+            _, _, eps, phi, e_sites, f_sites = stats_record(y, RD2)
+            for k in RD2.vertices():
+                assert binary_eps(RD2, y, k) == y.eps(RD2, k)
+                assert binary_phi(RD2, y, k) == y.phi(RD2, k)
+                assert binary_e(RD2, y, k) == y.e(RD2, k)
+                assert binary_f(RD2, y, k) == y.f(RD2, k)
+                # the site rule: None exactly where the statistic is -inf,
+                # and a None site gives None
+                assert (e_sites[k - 1] is None) == is_neg_inf(eps[k - 1])
+                assert (f_sites[k - 1] is None) == is_neg_inf(phi[k - 1])
+                assert e_sites[k - 1] is not None or y.e(RD2, k) is None
+                assert f_sites[k - 1] is not None or y.f(RD2, k) is None
 
 
 def _assert_bracketings_agree(rd, flat):
