@@ -188,7 +188,7 @@ def trim_record(x: CrystalElement) -> None:
         x.__dict__["_record"] = rec[:6]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True, weakref_slot=True)
 class GraphNode:
     """An explored element, its statistics and its edges.  For the element
     classes of this package the statistics are the objects of the
@@ -386,8 +386,8 @@ def check_strict_morphism(
     g2: CrystalGraph,
     mapping: dict[CrystalElement, CrystalElement],
 ) -> CheckReport:
-    """Verify that ``mapping`` (nodes of g1 -> nodes of g2) is an injective
-    strict morphism.
+    """Verify that ``mapping`` (elements of g1 -> elements of g2, the
+    instances keying their nodes) is an injective strict morphism.
 
     Checks injectivity, wt/eps/phi preservation on every mapped node and
     unconditional commutation with every e_k and f_k, treating None as None.

@@ -148,6 +148,9 @@ class ModelElement(CrystalElement):
         return h
 
     def with_delta(self, k: int, p: int, delta: int) -> "ModelElement":
+        """self with ``delta`` added to v at (k, p), spliced into self's
+        valid ``v`` (a count reaching 0 is dropped), so it keeps the form by
+        construction and is not re-validated.  RuntimeError below 0."""
         v = self.v
         i = bisect_left(v, ((k, p),))  # first entry at or after (k, p)
         old = v[i][1] if i < len(v) and v[i][0] == (k, p) else 0
@@ -158,7 +161,10 @@ class ModelElement(CrystalElement):
             )
         entry = (((k, p), new),) if new else ()
         tail = v[i + 1 :] if old else v[i:]
-        return ModelElement(self.wp, v[:i] + entry + tail)
+        y = object.__new__(ModelElement)  # skips __init__ and __post_init__
+        fields = y.__dict__
+        fields["wp"], fields["v"] = self.wp, v[:i] + entry + tail
+        return y
 
     def _build(self, rd: RootDatum) -> tuple:
         return _stats(rd, self)
@@ -351,23 +357,36 @@ def embed_psi(rd: RootDatum, x: ModelElement, win: tuple[int, int]) -> TensorEle
     Factors, left to right: s_0, then for each slot p from win[1] down to
     win[0] the block t_{w^p} (x) b_1(-v_1^p) (x) ... (x) b_n(-v_n^p), then
     s_0.  The window must cover the supports of v and of the W-profile
-    with at least one empty slot on each side.  The caps, every t_0 and
-    each vertex's b_k(0) are one instance each, which builds its record once.
+    with at least one empty slot on each side.
+
+    Every factor is one of the parts kept on x's profile, tagged with rd
+    and rebuilt when the profile is embedded against another datum: the
+    caps, the block t_0 (x) b_1(0) (x) ... (x) b_n(0) of a slot where w and
+    v vanish, each W slot's t_{w^p}, and one b_k(-c) per vertex k and
+    count c met.  So each part builds its record once, and the embeddings
+    of x and of its operator images share every factor instance but the
+    one whose entry differs.
     """
     lo, hi = win
     support = sorted({p for (_, p), _ in x.v} | set(x.wp.support()))
     for p in support:
         if not lo < p < hi:
             raise ValueError(f"window [{lo},{hi}] does not cover slot {p} with margin 1")
-    cap, t_zero = S0Element(), TElement(rd.zero_weight())
-    b_zero = [BkElement(k, 0) for k in rd.vertices()]
-    w = {p: TElement(Weight(vec, (0,) * rd.n)) for p, vec in x.wp.slots}
-    v = {kp: BkElement(kp[0], -c) for kp, c in x.v}
-    factors: list[CrystalElement] = [cap]
-    for p in range(hi, lo - 1, -1):
-        factors.append(w.get(p, t_zero))
-        factors += [v.get((k, p), b) for k, b in enumerate(b_zero, 1)]
-    factors.append(cap)
+    parts = x.wp.__dict__.get("_parts")
+    if parts is None or parts[0] is not rd:
+        empty = (TElement(rd.zero_weight()), *[BkElement(k, 0) for k in rd.vertices()])
+        w = {p: TElement(Weight(vec, (0,) * rd.n)) for p, vec in x.wp.slots}
+        parts = x.wp.__dict__["_parts"] = (rd, S0Element(), empty, w, {})
+    _, cap, empty, w, b = parts
+    width = rd.n + 1  # one block: t_{w^p}, then b_1 ... b_n
+    factors = [cap, *empty * (hi - lo + 1), cap]  # every slot empty
+    for p, t in w.items():
+        factors[1 + (hi - p) * width] = t
+    for (k, p), c in x.v:
+        if not 0 < k <= rd.n:
+            raise ValueError(f"vertex index {k} out of range 1..{rd.n}")
+        b_kc = b.get((k, c)) or b.setdefault((k, c), BkElement(k, -c))
+        factors[1 + (hi - p) * width + k] = b_kc
     return TensorElement(tuple(factors))
 
 

@@ -83,18 +83,20 @@ class TensorElement(CrystalElement):
 
 def _profiles(rd: RootDatum, x: TensorElement):
     """(wt, eps profiles, phi profiles) of x, profile k - 1 for vertex k, from
-    one read of each factor's weight, eps_vector and phi_vector, and one
-    pairing per distinct weight object: :func:`~kmcrystals.quiver_model.embed_psi`
-    places a few factor instances at most positions."""
-    weights = [b.weight(rd) for b in x.factors]
+    one read of each distinct factor instance (its weight, the weight's
+    pairing vector, eps_vector and phi_vector), by identity, since hashing
+    a factor costs more: :func:`~kmcrystals.quiver_model.embed_psi` places
+    a few factor instances at most positions."""
+    reads = {}
+    for b in x.factors:
+        if id(b) not in reads:
+            w = b.weight(rd)
+            reads[id(b)] = w, rd.pairing_vector(w), b.eps_vector(rd), b.phi_vector(rd)
+    weights, pairings, eps_cols, phi_cols = zip(*[reads[id(b)] for b in x.factors])
     wt = Weight(tuple(map(sum, zip(*(w.lambda_part for w in weights)))),
                 tuple(map(sum, zip(*(w.root_part for w in weights)))))
-    pairings = {id(w): w for w in weights}  # by identity: hashing a Weight costs more
-    pairings = {i: rd.pairing_vector(w) for i, w in pairings.items()}
     eps_rows, phi_rows = [], []
-    for pairs, eps, phi in zip(zip(*[pairings[id(w)] for w in weights]),
-                               zip(*(b.eps_vector(rd) for b in x.factors)),
-                               zip(*(b.phi_vector(rd) for b in x.factors))):
+    for pairs, eps, phi in zip(zip(*pairings), zip(*eps_cols), zip(*phi_cols)):
         left = list(accumulate(pairs, initial=0))  # left[p] = sum_{q<p} wt_k(b_q)
         eps_rows.append(tuple(map(sub, eps, left)))
         phi_rows.append(tuple(c + left[-1] - s for c, s in zip(phi, left[1:])))  # + sum_{q>p}

@@ -4,6 +4,7 @@ operator fact is cross-checked against the capped tensor realization, which
 is the model's independent oracle."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +170,34 @@ def test_embed_psi_shares_equal_factors(name, lam):
             assert emb.e(rd, k) == ref.e(rd, k) and emb.f(rd, k) == ref.f(rd, k)
         distinct = len({id(b) for b in emb.factors})
         assert distinct <= len(x.v) + len(x.wp.slots) + rd.n + 2
+        # the embedding of a model image over x's window is the same value,
+        # and shares every factor instance with x's but the changed entry's
+        images = [op(rd, k) for k in rd.vertices() for op in (x.e, x.f)]
+        for y in filter(None, images):
+            emb_y, ref_y = embed_psi(rd, y, win), _fresh_embedding(rd, y, win)
+            assert emb_y == ref_y and hash(emb_y) == hash(ref_y) and emb_y.key() == ref_y.key()
+            assert (emb_y.weight(rd), emb_y.eps_vector(rd), emb_y.phi_vector(rd)) == (
+                ref_y.weight(rd), ref_y.eps_vector(rd), ref_y.phi_vector(rd))
+            changed = [i for i, (a, b) in enumerate(zip(emb.factors, emb_y.factors)) if a is not b]
+            assert len(changed) == 1 and emb.factors[changed[0]] != emb_y.factors[changed[0]]
+
+
+def test_embedding_parts_are_per_datum():
+    # A2 and affineA1 have the same rank; a profile embedded against both
+    # gets parts of its own for each, so no factor's record is read on the
+    # other datum
+    x = model_element(wprofile({0: (1, 1)}), {(1, 1): 1, (2, 1): 1, (2, 2): 1})
+    win = window(RD2, x, margin=2)
+    embs = {rd: embed_psi(rd, x, win) for rd in (RD2, RDA)}
+    assert {id(b) for b in embs[RD2].factors}.isdisjoint({id(b) for b in embs[RDA].factors})
+    for rd, emb in embs.items():
+        ref = _fresh_embedding(rd, x, win)
+        assert emb == ref
+        assert (emb.eps_vector(rd), emb.phi_vector(rd)) == (ref.eps_vector(rd), ref.phi_vector(rd))
+        assert (emb.eps_vector(rd), emb.phi_vector(rd)) == (x.eps_vector(rd), x.phi_vector(rd))
+    for rd, emb in embs.items():
+        assert all(b.__dict__["_record"][0] is rd for b in emb.factors)
+    assert embs[RD2].eps_vector(RD2) != embs[RDA].eps_vector(RDA)
 
 
 def test_embed_psi_window_too_small():
@@ -177,6 +206,11 @@ def test_embed_psi_window_too_small():
         embed_psi(RD1, x, (-1, 1))
     with pytest.raises(ValueError, match="slot 0"):
         embed_psi(RD1, x, (0, 4))
+    # a factor's position follows from its vertex, which must be one
+    for k in (0, 2):
+        y = model_element(wprofile({0: (1,)}), {(k, 1): 1})
+        with pytest.raises(ValueError, match=f"vertex index {k} out of range 1..1"):
+            embed_psi(RD1, y, (-1, 3))
 
 
 def test_embed_preserves_weight():
@@ -347,6 +381,38 @@ def test_model_element_has_one_form():
         ModelElement(wp, (((1, 1), 1), ((1, 1), 2)))
     with pytest.raises(ValueError, match="strictly positive"):
         ModelElement(wp, (((1, 1), 0),))
+
+
+@pytest.mark.parametrize("name, lam", [("A3", (1, 1, 1)), ("D4", (1, 1, 1, 1)),
+                                       ("affineA1", (2, 1))])
+def test_operator_images_keep_the_form(name, lam):
+    # an image of e_k or f_k is spliced from its source's v, not validated;
+    # along random walks, each must be the element model_element builds and
+    # pass the validation of a direct construction, including where an
+    # entry drops to 0 and where a new entry lands beyond the source's
+    # support
+    rd = build_root_datum(name)
+    rng = random.Random(2201)
+    moves = [(op, k) for op in ("e", "f", "f") for k in rd.vertices()]  # lowering twice as often
+    dropped = beyond = 0
+    for _ in range(12):
+        x = model_highest_weight(rd, lam)
+        for _ in range(30):
+            rng.shuffle(moves)
+            y = next(filter(None, (getattr(x, op)(rd, k) for op, k in moves)))
+            rebuilt, direct = model_element(y.wp, dict(y.v)), ModelElement(y.wp, y.v)
+            for z in (rebuilt, direct):
+                assert y == z and hash(y) == hash(z) and y.key() == z.key()
+            lo, hi = window(rd, x, margin=0)
+            dropped += len(y.v) < len(x.v)
+            beyond += any(not lo <= p <= hi for (_, p), _ in set(y.v) - set(x.v))
+            x = y
+    assert dropped and beyond
+    hw = model_highest_weight(rd, lam)
+    with pytest.raises(RuntimeError, match=r"v\[1,1\] would become negative"):
+        hw.with_delta(1, 1, -1)
+    with pytest.raises(RuntimeError, match=r"v\[1,1\] would become negative"):
+        hw.with_delta(1, 1, +1).with_delta(1, 1, -2)
 
 
 def test_record_is_per_datum(monkeypatch):
