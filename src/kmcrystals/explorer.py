@@ -15,8 +15,11 @@ recursion) are classical finite-type representation theory, computed in
 exact integer arithmetic with no crystal machinery at all.  They work in
 root coordinates: a root or a weight's distance r below lam is a vector of
 simple-root coefficients, and every pairing is a row of the Cartan matrix
-dotted with it.  They exist to cross-check the crystal graphs against an
-independent route.
+dotted with it.  The multiplicity recursion runs only at the dominant
+weights, reads the rest at dominant conjugates found by simple reflections,
+and fills in the Weyl orbits at the end (Moody and Patera, Bull. AMS 7,
+1982; Stembridge, Adv. Math. 136, 1998).  They exist to cross-check the
+crystal graphs against an independent route.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from operator import add, mul, sub
+from operator import add, ge, mul, sub
 
 from .crystal_core import (
     CrystalElement,
@@ -398,52 +401,104 @@ def weyl_dim(rd: RootDatum, lam: Weight) -> int:
 
 
 def freudenthal_multiplicities(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
-    """Weight multiplicities of V(lam) by the classical recursion.
+    """Weight multiplicities of V(lam), by Freudenthal's recursion at the
+    dominant weights only; multiplicities are Weyl-invariant (Moody and
+    Patera, Bull. AMS 7, 1982).
 
-    Works level by level below lam on subtracted roots r, mu = lam - r,
-    with <h_k, mu> = <h_k, lam> - (C r)_k.  Freudenthal's formula
+    A weight mu = lam - r is held by r and its pairings <h_k, mu> =
+    <h_k, lam> - (C r)_k, and s_i adds <h_i, mu> to r_i.  (a) The dominant
+    mu <= lam are found by subtracting positive roots from dominant weights
+    and keeping the dominant results: a dominant mu < nu is reached from nu
+    by such steps through dominant weights (Stembridge, Adv. Math. 136,
+    1998).  (b) At those, in
+    order of height, Freudenthal's formula
 
         (|lam + rho|^2 - |mu + rho|^2) m(mu)
             = 2 sum_{alpha > 0} sum_{j >= 1} m(mu + j alpha) (mu + j alpha, alpha)
 
-    is integral: the left factor is (r, lam + mu + 2 rho), i.e.
-    sum_k r_k (<h_k, lam> + <h_k, mu> + 2), and along a root string
-    (mu + j alpha, alpha) = (mu, alpha) + j (alpha, alpha).  Weights are
-    returned in the same exact coordinate representation the crystal
-    graphs use, so characters compare directly.
+    reads m(mu + j alpha) at its dominant conjugate, found by reflecting
+    while some <h_i, nu> < 0; the first weight of multiplicity 0 ends the
+    string, as weight strings are unbroken.  The formula is integral: the
+    left factor is (r, lam + mu + 2 rho) = sum_k r_k (<h_k, lam> +
+    <h_k, mu> + 2), and (mu + j alpha, alpha) = (mu, alpha) + j (alpha,
+    alpha).  (c) Each orbit is filled in by reflecting down wherever
+    <h_i, nu> > 0, keeping s_i nu only if i is its first negative pairing,
+    so each element is reached once.  (d) Weights come by height of r, then
+    by r, in the exact coordinates the crystal graphs use, so characters
+    compare directly.
     """
     if not rd.is_dominant(lam):
         raise ValueError("freudenthal_multiplicities needs a dominant weight")
     lam_pair = rd.pairing_vector(lam)
-    strings = [  # (alpha, (alpha, alpha))
-        (alpha, sum(a * sum(map(mul, row, alpha)) for a, row in zip(alpha, rd.cartan)))
-        for alpha in positive_roots(rd)
-    ]
-    mult: dict[tuple[int, ...], int] = {(0,) * rd.n: 1}
-    level = list(mult)
-    while level:
-        candidates = sorted({r[:k] + (r[k] + 1,) + r[k + 1:] for r in level for k in range(rd.n)})
-        level = []
-        for r in candidates:
-            pair = [p - sum(map(mul, row, r)) for p, row in zip(lam_pair, rd.cartan)]
-            rhs = 0
-            for alpha, norm in strings:
-                step = sum(map(mul, alpha, pair))  # (mu, alpha)
-                nu = r
-                while True:
-                    nu = tuple(map(sub, nu, alpha))
-                    m = mult.get(nu)
-                    if m is None:
-                        break  # weight strings are unbroken; nothing further up
-                    step += norm
-                    rhs += m * step
-            if rhs == 0:
-                continue
-            denom = sum(x * (p + q + 2) for x, p, q in zip(r, lam_pair, pair))
-            if denom <= 0 or (2 * rhs) % denom != 0:
-                raise AssertionError("multiplicity recursion produced a non-integer")
-            m = (2 * rhs) // denom
-            if m > 0:
-                mult[r] = m
-                level.append(r)
-    return {Weight(lam.lambda_part, tuple(map(add, lam.root_part, r))): m for r, m in mult.items()}
+    strings = []  # (alpha, C alpha, (alpha, alpha))
+    for alpha in positive_roots(rd):
+        c_alpha = tuple(sum(map(mul, row, alpha)) for row in rd.cartan)
+        strings.append((alpha, c_alpha, sum(map(mul, alpha, c_alpha))))
+
+    def pairing(r):
+        return tuple(p - sum(map(mul, row, r)) for p, row in zip(lam_pair, rd.cartan))
+
+    def reflect(r, pair, i):
+        """s_i of the weight lam - r with pairings pair, in the same form."""
+        c = pair[i]
+        return (r[:i] + (r[i] + c,) + r[i + 1:],
+                tuple([p - c * a for p, a in zip(pair, rd.cartan[i])]))
+
+    top = (0,) * rd.n
+    dominant, stack = {top}, [top]  # (a)
+    while stack:
+        r = stack.pop()
+        pair = pairing(r)
+        for alpha, c_alpha, _ in strings:
+            nu = tuple(map(add, r, alpha))
+            if nu not in dominant and all(map(ge, pair, c_alpha)):
+                dominant.add(nu)
+                stack.append(nu)
+
+    mult = {top: 1}
+    conjugates: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def conjugate_mult(r):
+        """m(lam - r) read at its dominant conjugate; None once a reflection
+        leaves the weights <= lam, as later ones only go up.  Each weight
+        passed on the way is memoized with the same end."""
+        if r not in conjugates:
+            path, nu, pair = [r], r, pairing(r)
+            while min(nu, default=0) >= 0 and (
+                    i := next((k for k, p in enumerate(pair) if p < 0), None)) is not None:
+                nu, pair = reflect(nu, pair, i)
+                if nu in conjugates:
+                    nu = conjugates[nu]
+                    break
+                path.append(nu)
+            conjugates.update(dict.fromkeys(path, nu))
+        return mult.get(conjugates[r])
+
+    for r in sorted(dominant, key=lambda r: (sum(r), r))[1:]:  # (b)
+        pair = pairing(r)
+        rhs = 0
+        for alpha, _, norm in strings:
+            step = sum(map(mul, alpha, pair))  # (mu, alpha)
+            nu = tuple(map(sub, r, alpha))
+            while (m := conjugate_mult(nu)) is not None:
+                step += norm
+                rhs += m * step
+                nu = tuple(map(sub, nu, alpha))
+        denom = sum(x * (p + q + 2) for x, p, q in zip(r, lam_pair, pair))
+        if denom <= 0 or (2 * rhs) % denom != 0:
+            raise AssertionError("multiplicity recursion produced a non-integer")
+        mult[r] = (2 * rhs) // denom
+
+    orbits = {}
+    for r, m in mult.items():  # (c)
+        stack = [(r, pairing(r))]
+        while stack:
+            nu, pair = stack.pop()
+            orbits[nu] = m
+            for i, c in enumerate(pair):
+                if c > 0:
+                    lower, lower_pair = reflect(nu, pair, i)
+                    if all(p >= 0 for p in lower_pair[:i]):  # else reached another way
+                        stack.append((lower, lower_pair))
+    return {Weight(lam.lambda_part, tuple(map(add, lam.root_part, r))): orbits[r]
+            for r in sorted(orbits, key=lambda r: (sum(r), r))}  # (d)

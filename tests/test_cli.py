@@ -97,6 +97,12 @@ GOLDEN_STDOUT = {
     "verify oracle --preset A3 --weight 0,1,0":
         "oracle: #B = 6, weyl_dim = 6\n"
         "oracle: character matches multiplicity recursion\nPASS\n",
+    "verify oracle --preset E6 --weight 1,0,0,0,0,1":
+        "oracle: #B = 650, weyl_dim = 650\n"
+        "oracle: character matches multiplicity recursion\nPASS\n",
+    "verify oracle --preset E6 --weight 1,0,0,0,0,1 --depth 3":
+        "oracle: #B = 10, weyl_dim = 650\n"
+        "oracle: character matches multiplicity recursion\nPASS\n",
     "verify closed --preset A2 --pairs 3 --seed 7":
         "closed: (1, 0) x (1, 2) -> ok\n"
         "closed: (0, 0) x (2, 0) -> ok\n"

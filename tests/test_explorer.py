@@ -35,7 +35,7 @@ from kmcrystals import (
     tensor_product_graph,
     weyl_dim,
 )
-from kmcrystals import explorer, quiver_model
+from kmcrystals import crystal_core, explorer, quiver_model
 from kmcrystals.crystal_core import stats_record
 from kmcrystals.quiver_model import window
 from kmcrystals.root_datum import Weight
@@ -440,6 +440,81 @@ def test_exceptional_series_oracles():
         units = [[int(k == l) for l in rd.vertices()] for k in rd.vertices()]
         dims = [weyl_dim(rd, rd.weight(unit)) for unit in units]
         assert min(dims) == smallest_dim
+
+
+def unit_weight(rd, k):
+    """The fundamental weight Lambda_k."""
+    return rd.weight([int(k == l) for l in rd.vertices()])
+
+
+def zero_weight_multiplicity(rd, mult):
+    """The multiplicity of the weight pairing to 0 with every coroot."""
+    (m,) = [m for mu, m in mult.items() if not any(rd.pairing_vector(mu))]
+    return m
+
+
+@pytest.mark.parametrize("name, k, total, weights, zero", [
+    ("E6", 2, 78, 72 + 1, 6),  # the adjoint representation
+    ("E7", 7, 56, 56, None),  # minuscule: one orbit, every multiplicity 1
+    ("E7", 1, 133, 126 + 1, 7),  # the adjoint representation
+    ("E8", 8, 248, 240 + 1, 8),  # the adjoint representation
+])
+def test_exceptional_multiplicity_pins(name, k, total, weights, zero):
+    rd = build_root_datum(name)
+    mult = freudenthal_multiplicities(rd, unit_weight(rd, k))
+    assert sum(mult.values()) == total == weyl_dim(rd, unit_weight(rd, k))
+    assert len(mult) == weights
+    if zero is None:
+        assert set(mult.values()) == {1}
+    else:
+        assert zero_weight_multiplicity(rd, mult) == zero
+
+
+def test_multiplicities_sum_to_weyl_dim():
+    # a dominant weight missed by the search below lam would drop its whole
+    # orbit from the sum.  E8's fundamental weights 3-6 are left out: their
+    # representations have 186k to 3.2M distinct weights.
+    d5 = build_root_datum("D5")
+    cases = [(d5, d5.weight(lam)) for lam in itertools.product((0, 1), repeat=5)]
+    for name, units in (("E6", range(1, 7)), ("E7", range(1, 8)), ("E8", (1, 2, 7, 8))):
+        rd = build_root_datum(name)
+        cases += [(rd, unit_weight(rd, k)) for k in units]
+    for rd, lam in cases:
+        assert sum(freudenthal_multiplicities(rd, lam).values()) == weyl_dim(rd, lam), lam
+
+
+def test_multiplicity_edge_cases():
+    rank0 = build_root_datum([])
+    assert freudenthal_multiplicities(rank0, rank0.weight(())) == {Weight((), ()): 1}
+    with pytest.raises(ValueError, match="dominant"):
+        freudenthal_multiplicities(RD2, RD2.weight((1, 0), (1, 0)))
+    with pytest.raises(ValueError, match="finite"):
+        freudenthal_multiplicities(RDA, RDA.weight((1, 0)))
+
+
+@pytest.mark.parametrize("name, lam, root", [
+    ("E6", (1, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0)),
+    ("D4", (1, 0, 1, 1), (0, 0, 0, 0)),
+    ("A3", (2, 0, 1), (1, 0, 0)),  # dominant, with a nonzero root part
+])
+def test_multiplicities_come_in_height_order(name, lam, root):
+    rd = build_root_datum(name)
+    mult = freudenthal_multiplicities(rd, rd.weight(lam, root))
+    assert list(mult) == sorted(mult, key=lambda mu: (sum(mu.root_part), mu.root_part))
+    assert next(iter(mult)) == rd.weight(lam, root)
+
+
+def test_oracles_use_no_crystal_machinery(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle reached crystal machinery")
+
+    monkeypatch.setattr(crystal_core, "stats_record", refuse)
+    monkeypatch.setattr(explorer, "generate", refuse)
+    for name, lam, dim in (("D4", (0, 1, 0, 0), 28), ("E6", (1, 0, 0, 0, 0, 1), 650)):
+        rd = build_root_datum(name)
+        assert positive_roots(rd)
+        assert weyl_dim(rd, rd.weight(lam)) == dim
+        assert sum(freudenthal_multiplicities(rd, rd.weight(lam)).values()) == dim
 
 
 def test_keys_only_where_bytes_leave(monkeypatch):
