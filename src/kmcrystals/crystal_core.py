@@ -262,16 +262,17 @@ class CheckReport:
 
 
 def check_axioms(g: CrystalGraph) -> CheckReport:
-    """Verify the crystal axioms on every non-frontier node.
+    """Verify the crystal axioms and the recorded edges in one pass.
 
-    Checked per node b and vertex k: phi = eps + <h_k, wt>; the wt/eps/phi
-    shifts under e_k and f_k when those are defined; e_k and f_k are mutual
-    inverses; phi = -inf forces e_k b = f_k b = None.  The (node, vertex)
-    pairs of frontier nodes are skipped and counted.  Every recorded edge
-    must be recorded in both directions, and is re-derived from the
-    operators in both directions.  The statistics of an operator image are
-    read from the graph's equal element when there is one, whose record is
-    already built, else from the image itself.
+    Checked per non-frontier node b and vertex k: phi = eps + <h_k, wt>;
+    the wt/eps/phi shifts under e_k and f_k when those are defined; e_k
+    and f_k are mutual inverses; phi = -inf forces e_k b = f_k b = None.
+    The (node, vertex) pairs of frontier nodes are skipped and counted.
+    Every node derives e_k b and f_k b once, checks that ``down[k-1]`` is
+    f_k b and ``up[k-1]`` is e_k b, and that each is recorded at its other
+    end too; a frontier node derives only the images it has entries for.
+    An image's statistics are read from the graph's equal element when
+    there is one, whose record is already built, else from the image.
     """
     rd = g.rd
     violations: list[str] = []
@@ -285,17 +286,32 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
     for b, nd in g.nodes.items():
         if nd.frontier:
             skipped += rd.n
-            continue
-        checked += rd.n
-        wt = nd.weight
-        for k, pair in zip(rd.vertices(), rd.pairing_vector(wt)):
+        else:
+            checked += rd.n
+            wt = nd.weight
+            pairs = rd.pairing_vector(wt)
+        for k, nxt, up in zip(rd.vertices(), nd.down, nd.up):
+            # a frontier node derives an image only to compare it with an entry
+            eb = None if nd.frontier and up is None else recorded(b.e(rd, k))
+            fb = None if nd.frontier and nxt is None else recorded(b.f(rd, k))
+            if nxt is not None:
+                if nxt.up[k - 1] is not b:
+                    violations.append(f"(d) edge ({nd.key()},{k},{nxt.key()}) has no e_{k} entry")
+                if fb != nxt.element:
+                    violations.append(f"(d) edge ({nd.key()},{k},{nxt.key()}) not f_{k}(src)")
+            if up is not None:
+                src = g.nodes.get(up)
+                if src is None or src.down[k - 1] is not nd:
+                    violations.append(f"(d) e_{k} entry at {nd.key()} has no f_{k}-edge")
+                elif eb != up:
+                    violations.append(f"(d) edge ({src.key()},{k},{nd.key()}) not e_{k}-inverted")
+            if nd.frontier:
+                continue
             ep, ph = nd.eps[k - 1], nd.phi[k - 1]
-            if ph != ep + pair:
+            if ph != ep + pairs[k - 1]:
                 violations.append(f"(a) phi != eps + <h_{k},wt> at {nd.key()}")
             if is_neg_inf(ep) != is_neg_inf(ph):
                 violations.append(f"(a) eps/phi -inf mismatch at k={k}, {nd.key()}")
-            eb = recorded(b.e(rd, k))
-            fb = recorded(b.f(rd, k))
             if is_neg_inf(ph) and (eb is not None or fb is not None):
                 violations.append(f"(e) operator defined despite phi=-inf at k={k}, {nd.key()}")
             if eb is not None:
@@ -312,21 +328,6 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
                     violations.append(f"(c) eps/phi shift wrong under f_{k} at {nd.key()}")
                 if fb.e(rd, k) != b:
                     violations.append(f"(d) e_{k} f_{k} b != b at {nd.key()}")
-    # recorded edges must be paired and agree with the operators both ways
-    for x, nd in g.nodes.items():
-        for k, (nxt, up) in enumerate(zip(nd.down, nd.up), 1):
-            if nxt is not None:
-                if nxt.up[k - 1] is not nd.element:
-                    violations.append(f"(d) edge ({nd.key()},{k},{nxt.key()}) has no e_{k} entry")
-                if x.f(rd, k) != nxt.element:
-                    violations.append(f"(d) edge ({nd.key()},{k},{nxt.key()}) not f_{k}(src)")
-                if nxt.element.e(rd, k) != x:
-                    violations.append(
-                        f"(d) edge ({nd.key()},{k},{nxt.key()}) not e_{k}-inverted")
-            if up is not None:
-                src = g.nodes.get(up)
-                if src is None or src.down[k - 1] is not nd:
-                    violations.append(f"(d) e_{k} entry at {nd.key()} has no f_{k}-edge")
     return CheckReport(violations, checked, skipped)
 
 
@@ -381,6 +382,36 @@ def check_normal(g: CrystalGraph) -> CheckReport:
     return CheckReport(violations, checked, skipped)
 
 
+def strict_mismatches(rd: RootDatum, x: CrystalElement, y: CrystalElement, image, at):
+    """(violations, skipped) of a strict morphism at x, which it sends to y.
+
+    Compares wt, eps and phi of x and y.  Unless ``image`` is None, also
+    checks that ``image(o_k x) == o_k y`` for o = e, f and every vertex k,
+    None matching None only; where ``image`` returns None, o_k x is
+    unmapped and the comparison is skipped and counted.  ``at()`` labels x
+    in the messages and is called only on a violation.
+    """
+    rx, ry = stats_record(x, rd), stats_record(y, rd)
+    out = [f"{name} not preserved at {at()}"
+           for name, a, b in zip(("wt", "eps", "phi"), rx[1:4], ry[1:4]) if a != b]
+    skipped = 0
+    if image is None:
+        return out, skipped
+    for k in rd.vertices():
+        for op, src, dst in (("e", x.e(rd, k), y.e(rd, k)), ("f", x.f(rd, k), y.f(rd, k))):
+            if src is None or dst is None:
+                if src is not dst:
+                    side = "None/non-None" if src is None else "non-None/None"
+                    out.append(f"{op}_{k} {side} mismatch at {at()}")
+                continue
+            mapped = image(src)
+            if mapped is None:
+                skipped += 1
+            elif mapped != dst:
+                out.append(f"{op}_{k} does not commute at {at()}")
+    return out, skipped
+
+
 def check_strict_morphism(
     g1: CrystalGraph,
     g2: CrystalGraph,
@@ -389,11 +420,11 @@ def check_strict_morphism(
     """Verify that ``mapping`` (elements of g1 -> elements of g2, the
     instances keying their nodes) is an injective strict morphism.
 
-    Checks injectivity, wt/eps/phi preservation on every mapped node and
-    unconditional commutation with every e_k and f_k, treating None as None.
-    Pairs whose comparison would need an unmapped or unexplored node are
-    skipped and counted.  Raises ValueError if the map misses a non-frontier
-    node of g1.
+    Runs :func:`strict_mismatches` on every mapped node, comparing only
+    statistics where either end is a frontier node, and checks injectivity.
+    Unmapped frontier nodes, frontier pairs and operator images outside
+    the map are skipped and counted.  Raises ValueError if the map misses
+    a non-frontier node of g1.
     """
     rd = g1.rd
     violations: list[str] = []
@@ -409,33 +440,11 @@ def check_strict_morphism(
         if img is None:
             violations.append(f"image {y.key()} not in target graph")
             continue
-        if img.weight != nd.weight:
-            violations.append(f"wt not preserved at {nd.key()}")
-        if img.eps != nd.eps:
-            violations.append(f"eps not preserved at {nd.key()}")
-        if img.phi != nd.phi:
-            violations.append(f"phi not preserved at {nd.key()}")
-        if nd.frontier or img.frontier:
-            skipped += 1
-            continue
-        checked += 1
-        for k in rd.vertices():
-            for op in ("e", "f"):
-                src_img = getattr(x, op)(rd, k)
-                dst_img = getattr(y, op)(rd, k)
-                if src_img is None:
-                    if dst_img is not None:
-                        violations.append(f"{op}_{k} None/non-None mismatch at {nd.key()}")
-                    continue
-                if dst_img is None:
-                    violations.append(f"{op}_{k} non-None/None mismatch at {nd.key()}")
-                    continue
-                mapped = mapping.get(src_img)
-                if mapped is None:
-                    skipped += 1
-                    continue
-                if dst_img != mapped:
-                    violations.append(f"{op}_{k} does not commute at {nd.key()}")
+        frontier = nd.frontier or img.frontier
+        found, missed = strict_mismatches(rd, x, y, None if frontier else mapping.get, nd.key)
+        violations += found
+        checked += not frontier
+        skipped += 1 if frontier else missed
     seen: dict[CrystalElement, CrystalElement] = {}
     for src, dst in mapping.items():
         if dst in seen:
@@ -446,22 +455,18 @@ def check_strict_morphism(
     return CheckReport(violations, checked, skipped)
 
 
-def _sort_for_export(g: CrystalGraph):
+def _export_order(g: CrystalGraph):
     """The order both exports print: the nodes sorted by key, the edges as
     (src index, k, dst index) triples and the generators' indices, all
-    sorted.  Reading ``down`` in node order yields the edges sorted."""
-    nodes = sorted(g.nodes.values(), key=GraphNode.key)
-    index = {nd: i for i, nd in enumerate(nodes)}
-    edges = [(i, k, index[nxt]) for i, nd in enumerate(nodes)
-             for k, nxt in enumerate(nd.down, 1) if nxt is not None]
-    return nodes, edges, sorted(index[g.nodes[x]] for x in g.generators)
-
-
-def _export_order(g: CrystalGraph):
-    """``_sort_for_export(g)``, computed on the graph's first export and kept
-    on it, so that writing both DOT and JSON sorts once."""
+    sorted.  Reading ``down`` in node order yields the edges sorted.  It is
+    computed on the graph's first export and kept on it, so that writing
+    both DOT and JSON sorts once."""
     if g._order is None:
-        g._order = _sort_for_export(g)
+        nodes = sorted(g.nodes.values(), key=GraphNode.key)
+        index = {nd: i for i, nd in enumerate(nodes)}
+        edges = [(i, k, index[nxt]) for i, nd in enumerate(nodes)
+                 for k, nxt in enumerate(nd.down, 1) if nxt is not None]
+        g._order = nodes, edges, sorted(index[g.nodes[x]] for x in g.generators)
     return g._order
 
 

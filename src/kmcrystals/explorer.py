@@ -292,12 +292,13 @@ def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
 def is_isomorphic(g1: CrystalGraph, g2: CrystalGraph):
     """Decide isomorphism of two highest-weight crystal graphs.
 
-    Both graphs must contain exactly one highest-weight element.  Matching
-    is a parallel walk of node pairs (keyed by identity) down the ``down``
-    arrays from the two sources; highest-weight crystal isomorphisms are
-    unique, so the first mismatch settles the question.  Frontier pairs are
-    not expanded, which makes equal-depth truncations comparable.  On success the witness map is
-    re-validated as a strict morphism.
+    Both graphs must contain exactly one highest-weight element.  A
+    parallel walk of node pairs (keyed by identity) down the ``down``
+    arrays from the two sources builds the candidate map; highest-weight
+    crystal isomorphisms are unique, so an f_k defined on one side only or
+    an edge clash settles the question.  Frontier pairs are not expanded,
+    which makes equal-depth truncations comparable.  The candidate is then
+    checked as a strict morphism, which compares wt, eps and phi.
 
     Returns (answer, witness_map_or_None, reason); the witness maps node
     keys of g1 to node keys of g2.
@@ -313,10 +314,6 @@ def is_isomorphic(g1: CrystalGraph, g2: CrystalGraph):
     queue = deque([(na, nb)])
     while queue:
         na, nb = queue.popleft()
-        if na.weight != nb.weight:
-            return False, None, f"weight mismatch at {na.key()}"
-        if na.eps != nb.eps or na.phi != nb.phi:
-            return False, None, f"statistics mismatch at {na.key()}"
         if na.frontier or nb.frontier:
             continue
         for k, (fa, fb) in enumerate(zip(na.down, nb.down), 1):

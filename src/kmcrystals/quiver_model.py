@@ -57,7 +57,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .crystal_core import CrystalElement
+from .crystal_core import CrystalElement, strict_mismatches
 from .elementary import BkElement, S0Element, TElement
 from .root_datum import RootDatum, Weight
 from .tensor import TensorElement
@@ -391,31 +391,13 @@ def embed_psi(rd: RootDatum, x: ModelElement, win: tuple[int, int]) -> TensorEle
 
 
 def embedding_mismatches(rd: RootDatum, x: ModelElement) -> list[str]:
-    """Compare every model statistic and operator on x against the capped
-    tensor computation through embed_psi; [] means they agree.
+    """The violations of :func:`~kmcrystals.crystal_core.strict_mismatches`
+    at x, sent by embed_psi to its capped tensor; [] means the model and
+    the tensor computation agree on wt, eps, phi and every operator.
 
-    The operator comparison re-embeds the model image over the same window,
-    so None must correspond to None and elements must match factor by
-    factor.
+    Each model operator image is re-embedded over x's window, so None must
+    correspond to None and elements must match factor by factor.
     """
     win = window(rd, x, margin=2)  # room for x and any single operator image
-    emb = embed_psi(rd, x, win)
-    out = []
-    for k in rd.vertices():
-        if x.eps(rd, k) != emb.eps(rd, k):
-            out.append(f"eps_{k} differs at {x.key()}")
-        if x.phi(rd, k) != emb.phi(rd, k):
-            out.append(f"phi_{k} differs at {x.key()}")
-        for op in ("e", "f"):
-            model_image = getattr(x, op)(rd, k)
-            tensor_image = getattr(emb, op)(rd, k)
-            if model_image is None:
-                if tensor_image is not None:
-                    out.append(f"{op}_{k} None/non-None mismatch at {x.key()}")
-                continue
-            if tensor_image is None:
-                out.append(f"{op}_{k} non-None/None mismatch at {x.key()}")
-                continue
-            if embed_psi(rd, model_image, win) != tensor_image:
-                out.append(f"{op}_{k} image differs at {x.key()}")
-    return out
+    return strict_mismatches(rd, x, embed_psi(rd, x, win),
+                             lambda y: embed_psi(rd, y, win), x.key)[0]

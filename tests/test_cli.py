@@ -121,16 +121,17 @@ def test_stdout_golden_bytes(command, capsys):
 
 
 def test_dot_and_json_sort_once(capsys, monkeypatch):
-    calls = []
-    original = crystal_core._sort_for_export
+    # each writer asks for the order; the second gets the first's, unsorted
+    orders = []
+    original = crystal_core._export_order
 
-    def counting(g):
-        calls.append(g)
-        return original(g)
+    def recording(g):
+        orders.append(original(g))
+        return orders[-1]
 
-    monkeypatch.setattr(crystal_core, "_sort_for_export", counting)
+    monkeypatch.setattr(crystal_core, "_export_order", recording)
     assert main("graph --preset A2 --weight 1,0 --dot - --json -".split()) == 0
-    assert len(calls) == 1
+    assert len(orders) == 2 and orders[0] is orders[1]
     assert capsys.readouterr().out == (GOLDEN / "graph_A2_10_dot_json.txt").read_text()
 
 

@@ -8,6 +8,7 @@ from kmcrystals import (
     NEG_INF,
     BkElement,
     CrystalElement,
+    ModelElement,
     S0Element,
     TElement,
     TensorElement,
@@ -25,7 +26,7 @@ from kmcrystals import (
     wprofile,
 )
 from kmcrystals import quiver_model
-from kmcrystals.crystal_core import _sort_for_export, ext_max, is_neg_inf
+from kmcrystals.crystal_core import _export_order, ext_max, is_neg_inf
 from kmcrystals.root_datum import Weight
 
 
@@ -119,6 +120,23 @@ def test_axioms_read_image_statistics_from_the_graph(monkeypatch, name, lam, dep
     assert calls == []
 
 
+@pytest.mark.parametrize("name, lam", [("A3", (1, 1, 1)), ("D4", (0, 1, 0, 1))])
+def test_axioms_derive_each_image_once(monkeypatch, name, lam):
+    # per edge b -> f_k b: f_k b and its e_k at the source, e_k of the
+    # target and its f_k; the recorded entries are checked against those
+    g = generate_highest_weight_crystal(build_root_datum(name), lam)
+    calls = []
+    original = ModelElement._move
+
+    def counting(self, rd, k, site, delta):
+        calls.append(delta)
+        return original(self, rd, k, site, delta)
+
+    monkeypatch.setattr(ModelElement, "_move", counting)
+    assert check_axioms(g).ok()
+    assert len(calls) == 4 * len(g.edges)
+
+
 def test_normal_on_sl2():
     rd = build_root_datum("A1")
     g = generate_highest_weight_crystal(rd, (1,))
@@ -141,6 +159,19 @@ def test_identity_is_strict_morphism():
     mapping = {x: x for x in g.nodes}
     report = check_strict_morphism(g, g, mapping)
     assert report.ok()
+
+
+def test_strict_morphism_counts_frontier_and_unmapped_images():
+    # affineA1 B(L0) to depth 4: 7 nodes, the two at depth 4 frontier, each
+    # the f-image of a non-frontier node.  Identity: those two skipped.
+    # Without them: they are skipped, and so are the two images into them.
+    g = generate_highest_weight_crystal(build_root_datum("affineA1"), (1, 0), depth=4)
+    assert (g.node_count(), g.frontier_count()) == (7, 2)
+    report = check_strict_morphism(g, g, {x: x for x in g.nodes})
+    assert (report.violations, report.checked, report.skipped) == ([], 5, 2)
+    inner = {x: x for x, nd in g.nodes.items() if not nd.frontier}
+    report = check_strict_morphism(g, g, inner)
+    assert (report.violations, report.checked, report.skipped) == ([], 5, 4)
 
 
 def test_hw_to_lower_map_fails():
@@ -315,7 +346,7 @@ def test_export_order_is_the_order_of_json_dumps(graph):
         rd = build_root_datum("A2")
         g = tensor_product_graph(rd, [generate_highest_weight_crystal(rd, w)
                                       for w in ((1, 0), (0, 1))])
-    nodes, _, _ = _sort_for_export(g)
+    nodes, _, _ = _export_order(g)
     assert [nd.element for nd in nodes] == sorted(g.nodes, key=_dump)
 
 

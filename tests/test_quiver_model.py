@@ -301,6 +301,25 @@ def test_embedding_sees_a_wrong_f_tie_break(monkeypatch):
         assert found and all(m.startswith("f_") for m in found), rd
 
 
+def test_embedding_sees_a_weight_error_no_pairing_shows(monkeypatch):
+    # delta = alpha_1 + alpha_2 pairs to 0 with both coroots of affineA1, so
+    # taking it off the W-slot factor t_{w^0} leaves every eps, phi and
+    # operator of the capped tensor as it was; only the weights tell
+    g = generate_highest_weight_crystal(RDA, (1, 0), depth=3)
+    assert g.node_count() == 5
+    original = TElement._build
+
+    def shifted(self, rd):
+        rec = original(self, rd)
+        if not any(rec[1].lambda_part):  # t_0 of an empty slot
+            return rec
+        return (rec[0], rec[1].subtract_alpha(1).subtract_alpha(2), *rec[2:])
+
+    monkeypatch.setattr(TElement, "_build", shifted)
+    assert [embedding_mismatches(RDA, x) for x in g.nodes] == [
+        [f"wt not preserved at {x.key()}"] for x in g.nodes]
+
+
 def test_affine_strictness_at_depth():
     g = generate_highest_weight_crystal(RDA, (1, 0), depth=5)
     assert g.node_count() > 5
