@@ -18,8 +18,8 @@ is nonzero on a connected component of the diagram not of finite type;
 every subcommand applies this one rule to each ``--weight``, and ``verify
 closed`` to the largest weight its ``--max-entry`` draws.  The node
 budget is controlled by the environment variable CRYSTAL_NODE_BUDGET
-(default 10^6 nodes; a finished profile-model graph holds about 1.25 KB
-per node, so about 1.25 GB).  It bounds every graph a command generates,
+(default 10^6 nodes; a finished profile-model graph holds about 1.2 KB
+per node, so about 1.2 GB).  It bounds every graph a command generates,
 and an overrun reports the depth reached and the nodes still queued.
 ``tensor`` without ``--depth`` decomposes by the highest-weight rule and
 generates only the factors after the first, lambda_2 ... lambda_N, so

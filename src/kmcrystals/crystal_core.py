@@ -7,12 +7,12 @@ operators e_k, f_k.  Elements here are immutable values implementing
 ``None`` returned from an operator, never by an element.
 
 Graphs are explicit explorations of a crystal up to a depth bound, keyed
-by the elements themselves: nodes share their element's wt/eps/phi
-objects and hold the edges, ``down[k-1]`` the node f_k leads to and
-``up[k-1]`` the element e_k leads to.  Nodes whose operator images were
-never computed are frontier nodes, and every checker skips (and counts)
-the assertions that would need data beyond the frontier, so that
-truncations of infinite crystals can be tested without false failures.
+by the elements themselves; a node holds its element, depth and edges,
+``down[k-1]`` the node f_k leads to and ``up[k-1]`` the element e_k leads
+to, and statistics and keys come from the element.  Nodes whose operator
+images were never computed are frontier nodes, and every checker skips
+(and counts) the assertions that would need data beyond the frontier, so
+that truncations of infinite crystals can be tested without false failures.
 
 ``graph_to_dot`` and ``graph_to_json`` return text.  Both print nodes in
 key order and edges by node index; that order is computed once per graph,
@@ -190,29 +190,17 @@ def trim_record(x: CrystalElement) -> None:
 
 @dataclass(eq=False, slots=True, weakref_slot=True)
 class GraphNode:
-    """An explored element, its statistics and its edges.  For the element
-    classes of this package the statistics are the objects of the
-    element's own record (:func:`stats_record`), not copies.  Each edge is
-    recorded in both directions: ``x.down[k-1] is y`` exactly when
-    ``y.up[k-1] is x.element``.  ``up`` holds elements, not nodes, so a
-    graph holds no reference cycle.  Nodes compare and hash by identity."""
+    """The exploration state of an element: its depth, whether it is a
+    frontier node, and its edges; its statistics and key are the element's.
+    Each edge is recorded in both directions: ``x.down[k-1] is y`` exactly
+    when ``y.up[k-1] is x.element``.  ``up`` holds elements, not nodes, so
+    a graph holds no reference cycle.  Nodes compare and hash by identity."""
 
     element: CrystalElement  # the instance keying this node
-    weight: Weight
-    eps: tuple
-    phi: tuple
     depth: int
     frontier: bool
     down: list = field(repr=False)  # down[k-1]: the node of f_k(element), or None
     up: list  # up[k-1]: e_k(element), the instance keying its node, or None
-    _key: str | None = None
-
-    def key(self) -> str:
-        """``element.key()``, computed at most once per graph: the export
-        order sorts the nodes by it and both writers print it."""
-        if self._key is None:
-            self._key = self.element.key()
-        return self._key
 
 
 @dataclass
@@ -221,10 +209,9 @@ class CrystalGraph:
 
     The edges live on the nodes (``GraphNode.down`` and ``up``).
     ``generators`` are the seed elements the exploration started from;
-    ``depth_bound`` is None for a full expansion.  Keys are only needed
-    where bytes leave the program; ``GraphNode.key`` serializes a node at
-    most once per graph, and the export order is sorted once, on the first
-    export, and kept: a graph does not change after it is exported.
+    ``depth_bound`` is None for a full expansion.  The export order, keys
+    included, is computed on the first export and kept: a graph does not
+    change after it is exported.
     """
 
     rd: RootDatum
@@ -268,9 +255,9 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
     the wt/eps/phi shifts under e_k and f_k when those are defined; e_k
     and f_k are mutual inverses; phi = -inf forces e_k b = f_k b = None.
     The (node, vertex) pairs of frontier nodes are skipped and counted.
-    Every node derives e_k b and f_k b once, checks that ``down[k-1]`` is
-    f_k b and ``up[k-1]`` is e_k b, and that each is recorded at its other
-    end too; a frontier node derives only the images it has entries for.
+    Every node derives e_k b and f_k b once and checks them against
+    ``down[k-1]`` and ``up[k-1]``, None included, and each edge at both of
+    its ends; a frontier node derives only the images it has entries for.
     An image's statistics are read from the graph's equal element when
     there is one, whose record is already built, else from the image.
     """
@@ -288,7 +275,7 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
             skipped += rd.n
         else:
             checked += rd.n
-            wt = nd.weight
+            wt, eps, phi = stats_record(b, rd)[1:4]
             pairs = rd.pairing_vector(wt)
         for k, nxt, up in zip(rd.vertices(), nd.down, nd.up):
             # a frontier node derives an image only to compare it with an entry
@@ -296,38 +283,44 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
             fb = None if nd.frontier and nxt is None else recorded(b.f(rd, k))
             if nxt is not None:
                 if nxt.up[k - 1] is not b:
-                    violations.append(f"(d) edge ({nd.key()},{k},{nxt.key()}) has no e_{k} entry")
+                    violations.append(f"(d) edge ({b.key()},{k},{nxt.element.key()}) "
+                                      f"has no e_{k} entry")
                 if fb != nxt.element:
-                    violations.append(f"(d) edge ({nd.key()},{k},{nxt.key()}) not f_{k}(src)")
+                    violations.append(f"(d) edge ({b.key()},{k},{nxt.element.key()}) "
+                                      f"not f_{k}(src)")
+            elif fb is not None and (fb not in g.nodes or g.nodes[fb].up[k - 1] is not b):
+                violations.append(f"(d) f_{k} b defined but not recorded at {b.key()}")
             if up is not None:
                 src = g.nodes.get(up)
                 if src is None or src.down[k - 1] is not nd:
-                    violations.append(f"(d) e_{k} entry at {nd.key()} has no f_{k}-edge")
+                    violations.append(f"(d) e_{k} entry at {b.key()} has no f_{k}-edge")
                 elif eb != up:
-                    violations.append(f"(d) edge ({src.key()},{k},{nd.key()}) not e_{k}-inverted")
+                    violations.append(f"(d) edge ({up.key()},{k},{b.key()}) not e_{k}-inverted")
+            elif eb is not None and (eb not in g.nodes or g.nodes[eb].down[k - 1] is not nd):
+                violations.append(f"(d) e_{k} b defined but not recorded at {b.key()}")
             if nd.frontier:
                 continue
-            ep, ph = nd.eps[k - 1], nd.phi[k - 1]
+            ep, ph = eps[k - 1], phi[k - 1]
             if ph != ep + pairs[k - 1]:
-                violations.append(f"(a) phi != eps + <h_{k},wt> at {nd.key()}")
+                violations.append(f"(a) phi != eps + <h_{k},wt> at {b.key()}")
             if is_neg_inf(ep) != is_neg_inf(ph):
-                violations.append(f"(a) eps/phi -inf mismatch at k={k}, {nd.key()}")
+                violations.append(f"(a) eps/phi -inf mismatch at k={k}, {b.key()}")
             if is_neg_inf(ph) and (eb is not None or fb is not None):
-                violations.append(f"(e) operator defined despite phi=-inf at k={k}, {nd.key()}")
+                violations.append(f"(e) operator defined despite phi=-inf at k={k}, {b.key()}")
             if eb is not None:
                 if eb.weight(rd) != wt.add_alpha(k):
-                    violations.append(f"(b) wt(e_{k} b) != wt(b)+alpha at {nd.key()}")
+                    violations.append(f"(b) wt(e_{k} b) != wt(b)+alpha at {b.key()}")
                 if eb.eps(rd, k) != ep - 1 or eb.phi(rd, k) != ph + 1:
-                    violations.append(f"(b) eps/phi shift wrong under e_{k} at {nd.key()}")
+                    violations.append(f"(b) eps/phi shift wrong under e_{k} at {b.key()}")
                 if eb.f(rd, k) != b:
-                    violations.append(f"(d) f_{k} e_{k} b != b at {nd.key()}")
+                    violations.append(f"(d) f_{k} e_{k} b != b at {b.key()}")
             if fb is not None:
                 if fb.weight(rd) != wt.subtract_alpha(k):
-                    violations.append(f"(c) wt(f_{k} b) != wt(b)-alpha at {nd.key()}")
+                    violations.append(f"(c) wt(f_{k} b) != wt(b)-alpha at {b.key()}")
                 if fb.eps(rd, k) != ep + 1 or fb.phi(rd, k) != ph - 1:
-                    violations.append(f"(c) eps/phi shift wrong under f_{k} at {nd.key()}")
+                    violations.append(f"(c) eps/phi shift wrong under f_{k} at {b.key()}")
                 if fb.e(rd, k) != b:
-                    violations.append(f"(d) e_{k} f_{k} b != b at {nd.key()}")
+                    violations.append(f"(d) e_{k} f_{k} b != b at {b.key()}")
     return CheckReport(violations, checked, skipped)
 
 
@@ -344,29 +337,25 @@ def check_normal(g: CrystalGraph) -> CheckReport:
     violations: list[str] = []
     checked = skipped = 0
 
-    def walk(start: GraphNode, k: int, op: str) -> int | None:
-        node = start
+    def walk(node: GraphNode | None, k: int, op: str) -> int | None:
         steps = 0
-        while True:
-            if node.frontier:
-                return None
+        while node is not None and not node.frontier:
             nxt = node.element.e(rd, k) if op == "e" else node.element.f(rd, k)
             if nxt is None:
                 return steps
             steps += 1
             node = g.nodes.get(nxt)
-            if node is None:
-                return None  # image outside the explored region
+        return None  # a frontier node, or an image outside the explored region
 
-    for nd in g.nodes.values():
-        for k in rd.vertices():
-            ep, ph = nd.eps[k - 1], nd.phi[k - 1]
+    for x, nd in g.nodes.items():
+        eps, phi = stats_record(x, rd)[2:4]
+        for k, ep, ph in zip(rd.vertices(), eps, phi):
             if ep < 0:
-                violations.append(f"eps_{k} = {ep} < 0 at {nd.key()}")
+                violations.append(f"eps_{k} = {ep} < 0 at {x.key()}")
                 checked += 1
                 continue
             if ph < 0:
-                violations.append(f"phi_{k} = {ph} < 0 at {nd.key()}")
+                violations.append(f"phi_{k} = {ph} < 0 at {x.key()}")
                 checked += 1
                 continue
             ups = walk(nd, k, "e")
@@ -376,23 +365,23 @@ def check_normal(g: CrystalGraph) -> CheckReport:
                 continue
             checked += 1
             if ups != ep:
-                violations.append(f"eps_{k} = {ep} but e-string length {ups} at {nd.key()}")
+                violations.append(f"eps_{k} = {ep} but e-string length {ups} at {x.key()}")
             if downs != ph:
-                violations.append(f"phi_{k} = {ph} but f-string length {downs} at {nd.key()}")
+                violations.append(f"phi_{k} = {ph} but f-string length {downs} at {x.key()}")
     return CheckReport(violations, checked, skipped)
 
 
-def strict_mismatches(rd: RootDatum, x: CrystalElement, y: CrystalElement, image, at):
+def strict_mismatches(rd: RootDatum, x: CrystalElement, y: CrystalElement, image):
     """(violations, skipped) of a strict morphism at x, which it sends to y.
 
     Compares wt, eps and phi of x and y.  Unless ``image`` is None, also
     checks that ``image(o_k x) == o_k y`` for o = e, f and every vertex k,
     None matching None only; where ``image`` returns None, o_k x is
-    unmapped and the comparison is skipped and counted.  ``at()`` labels x
-    in the messages and is called only on a violation.
+    unmapped and the comparison is skipped and counted.  The messages name
+    x by its key, computed only on a violation.
     """
     rx, ry = stats_record(x, rd), stats_record(y, rd)
-    out = [f"{name} not preserved at {at()}"
+    out = [f"{name} not preserved at {x.key()}"
            for name, a, b in zip(("wt", "eps", "phi"), rx[1:4], ry[1:4]) if a != b]
     skipped = 0
     if image is None:
@@ -402,13 +391,13 @@ def strict_mismatches(rd: RootDatum, x: CrystalElement, y: CrystalElement, image
             if src is None or dst is None:
                 if src is not dst:
                     side = "None/non-None" if src is None else "non-None/None"
-                    out.append(f"{op}_{k} {side} mismatch at {at()}")
+                    out.append(f"{op}_{k} {side} mismatch at {x.key()}")
                 continue
             mapped = image(src)
             if mapped is None:
                 skipped += 1
             elif mapped != dst:
-                out.append(f"{op}_{k} does not commute at {at()}")
+                out.append(f"{op}_{k} does not commute at {x.key()}")
     return out, skipped
 
 
@@ -423,8 +412,8 @@ def check_strict_morphism(
     Runs :func:`strict_mismatches` on every mapped node, comparing only
     statistics where either end is a frontier node, and checks injectivity.
     Unmapped frontier nodes, frontier pairs and operator images outside
-    the map are skipped and counted.  Raises ValueError if the map misses
-    a non-frontier node of g1.
+    the map are skipped and counted.  Raises ValueError, naming the node by
+    its element's key, if the map misses a non-frontier node of g1.
     """
     rd = g1.rd
     violations: list[str] = []
@@ -432,7 +421,7 @@ def check_strict_morphism(
     for x, nd in g1.nodes.items():
         if x not in mapping:
             if not nd.frontier:
-                raise ValueError(f"morphism map undefined on non-frontier node {nd.key()}")
+                raise ValueError(f"morphism map undefined on non-frontier node {x.key()}")
             skipped += 1
             continue
         y = mapping[x]
@@ -441,32 +430,34 @@ def check_strict_morphism(
             violations.append(f"image {y.key()} not in target graph")
             continue
         frontier = nd.frontier or img.frontier
-        found, missed = strict_mismatches(rd, x, y, None if frontier else mapping.get, nd.key)
+        found, missed = strict_mismatches(rd, x, y, None if frontier else mapping.get)
         violations += found
         checked += not frontier
         skipped += 1 if frontier else missed
     seen: dict[CrystalElement, CrystalElement] = {}
     for src, dst in mapping.items():
         if dst in seen:
-            violations.append(
-                f"not injective: {seen[dst].key()} and {src.key()} both map to {dst.key()}"
-            )
+            violations.append(f"not injective: {seen[dst].key()} and {src.key()} "
+                              f"both map to {dst.key()}")
         seen[dst] = src
     return CheckReport(violations, checked, skipped)
 
 
 def _export_order(g: CrystalGraph):
-    """The order both exports print: the nodes sorted by key, the edges as
-    (src index, k, dst index) triples and the generators' indices, all
-    sorted.  Reading ``down`` in node order yields the edges sorted.  It is
-    computed on the graph's first export and kept on it, so that writing
-    both DOT and JSON sorts once."""
+    """The order both exports print: the node keys sorted, the nodes in that
+    order, the edges as (src index, k, dst index) triples and the
+    generators' indices, all sorted.  Reading ``down`` in node order yields
+    the edges sorted.  It is computed on the graph's first export and kept
+    on it, so that writing both DOT and JSON keys each node once and sorts
+    once."""
     if g._order is None:
-        nodes = sorted(g.nodes.values(), key=GraphNode.key)
+        by_key = {x.key(): nd for x, nd in g.nodes.items()}  # keys are injective
+        keys = sorted(by_key)
+        nodes = [by_key[key] for key in keys]
         index = {nd: i for i, nd in enumerate(nodes)}
         edges = [(i, k, index[nxt]) for i, nd in enumerate(nodes)
                  for k, nxt in enumerate(nd.down, 1) if nxt is not None]
-        g._order = nodes, edges, sorted(index[g.nodes[x]] for x in g.generators)
+        g._order = keys, nodes, edges, sorted(index[g.nodes[x]] for x in g.generators)
     return g._order
 
 
@@ -484,8 +475,8 @@ def graph_to_json(g: CrystalGraph) -> str:
     """JSON text of a graph, ``{nodes, edges, generators, depth}`` with
     deterministic node and edge order, as ``json.dumps(..., indent=2)``
     plus a newline would print it; -inf statistics are the string "-inf"."""
-    nodes, edges, generators = _export_order(g)
-    ids = [encode_basestring_ascii(nd.key()) for nd in nodes]
+    keys, nodes, edges, generators = _export_order(g)
+    ids = [encode_basestring_ascii(key) for key in keys]
     texts: dict = {}  # JSON text of each distinct weight and eps/phi vector
 
     def weight_text(wt: Weight) -> str:
@@ -509,11 +500,12 @@ def graph_to_json(g: CrystalGraph) -> str:
     parts = ['{\n  "nodes": [']
     sep = "\n    "
     for node_id, nd in zip(ids, nodes):
+        wt, eps, phi = stats_record(nd.element, g.rd)[1:4]
         parts += (sep, '{\n      "id": ', node_id,
                   ',\n      "kind": ', encode_basestring_ascii(nd.element.tag),
-                  ',\n      "wt": ', weight_text(nd.weight),
-                  ',\n      "eps": ', stats_text(nd.eps),
-                  ',\n      "phi": ', stats_text(nd.phi),
+                  ',\n      "wt": ', weight_text(wt),
+                  ',\n      "eps": ', stats_text(eps),
+                  ',\n      "phi": ', stats_text(phi),
                   ',\n      "frontier": ', "true" if nd.frontier else "false", "\n    }")
         sep = ",\n    "
     parts.append("\n  ]" if nodes else "]")
@@ -539,13 +531,14 @@ _DOT_COLORS = (
 def graph_to_dot(g: CrystalGraph) -> str:
     """DOT form: edge color/label by vertex index, node label = pairing vector,
     frontier nodes dashed.  Byte-stable for fixed input."""
-    nodes, edges, _ = _export_order(g)
+    _, nodes, edges, _ = _export_order(g)
     lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=box, fontname="Helvetica"];']
     labels: dict[Weight, str] = {}  # one pairing vector per distinct weight
     for i, nd in enumerate(nodes):
-        label = labels.get(nd.weight)
+        wt = stats_record(nd.element, g.rd)[1]
+        label = labels.get(wt)
         if label is None:
-            label = labels[nd.weight] = ",".join(map(str, g.rd.pairing_vector(nd.weight)))
+            label = labels[wt] = ",".join(map(str, g.rd.pairing_vector(wt)))
         style = ', style=dashed' if nd.frontier else ""
         lines.append(f'  n{i} [label="({label})"{style}];')
     for (a, k, b) in edges:

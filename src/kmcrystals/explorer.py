@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import add, ge, mul, sub
 
@@ -36,11 +36,12 @@ from .crystal_core import (
     GraphNode,
     check_strict_morphism,
     is_neg_inf,
+    stats_record,
     trim_record,
 )
 from .quiver_model import model_highest_weight
 from .root_datum import RootDatum, Weight
-from .tensor import TensorElement
+from .tensor import TensorElement, flatten
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -88,17 +89,23 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
     :func:`~kmcrystals.crystal_core.check_axioms` re-derives every operator
     in both directions and reports it.
 
-    A model node's record holds its rank rows while the node waits in the
-    queue, so that its operator images derive their records from them;
-    the rows are dropped (:func:`~kmcrystals.crystal_core.trim_record`)
-    once the node is expanded or left at the frontier, and on
-    BudgetExceeded.
+    A model node's record, built at admission, holds its rank rows while
+    the node is queued, so that its operator images derive their records
+    from them; the rows are dropped (:func:`~kmcrystals.crystal_core.trim_record`)
+    once the node is expanded or left at the frontier, and from the shared
+    factors of tensor nodes when generation ends or on BudgetExceeded.
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
     node_budget = env_node_budget()
     g = CrystalGraph(rd=rd, depth_bound=depth)
     queue: deque[GraphNode] = deque()
+
+    def trim_all():
+        """Drop the rank rows left in the graph's elements and their factors."""
+        for x in g.nodes:
+            for part in flatten(x):  # x itself, or the factors of a tensor x
+                trim_record(part)
 
     def admit(x: CrystalElement, d: int) -> GraphNode:
         """The graph's node of x, admitting x as a new node if needed."""
@@ -107,11 +114,10 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
             return nd
         if len(g.nodes) >= node_budget:
             reached = max((nd.depth for nd in g.nodes.values()), default=0)
-            for nd in g.nodes.values():
-                trim_record(nd.element)
+            trim_all()
             raise BudgetExceeded(node_budget, g, reached, len(queue))
-        nd = g.nodes[x] = GraphNode(x, x.weight(rd), x.eps_vector(rd), x.phi_vector(rd), d,
-                                    True, [None] * rd.n, [None] * rd.n)
+        x.weight(rd)  # builds x's record while an image's source still holds its rank rows
+        nd = g.nodes[x] = GraphNode(x, d, True, [None] * rd.n, [None] * rd.n)
         queue.append(nd)
         return nd
 
@@ -129,7 +135,10 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
                     src = admit(y, nd.depth + 1)
                     nd.up[k - 1] = src.element
                     src.down[k - 1] = nd
-        trim_record(x)  # its images' records are built; a node keeps only its six fields
+        trim_record(x)  # its images' records are built; x keeps its record's six fields
+    # operators keep an element's class, so only tensor seeds give nodes with factors
+    if any(isinstance(s, TensorElement) for s in g.generators):
+        trim_all()
     return g
 
 
@@ -154,15 +163,12 @@ def closed_family_instance(rd: RootDatum, lam, mu, depth: int | None = None):
 
 def highest_weight_elements(g: CrystalGraph) -> list[CrystalElement]:
     """Nodes killed by every e_k (eps_k = 0, or -inf where nothing acts)."""
-    return [x for x, nd in g.nodes.items() if all(is_neg_inf(v) or v == 0 for v in nd.eps)]
+    return [x for x in g.nodes if all(is_neg_inf(v) or v == 0 for v in stats_record(x, g.rd)[2])]
 
 
 def character(g: CrystalGraph) -> dict[Weight, int]:
     """Weight multiset of the explored nodes (exact on frontier-free graphs)."""
-    counts: dict[Weight, int] = {}
-    for nd in g.nodes.values():
-        counts[nd.weight] = counts.get(nd.weight, 0) + 1
-    return counts
+    return dict(Counter(stats_record(x, g.rd)[1] for x in g.nodes))
 
 
 def tensor_product_graph(
@@ -175,13 +181,9 @@ def tensor_product_graph(
     the operators, so generation only fills in edges).  With a depth bound,
     truncated factors are allowed and the result is itself a truncation.
     """
-    if depth is None:
-        for g in graphs:
-            if g.has_frontier():
-                raise ValueError(
-                    "tensor_product_graph needs completely explored factors "
-                    "unless a depth bound is given"
-                )
+    if depth is None and any(g.has_frontier() for g in graphs):
+        raise ValueError("tensor_product_graph needs completely explored factors "
+                         "unless a depth bound is given")
     pools = [list(g.nodes) for g in graphs]
     seeds = [TensorElement(combo) for combo in itertools.product(*pools)]
     return generate(rd, seeds, depth=depth)
@@ -242,7 +244,8 @@ def decompose(g: CrystalGraph) -> DecompositionTable:
         if any(nd.frontier for nd in seen):
             flagged.append(hw)
             continue
-        entries[start.weight] = entries.get(start.weight, 0) + 1
+        wt = stats_record(hw, g.rd)[1]
+        entries[wt] = entries.get(wt, 0) + 1
         sizes[hw] = len(seen)
     return DecompositionTable(
         entries=entries,
@@ -277,13 +280,13 @@ def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
     first, *rest = weights
     entries = {model_highest_weight(rd, first).weight(rd): 1}
     for lam in rest:
-        g = generate_highest_weight_crystal(rd, lam)
+        factor = [stats_record(x, rd)[1:3] for x in generate_highest_weight_crystal(rd, lam).nodes]
         step: dict[Weight, int] = {}
         for nu, mult in entries.items():
             caps = rd.pairing_vector(nu)
-            for nd in g.nodes.values():
-                if all(e <= c for e, c in zip(nd.eps, caps)):
-                    wt = nu + nd.weight
+            for b_wt, b_eps in factor:
+                if all(e <= c for e, c in zip(b_eps, caps)):
+                    wt = nu + b_wt
                     step[wt] = step.get(wt, 0) + mult
         entries = step
     return DecompositionTable(entries=entries, complete=True, depth=None)
@@ -297,8 +300,9 @@ def is_isomorphic(g1: CrystalGraph, g2: CrystalGraph):
     arrays from the two sources builds the candidate map; highest-weight
     crystal isomorphisms are unique, so an f_k defined on one side only or
     an edge clash settles the question.  Frontier pairs are not expanded,
-    which makes equal-depth truncations comparable.  The candidate is then
-    checked as a strict morphism, which compares wt, eps and phi.
+    which makes equal-depth truncations comparable; a map missing a node of
+    either graph answers False.  The candidate is then checked as a strict
+    morphism, which compares wt, eps and phi.
 
     Returns (answer, witness_map_or_None, reason); the witness maps node
     keys of g1 to node keys of g2.
@@ -318,19 +322,22 @@ def is_isomorphic(g1: CrystalGraph, g2: CrystalGraph):
             continue
         for k, (fa, fb) in enumerate(zip(na.down, nb.down), 1):
             if (fa is None) != (fb is None):
-                return False, None, f"f_{k} defined on one side only at {na.key()}"
+                return False, None, f"f_{k} defined on one side only at {na.element.key()}"
             if fa is None:
                 continue
             if fa in mapping:
                 if mapping[fa] is not fb:
-                    return False, None, f"edge clash at {fa.key()}"
+                    return False, None, f"edge clash at {fa.element.key()}"
                 continue
             mapping[fa] = fb
             queue.append((fa, fb))
+    n1, n2 = g1.node_count(), g2.node_count()
+    if not len(mapping) == n1 == n2:  # an injective map of all g1 into n1 nodes is onto
+        return False, None, f"walk maps {len(mapping)} of {n1} nodes into a graph of {n2}"
     report = check_strict_morphism(g1, g2, {a.element: b.element for a, b in mapping.items()})
     if not report.ok():
         return False, None, "witness failed strict-morphism check: " + report.violations[0]
-    return True, {a.key(): b.key() for a, b in mapping.items()}, ""
+    return True, {a.element.key(): b.element.key() for a, b in mapping.items()}, ""
 
 
 # ---------------------------------------------------------------------------

@@ -399,5 +399,4 @@ def embedding_mismatches(rd: RootDatum, x: ModelElement) -> list[str]:
     correspond to None and elements must match factor by factor.
     """
     win = window(rd, x, margin=2)  # room for x and any single operator image
-    return strict_mismatches(rd, x, embed_psi(rd, x, win),
-                             lambda y: embed_psi(rd, y, win), x.key)[0]
+    return strict_mismatches(rd, x, embed_psi(rd, x, win), lambda y: embed_psi(rd, y, win))[0]

@@ -279,9 +279,9 @@ def test_criterion_7_telescoping_identity():
         elements = 0
         for g in _model_graphs():
             rd = g.rd
-            for x, nd in g.nodes.items():
+            for x in g.nodes:
                 lo, hi = window(rd, x)
-                wt = nd.weight
+                wt = x.weight(rd)
                 for k in rd.vertices():
                     total = sum(rank_complex(rd, x, k, p) for p in range(lo, hi + 1))
                     assert total == rd.pairing(k, wt)

@@ -93,6 +93,19 @@ def test_edge_recorded_on_one_side_detected(kept):
     assert check_axioms(g).violations == [expected]
 
 
+def test_edge_dropped_at_both_ends_detected():
+    # each end derives the image its entry lacks; neither end holds the edge
+    g = generate_highest_weight_crystal(build_root_datum("A2"), (1, 1))
+    (hw,) = g.generators
+    image = g.nodes[hw].down[0]
+    g.nodes[hw].down[0] = image.up[0] = None
+    assert len(g.edges) == 7
+    assert check_axioms(g).violations == [
+        f"(d) f_1 b defined but not recorded at {hw.key()}",
+        f"(d) e_1 b defined but not recorded at {image.element.key()}",
+    ]
+
+
 def test_axioms_truncated_affine_skips():
     rd = build_root_datum("affineA1")
     g = generate_highest_weight_crystal(rd, (1, 0), depth=4)
@@ -232,9 +245,9 @@ def _reference_json(g):
             {
                 "id": nd.element.key(),
                 "kind": nd.element.tag,
-                "wt": nd.weight.serialize(),
-                "eps": [stat(x) for x in nd.eps],
-                "phi": [stat(x) for x in nd.phi],
+                "wt": nd.element.weight(g.rd).serialize(),
+                "eps": [stat(x) for x in nd.element.eps_vector(g.rd)],
+                "phi": [stat(x) for x in nd.element.phi_vector(g.rd)],
                 "frontier": nd.frontier,
             }
             for nd in nodes
@@ -273,7 +286,8 @@ def test_json_oracle_graphs_cover_the_schema():
     graphs = _oracle_graphs()
     assert len(graphs["tensor A2 (1,1) x (1,0)"].generators) > 1
     assert all(x.tag == "Tensor" for x in graphs["tensor A2 (1,1) x (1,0)"].nodes)
-    assert any(is_neg_inf(v) for nd in graphs["Bk A2 depth 2"].nodes.values() for v in nd.eps)
+    bk = graphs["Bk A2 depth 2"]
+    assert any(is_neg_inf(v) for x in bk.nodes for v in x.eps_vector(bk.rd))
     affine = graphs["affineA1 (1,0) depth 3"]
     assert affine.has_frontier() and affine.depth_bound == 3
     assert graphs["one node"].node_count() == 1 and not graphs["one node"].edges
@@ -295,7 +309,7 @@ def test_element_key_round_trip():
     ids = [node["id"] for node in json.loads(graph_to_json(g))["nodes"]]
     assert ids == sorted(x.key() for x in g.nodes)
     for x in g.nodes:
-        assert json.loads(g.nodes[x].key()) == x.serialize()
+        assert json.loads(x.key()) == x.serialize()
 
 
 def _dump(x) -> str:
@@ -346,7 +360,7 @@ def test_export_order_is_the_order_of_json_dumps(graph):
         rd = build_root_datum("A2")
         g = tensor_product_graph(rd, [generate_highest_weight_crystal(rd, w)
                                       for w in ((1, 0), (0, 1))])
-    nodes, _, _ = _export_order(g)
+    _, nodes, _, _ = _export_order(g)
     assert [nd.element for nd in nodes] == sorted(g.nodes, key=_dump)
 
 

@@ -36,10 +36,10 @@ from kmcrystals import (
     weyl_dim,
 )
 from kmcrystals import crystal_core, explorer, quiver_model
-from kmcrystals.crystal_core import stats_record
+from kmcrystals.crystal_core import GraphNode, stats_record
 from kmcrystals.quiver_model import window
 from kmcrystals.root_datum import Weight
-from kmcrystals.tensor import TensorElement
+from kmcrystals.tensor import TensorElement, flatten
 
 RD1 = build_root_datum("A1")
 RD2 = build_root_datum("A2")
@@ -68,7 +68,7 @@ def test_generate_sl2():
 def test_generate_a2_fundamental():
     g = generate_highest_weight_crystal(RD2, (1, 0))
     assert g.node_count() == 3
-    weights = {nd.weight for nd in g.nodes.values()}
+    weights = {x.weight(RD2) for x in g.nodes}
     lam = Weight((1, 0), (0, 0))
     assert weights == {lam, lam.subtract_alpha(1), lam.subtract_alpha(1).subtract_alpha(2)}
 
@@ -97,7 +97,7 @@ def test_hw_scan():
     product = tensor_product_graph(RD2, [g1, g2])
     hws = highest_weight_elements(product)
     assert len(hws) == 2
-    pairings = sorted(RD2.pairing_vector(product.nodes[x].weight) for x in hws)
+    pairings = sorted(RD2.pairing_vector(x.weight(RD2)) for x in hws)
     assert pairings == [(0, 0), (1, 1)]
 
 
@@ -145,6 +145,24 @@ def test_is_isomorphic_distinguishes_fundamentals():
     g2 = generate_highest_weight_crystal(RD2, (0, 1))
     iso, witness, reason = is_isomorphic(g1, g2)
     assert not iso and witness is None and reason
+
+
+@pytest.mark.parametrize("deeper_first", [False, True], ids=["depth 1 first", "full first"])
+def test_is_isomorphic_rejects_another_truncation_in_either_order(deeper_first):
+    # the walk stops at the shallow graph's frontier, so its map covers only
+    # that graph; B(1,1) of A2 has height 4, so depth 10 truncates nothing
+    full = generate_highest_weight_crystal(RD2, (1, 1))
+    shallow = generate_highest_weight_crystal(RD2, (1, 1), depth=1)
+    deep = generate_highest_weight_crystal(RD2, (1, 1), depth=10)
+    assert not deep.has_frontier()
+    if deeper_first:
+        reason = "walk maps 3 of 8 nodes into a graph of 3"
+        assert is_isomorphic(full, shallow) == (False, None, reason)
+        assert is_isomorphic(full, deep)[0]
+    else:
+        reason = "walk maps 3 of 3 nodes into a graph of 8"
+        assert is_isomorphic(shallow, full) == (False, None, reason)
+        assert is_isomorphic(deep, full)[0]
 
 
 def test_closed_family_component():
@@ -544,7 +562,7 @@ def test_keys_only_where_bytes_leave(monkeypatch):
 
 def _lowest_element(rd, lam):
     full = generate_highest_weight_crystal(rd, lam)
-    (lowest,) = [nd.element for nd in full.nodes.values() if not any(nd.phi)]
+    (lowest,) = [x for x in full.nodes if not any(x.phi_vector(rd))]
     return lowest  # from it, every node is first reached by an e-edge
 
 
@@ -696,14 +714,9 @@ def test_generate_hashes_each_element_once_per_lookup(monkeypatch, rd, lam):
     assert len(calls) <= g.node_count() + _edge_count(g) + len(seeds)
 
 
-@pytest.mark.parametrize("build", EXPLORED.values(), ids=EXPLORED.keys())
-def test_nodes_share_the_element_record(build):
-    # a node's statistics are its element's own record, not copies of it
-    g = build()
-    for nd in g.nodes.values():
-        assert nd.weight is nd.element.weight(g.rd)
-        assert nd.eps is nd.element.eps_vector(g.rd)
-        assert nd.phi is nd.element.phi_vector(g.rd)
+def test_graph_node_holds_exploration_state_only():
+    # statistics live in the element's record and keys come from element.key()
+    assert GraphNode.__slots__ == ("element", "depth", "frontier", "down", "up", "__weakref__")
 
 
 def _full_pass_record(rd, x):
@@ -778,23 +791,41 @@ def test_generate_makes_one_full_rank_pass_per_seed(monkeypatch, rd, lam):
     assert passes == list(g.generators)
 
 
-@pytest.mark.parametrize("build", [*EXPLORED.values(), *RECORDED.values()],
-                         ids=[*EXPLORED.keys(), *RECORDED.keys()])
+def _closed_family_component(rd, lam, mu):
+    """The component of b_lam (x) b_mu that ``closed_family_instance`` explores."""
+    return generate(rd, [TensorElement((model_highest_weight(rd, lam),
+                                        model_highest_weight(rd, mu)))])
+
+
+COMPONENTS = {
+    "A3 (1,1,0)x(0,1,1) component": lambda: _closed_family_component(
+        RD3, (1, 1, 0), (0, 1, 1)),
+}
+
+
+FINISHED = {**EXPLORED, **RECORDED, **COMPONENTS}
+
+
+@pytest.mark.parametrize("build", FINISHED.values(), ids=FINISHED.keys())
 def test_finished_graph_keeps_no_rows_or_links(build):
-    # rank rows live only until a node is expanded, frontier nodes included
+    # rank rows live only until a node is expanded, frontier nodes included,
+    # and in the factors of tensor nodes until generation ends
     g = build()
     for x in g.nodes:
-        assert len(x.__dict__["_record"]) == 6
-        assert "_link" not in x.__dict__
+        for part in (x, *flatten(x)):
+            assert len(part.__dict__["_record"]) == 6
+            assert "_link" not in part.__dict__
 
 
 def test_partial_graph_keeps_no_rows(monkeypatch):
     monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "20")
-    with pytest.raises(BudgetExceeded) as info:
-        generate_highest_weight_crystal(RDA, (1, 0))
-    assert info.value.queued > 0
-    for x in info.value.partial.nodes:
-        assert len(x.__dict__["_record"]) == 6
+    for build in (lambda: generate_highest_weight_crystal(RDA, (1, 0)), *COMPONENTS.values()):
+        with pytest.raises(BudgetExceeded) as info:
+            build()
+        assert info.value.queued > 0
+        for x in info.value.partial.nodes:
+            for part in (x, *flatten(x)):
+                assert len(part.__dict__["_record"]) == 6
 
 
 def test_image_drops_its_link_once_recorded():
@@ -811,10 +842,10 @@ def test_image_drops_its_link_once_recorded():
 
 
 def test_finished_graph_memory_is_pinned():
-    # a finished D4 (1,1,1,1) graph holds 5,128,972 traced bytes on CPython
-    # 3.11.7, about 1.25 KB per node: derived records drop their rank rows
+    # a finished D4 (1,1,1,1) graph holds 4,997,900 traced bytes on CPython
+    # 3.11.7, about 1.2 KB per node: derived records drop their rank rows
     # once the node is expanded, and a GraphNode has slots, not a __dict__
-    # (5,292,812 bytes with one); allow 2% over
+    # (5,128,972 bytes with one), and only its exploration state; allow 2% over
     generate_highest_weight_crystal(RD4, (1, 1, 1, 1))  # first-use caches
     gc.collect()
     tracemalloc.start()
@@ -825,7 +856,7 @@ def test_finished_graph_memory_is_pinned():
     finally:
         tracemalloc.stop()
     assert g.node_count() == 4096
-    assert held <= 5_128_972 * 1.02
+    assert held <= 4_997_900 * 1.02
 
 
 def test_exports_hash_no_element(monkeypatch):
