@@ -714,6 +714,19 @@ def test_generate_hashes_each_element_once_per_lookup(monkeypatch, rd, lam):
     assert len(calls) <= g.node_count() + _edge_count(g) + len(seeds)
 
 
+@pytest.mark.parametrize("build", EXPLORED.values(), ids=EXPLORED.keys())
+def test_nodes_share_the_element_record(build):
+    # a node's statistics are its element's own record, not copies of it
+    g = build()
+    for x, nd in g.nodes.items():
+        assert nd.element is x
+        record = x.__dict__["_record"]
+        assert nd.element.weight(g.rd) is record[1]
+        assert nd.element.eps_vector(g.rd) is record[2]
+        assert nd.element.phi_vector(g.rd) is record[3]
+        assert not any(hasattr(nd, name) for name in ("weight", "eps", "phi"))
+
+
 def test_graph_node_holds_exploration_state_only():
     # statistics live in the element's record and keys come from element.key()
     assert GraphNode.__slots__ == ("element", "depth", "frontier", "down", "up", "__weakref__")
