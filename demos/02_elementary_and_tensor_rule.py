@@ -7,6 +7,8 @@ one-element crystal, and the capping element), then the signed-max rule
 that decides which tensor factor an operator acts on.
 """
 
+import json
+
 from kmcrystals import BkElement, S0Element, TElement, TensorElement, build_root_datum
 from kmcrystals import model_highest_weight
 
@@ -33,7 +35,7 @@ print("phi profile of hw (x) hw:", x.phi_profile(rd, 1))
 # f_1 acts at the largest position attaining the phi-maximum, here the
 # LEFT factor (the rule prefers the left factor on strict inequality):
 moved = x.f(rd, 1)
-print("f(hw (x) hw) factors:", [f.serialize() for f in moved.factors])
+print("f(hw (x) hw) factors:", [json.loads(f.key()) for f in moved.factors])
 
 # Repeated lowering walks the 3-dimensional component of the 2x2 square:
 chain = [x]

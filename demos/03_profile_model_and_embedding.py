@@ -7,6 +7,7 @@ operators from Euler ranks of three-term complexes, and the capped tensor
 embedding that pins every convention down.
 """
 
+import json
 from itertools import accumulate
 
 from kmcrystals import (
@@ -23,7 +24,7 @@ rd = build_root_datum("A2")
 
 # The source of B(Lambda_1): the framing sits on slot 0, the v-table is empty.
 hw = model_highest_weight(rd, (1, 0))
-print("source:", hw.serialize())
+print("source:", json.loads(hw.key()))
 
 # rank tables drive everything: here only (k=1, p=1) is nonzero.
 # Slots -1..2 are the whole window of hw; outside it every rank is 0.
@@ -38,13 +39,13 @@ print("partial sums eps_bar / phi_bar at k=1:",
 # Lowering twice: note the second unit lands on slot 2, one above the first.
 x = hw.f(rd, 1)
 y = x.f(rd, 2)
-print("after f_1:    ", x.serialize())
-print("after f_2 f_1:", y.serialize())
+print("after f_1:    ", json.loads(x.key()))
+print("after f_2 f_1:", json.loads(y.key()))
 
 # The embedding sends a profile to a capped tensor of elementary crystals,
 # slots in decreasing order from left to right:
 emb = embed_psi(rd, y, window(rd, y, margin=2))
-print("embedded factors:", [f.serialize() for f in emb.factors])
+print("embedded factors:", [json.loads(f.key()) for f in emb.factors])
 
 # Statistics and operators computed in the model and through the embedding
 # agree, element by element; an empty mismatch list is the whole point.

@@ -4,30 +4,31 @@ Subcommands: ``graph`` writes an explored B(lambda) as DOT or JSON,
 ``tensor`` decomposes a tensor product of highest-weight crystals into a
 table, ``verify`` runs one of the built-in verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 node
-budget exceeded.  Every usage error in every subcommand (a missing or
-malformed root datum or weight, a weight of the wrong length or not
-dominant, a negative ``--depth``, ``--max-entry`` or ``--pairs``, a
-CRYSTAL_NODE_BUDGET that is not a nonnegative integer, the oracle suite
-on a datum not of finite type, an infinite crystal without ``--depth``,
-an output path that is a directory or lies in a missing one, one file
-given to two outputs) is found
-before any work starts and before any file is written, and exits 2 with
-one ``error:`` line on stderr.  A crystal B(lambda) is infinite iff lambda
-is nonzero on a connected component of the diagram not of finite type;
-every subcommand applies this one rule to each ``--weight``, and ``verify
-closed`` to the largest weight its ``--max-entry`` draws.  The node
-budget is controlled by the environment variable CRYSTAL_NODE_BUDGET
-(default 10^6 nodes; a finished profile-model graph holds about 1.2 KB
-per node, so about 1.2 GB).  It bounds every graph a command generates,
-and an overrun reports the depth reached and the nodes still queued.
-``tensor`` without ``--depth`` decomposes by the highest-weight rule and
-generates only the factors after the first, lambda_2 ... lambda_N, so
-there the budget bounds each of those factors, not the product; with
-``--depth`` the truncated product is built and the budget bounds it too.
-``verify oracle --depth d`` compares the character with the recursion's
-weights of height <= d (a depth-d generation holds exactly those
-elements), and ``#B`` with ``weyl_dim`` only when the cut drops none.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 node budget
+exceeded.  Every usage error in every subcommand (a missing or malformed
+root datum or weight, a weight of the wrong length or not dominant, a
+negative ``--depth``, ``--max-entry`` or ``--pairs``, a CRYSTAL_NODE_BUDGET
+that is not a nonnegative integer, the oracle suite on a datum not of
+finite type, an infinite crystal without ``--depth``, an output path that
+is empty, names a directory or lies in a missing one, symlinks followed,
+one file given to two outputs) is found before any work starts and before
+any file is written, and exits 2 with one ``error:`` line on stderr.  An
+output file the system still refuses (a name too long, say) exits 2 the
+same way, after the work.  A crystal B(lambda) is infinite iff lambda is
+nonzero on a connected component of the diagram not of finite type; every
+subcommand applies this one rule to each ``--weight``, and ``verify
+closed`` to the largest weight its ``--max-entry`` draws.  The node budget
+is controlled by the environment variable CRYSTAL_NODE_BUDGET (default 10^6
+nodes; a finished profile-model graph holds about 1.2 KB per node, so about
+1.2 GB).  It bounds every graph a command generates, and an overrun reports
+the depth reached and the nodes still queued.  ``tensor`` without
+``--depth`` decomposes by the highest-weight rule and generates only the
+factors after the first, lambda_2 ... lambda_N, so there the budget bounds
+each of those factors, not the product; with ``--depth`` the truncated
+product is built and the budget bounds it too.  ``verify oracle --depth d``
+compares the character with the recursion's weights of height <= d (a
+depth-d generation holds exactly those elements), and ``#B`` with
+``weyl_dim`` only when the cut drops none.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import json
 import os
 import random
 import sys
+from functools import partial
 
 from .crystal_core import check_axioms, check_normal, graph_to_dot, graph_to_json
 from .explorer import (
@@ -135,12 +137,14 @@ def _validate(args):
     flags: dict[str, str] = {}  # real path -> the flag that names it
     for flag, name in (("--dot", "dot"), ("--tsv", "tsv"), ("--json", "json_path")):
         path = getattr(args, name, None)
+        if path == "":
+            raise ValueError(f"{flag} needs a path (- for stdout)")
         if path and path != "-":
-            if os.path.isdir(path):
+            real = os.path.realpath(path)  # a symlink is checked where it points
+            if os.path.isdir(real):
                 raise ValueError(f"output path {path} is a directory")
-            if not os.path.isdir(os.path.dirname(path) or "."):
+            if not os.path.isdir(os.path.dirname(real)):
                 raise ValueError(f"directory of output path {path} does not exist")
-            real = os.path.realpath(path)
             if real in flags:
                 raise ValueError(f"output path {path} is given to both {flags[real]} and {flag}")
             flags[real] = flag
@@ -188,11 +192,8 @@ def _emit(outputs, default):
 
 def _run_graph(args, rd, weights) -> int:
     g = generate_highest_weight_crystal(rd, weights[0], depth=args.depth)
-
-    def as_json():
-        return graph_to_json(g)
-
-    _emit([(args.dot, lambda: graph_to_dot(g)), (args.json_path, as_json)], as_json)
+    as_json = partial(graph_to_json, g)
+    _emit([(args.dot, partial(graph_to_dot, g)), (args.json_path, as_json)], as_json)
     return 0
 
 
@@ -272,9 +273,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return command(args, rd, weights)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, OSError) as exc:  # OSError: an output file cannot be written
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, BudgetExceeded) else 2
 
 
 if __name__ == "__main__":

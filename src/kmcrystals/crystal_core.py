@@ -21,7 +21,6 @@ on its first export, and shared by the two writers.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -83,20 +82,17 @@ def ext_max(values):
     return max(values, default=NEG_INF)
 
 
-_KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps(..., separators=...)
-
-
 class CrystalElement(ABC):
     """One element of a crystal; all operations are pure.
 
     Operators return None for the formal zero.  Identity is structural:
     concrete elements are frozen dataclasses, compared with ``==`` and
-    hashed by value.  ``serialize`` must be injective on structurally
-    distinct elements; its compact JSON dump, ``key``, labels the element
-    only where bytes leave the program: exported node ids, witness maps
-    and violation messages.  The default ``key`` encodes ``serialize()``;
-    the classes keyed in bulk (model and tensor elements) write the same
-    text directly, and a test pins that the bytes agree.
+    hashed by value.  ``key()`` is the element's one text form: compact
+    JSON (``separators=(",", ":")``), injective on structurally distinct
+    elements, an object whose single name is the class's ``tag``.  Each
+    class writes it directly.  It labels the element only where bytes
+    leave the program: exported node ids, witness maps and violation
+    messages.
 
     The readers and the operators are written once, here, on the record of
     :func:`stats_record`.  An element class plugs in with two methods:
@@ -115,7 +111,7 @@ class CrystalElement(ABC):
     None when the factor at the site does.
     """
 
-    tag: ClassVar[str]  # the single key of ``serialize()``, constant per class
+    tag: ClassVar[str]  # the name at the head of ``key()``, constant per class
 
     def __init_subclass__(cls, **kwargs):
         # bench/tracer.py counts each class's calls of these names in that
@@ -130,10 +126,7 @@ class CrystalElement(ABC):
     def _build(self, rd: RootDatum) -> tuple: ...
 
     @abstractmethod
-    def serialize(self) -> dict: ...
-
-    def key(self) -> str:
-        return _KEY_ENCODER.encode(self.serialize())
+    def key(self) -> str: ...
 
     def weight(self, rd: RootDatum) -> Weight:
         return stats_record(self, rd)[1]

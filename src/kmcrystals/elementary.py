@@ -45,8 +45,8 @@ class BkElement(CrystalElement):
     def _move(self, rd: RootDatum, l: int, site: int, delta: int) -> "BkElement":
         return BkElement(self.k, self.n - delta)  # e_k raises n, f_k lowers it
 
-    def serialize(self) -> dict:
-        return {"Bk": {"k": self.k, "n": self.n}}
+    def key(self) -> str:
+        return '{"Bk":{"k":%d,"n":%d}}' % (self.k, self.n)
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,9 @@ class TElement(CrystalElement):
                 f"weight has rank {len(self.lam.lambda_part)}, root datum has rank {rd.n}")
         return rd, self.lam, (NEG_INF,) * rd.n, (NEG_INF,) * rd.n, (None,) * rd.n, (None,) * rd.n
 
-    def serialize(self) -> dict:
-        return {"T": self.lam.serialize()}
+    def key(self) -> str:
+        return '{"T":{"lambda":[%s],"root":[%s]}}' % (
+            ",".join(map(str, self.lam.lambda_part)), ",".join(map(str, self.lam.root_part)))
 
 
 @dataclass(frozen=True)
@@ -71,5 +72,5 @@ class S0Element(CrystalElement):
     def _build(self, rd: RootDatum) -> tuple:
         return rd, rd.zero_weight(), (0,) * rd.n, (0,) * rd.n, (None,) * rd.n, (None,) * rd.n
 
-    def serialize(self) -> dict:
-        return {"S0": {}}
+    def key(self) -> str:
+        return '{"S0":{}}'

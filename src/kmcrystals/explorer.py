@@ -77,7 +77,7 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
     None means full expansion (the crystal had better be finite).  Nodes at
     the depth bound stay marked as frontier.  Admitting more nodes than
     CRYSTAL_NODE_BUDGET allows raises BudgetExceeded.  Nodes are keyed by
-    the elements themselves (structural equality); nothing is serialized,
+    the elements themselves (structural equality); no ``key()`` is computed,
     and exploration order never changes the result.
 
     Each edge is derived once, from any seed set.  Expanding b computes

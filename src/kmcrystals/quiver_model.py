@@ -52,7 +52,6 @@ exactly how the model is verified end to end.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -93,16 +92,13 @@ class WProfile:
     def support(self) -> list[int]:
         return [p for p, _ in self.slots]
 
-    def serialize(self) -> dict:
-        return {str(p): list(vec) for p, vec in self.slots}
-
     def _key_prefix(self) -> str:
         """The text every model element's key on this profile starts with,
         up to its first ``v`` entry; written once and kept on the profile."""
         prefix = self.__dict__.get("_prefix")
         if prefix is None:
-            w = json.dumps(self.serialize(), separators=(",", ":"))
-            prefix = self.__dict__["_prefix"] = '{"Model":{"w":' + w + ',"v":{'
+            w = ",".join(['"%d":[%s]' % (p, ",".join(map(str, vec))) for p, vec in self.slots])
+            prefix = self.__dict__["_prefix"] = '{"Model":{"w":{' + w + '},"v":{'
         return prefix
 
 
@@ -120,9 +116,9 @@ def wprofile(slots: dict[int, object]) -> WProfile:
 class ModelElement(CrystalElement):
     """A dimension profile v against a fixed W-profile; entries always >= 0.
 
-    ``key`` writes the compact JSON of ``serialize()`` as text, from a W
-    prefix written once per ``WProfile``: every element of one B(lambda)
-    shares it, so a key costs one formatted piece per entry of ``v``.
+    ``key`` is ``{"Model":{"w":{"p":vector,...},"v":{"k,p":count,...}}}``,
+    its text up to ``v`` written once per ``WProfile`` and shared by every
+    element of one B(lambda), so a key costs one piece per entry of ``v``.
     """
 
     tag = "Model"
@@ -177,16 +173,8 @@ class ModelElement(CrystalElement):
         y.__dict__["_link"] = (self, k, p, delta)
         return y
 
-    def serialize(self) -> dict:
-        return {
-            "Model": {
-                "w": self.wp.serialize(),
-                "v": {f"{k},{p}": c for (k, p), c in self.v},
-            }
-        }
-
     def key(self) -> str:
-        """The compact JSON of ``serialize()``, written as text."""
+        """The compact-JSON text of the class docstring."""
         return (self.wp._key_prefix() + ",".join([f'"{k},{p}":{c}' for (k, p), c in self.v])
                 + "}}}")
 

@@ -72,11 +72,8 @@ class TensorElement(CrystalElement):
             return None
         return TensorElement(self.factors[:p] + (moved,) + self.factors[p + 1 :])
 
-    def serialize(self) -> dict:
-        return {"Tensor": [x.serialize() for x in self.factors]}
-
     def key(self) -> str:
-        """The compact JSON of ``serialize()``, built from the factors' keys:
+        """The list of the factors' keys, in order, under ``"Tensor"``:
         compact JSON of a list is its items' texts joined by commas."""
         return '{"Tensor":[' + ",".join([x.key() for x in self.factors]) + "]}"
 

@@ -223,6 +223,7 @@ def test_non_dominant_weight_exits_2(tmp_path):
 def test_malformed_weight_exits_2(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "rd.json").write_text("[1, 2]")
+    (tmp_path / "lost.json").symlink_to("/nonexistent/d/x.json")
     for argv in (
         ["graph", "--preset", "A2", "--weight", "a,b"],
         ["graph", "--preset", "A2", "--weight", "1"],
@@ -243,12 +244,45 @@ def test_malformed_weight_exits_2(capsys, tmp_path, monkeypatch):
          "--json", "/nonexistent/y.json"],
         ["graph", "--preset", "A2", "--weight", "1,0", "--json", "."],
         ["graph", "--root-datum", "rd.json", "--weight", "1,0"],
+        ["graph", "--preset", "A2", "--weight", "1,0", "--dot", "ok", "--json", ""],
+        ["graph", "--preset", "A2", "--weight", "1,0", "--json", ""],
+        ["graph", "--preset", "A2", "--weight", "1,0", "--dot", ""],
+        ["tensor", "--preset", "A2", "--weight", "1,0", "--tsv", ""],
+        ["graph", "--preset", "A2", "--weight", "1,0", "--dot", "ok", "--json", "lost.json"],
     ):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     assert not (tmp_path / "ok").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["graph", "--preset", "A2", "--root-datum", "rd.json", "--weight", "1,0"],
+     "give either --preset or --root-datum, not both"),
+    # B(0) is finite on any datum, so only the suite's own rule rejects this
+    (["verify", "oracle", "--preset", "affineA1", "--weight", "0,0"],
+     "oracle suite needs a finite-type root datum"),
+])
+def test_usage_error_names_its_rule(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rd.json").write_text('{"preset": "A2"}')
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_unwritable_output_exits_2_after_the_work(capsys, tmp_path, monkeypatch):
+    # a file name too long for the file system passes validation and fails at open
+    monkeypatch.chdir(tmp_path)
+    long = "x" * 300 + ".json"
+    argv = ["tensor", "--preset", "A2", "--weight", "1,0", "--weight", "0,1"]
+    assert main(argv + ["--tsv", "t.tsv", "--json", long]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert (tmp_path / "t.tsv").read_text().startswith("# complete: true")
+    assert main(["graph", "--preset", "A2", "--weight", "1,0", "--dot", long]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_one_file_for_two_outputs_exits_2(capsys, tmp_path, monkeypatch):

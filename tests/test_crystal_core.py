@@ -20,6 +20,7 @@ from kmcrystals import (
     generate_highest_weight_crystal,
     graph_to_dot,
     graph_to_json,
+    is_isomorphic,
     model_element,
     model_highest_weight,
     tensor_product_graph,
@@ -309,12 +310,27 @@ def test_element_key_round_trip():
     ids = [node["id"] for node in json.loads(graph_to_json(g))["nodes"]]
     assert ids == sorted(x.key() for x in g.nodes)
     for x in g.nodes:
-        assert json.loads(x.key()) == x.serialize()
+        assert json.loads(x.key()) == _serialize(x)
+
+
+def _serialize(x) -> dict:
+    """The dict form of a key, built here from the element's fields."""
+    if isinstance(x, TensorElement):
+        return {"Tensor": [_serialize(y) for y in x.factors]}
+    if isinstance(x, ModelElement):
+        return {"Model": {"w": {str(p): list(vec) for p, vec in x.wp.slots},
+                          "v": {f"{k},{p}": c for (k, p), c in x.v}}}
+    if isinstance(x, BkElement):
+        return {"Bk": {"k": x.k, "n": x.n}}
+    if isinstance(x, TElement):
+        return {"T": {"lambda": list(x.lam.lambda_part), "root": list(x.lam.root_part)}}
+    assert isinstance(x, S0Element)
+    return {"S0": {}}
 
 
 def _dump(x) -> str:
-    """The key oracle: the compact JSON of ``serialize()``."""
-    return json.dumps(x.serialize(), separators=(",", ":"))
+    """The key oracle: the compact JSON of :func:`_serialize`."""
+    return json.dumps(_serialize(x), separators=(",", ":"))
 
 
 _ints = st.integers(-15, 15)  # slots and coordinates, signs and two digits both drawn
@@ -384,8 +400,8 @@ class BrokenString(CrystalElement):
     def f(self, rd, k):
         return BrokenString(self.i + 1, self.middle_e) if self.i < 2 else None
 
-    def serialize(self):
-        return {"BrokenString": {"i": self.i}}
+    def key(self):
+        return '{"BrokenString":{"i":%d}}' % self.i
 
 
 @pytest.mark.parametrize("middle_e", [None, 2])
@@ -399,6 +415,99 @@ def test_axioms_catch_e_not_inverse_of_f(middle_e):
     assert any("not e_1-inverted" in v for v in violations)
 
 
+@dataclass(frozen=True)
+class Forged(CrystalElement):
+    """Element ``name`` of a finite structure, not necessarily a crystal,
+    given by ``table``: rows (name, (wt, eps, phi, e, f)), e and f the
+    names of the images per vertex, None where the operator is undefined."""
+
+    tag = "Forged"
+    name: str
+    table: tuple
+
+    def _build(self, rd):
+        wt, eps, phi, e, f = dict(self.table)[self.name]
+        sites = [tuple(None if y is None else 0 for y in ys) for ys in (e, f)]
+        return (rd, wt, eps, phi, *sites)
+
+    def _move(self, rd, k, site, delta):
+        return Forged(dict(self.table)[self.name][3 if delta < 0 else 4][k - 1], self.table)
+
+    def key(self):
+        return '{"Forged":{"name":"%s"}}' % self.name
+
+
+def _forged(**rows):
+    """Element ``a`` of the structure with rows name=(lambda, root, eps, phi,
+    e, f): the first four tuples over the vertices, e and f one character
+    per vertex naming the image, "." where there is none."""
+    return Forged("a", tuple(
+        (name, (Weight(lam, root), eps, phi,
+                *[tuple(None if c == "." else c for c in ys) for ys in (e, f)]))
+        for name, (lam, root, eps, phi, e, f) in rows.items()))
+
+
+_I = NEG_INF
+
+
+@pytest.mark.parametrize("rows, text", [
+    (dict(a=((0,), (0,), (0,), (1,), ".", ".")), "(a) phi != eps + <h_1,wt> at"),
+    (dict(a=((0,), (0,), (_I,), (0,), ".", ".")), "(a) eps/phi -inf mismatch at k=1,"),
+    (dict(a=((0,), (0,), (_I,), (_I,), ".", "b"), b=((0,), (1,), (_I,), (_I,), "a", ".")),
+     "(e) operator defined despite phi=-inf at k=1,"),
+    # f_1 a = b keeps the weight of a; its eps and phi shift correctly
+    (dict(a=((1,), (0,), (0,), (1,), ".", "b"), b=((1,), (0,), (1,), (0,), "a", ".")),
+     "(c) wt(f_1 b) != wt(b)-alpha at"),
+    # f_1 a = b lowers the weight correctly, but eps_1 does not rise
+    (dict(a=((1,), (0,), (0,), (1,), ".", "b"), b=((1,), (1,), (0,), (-1,), "a", ".")),
+     "(c) eps/phi shift wrong under f_1 at"),
+])
+def test_axioms_report_each_forged_fault(rows, text):
+    g = generate(build_root_datum("A1"), [_forged(**rows)])
+    assert any(v.startswith(text) for v in check_axioms(g).violations), text
+
+
+def test_normal_reports_string_lengths():
+    # eps = phi = 1 on an element no operator moves
+    g = generate(build_root_datum("A1"), [_forged(a=((0,), (0,), (1,), (1,), ".", "."))])
+    report = check_normal(g)
+    key = '{"Forged":{"name":"a"}}'
+    assert report.violations == [f"eps_1 = 1 but e-string length 0 at {key}",
+                                 f"phi_1 = 1 but f-string length 0 at {key}"]
+
+
+def test_strict_morphism_reports_image_outside_target():
+    rd = build_root_datum("A2")
+    g1 = generate_highest_weight_crystal(rd, (1, 0))
+    g2 = generate_highest_weight_crystal(rd, (0, 1))
+    report = check_strict_morphism(g1, g2, {x: x for x in g1.nodes})
+    assert report.violations == [f"image {x.key()} not in target graph" for x in g1.nodes]
+
+
+def test_is_isomorphic_reports_edge_clash():
+    # both: a -f_1-> b, a -f_2-> c, b -f_2-> d; then f_1 c is d in g1, but x in g2
+    rd = build_root_datum("A2")
+    top = dict(a=((1, 1), (0, 0), (0, 0), (0, 0), "..", "bc"),
+               b=((1, 1), (1, 0), (1, 0), (0, 0), "a.", ".d"))
+    g1 = generate(rd, [_forged(**top, c=((1, 1), (0, 1), (0, 1), (0, 0), ".a", "d."),
+                               d=((1, 1), (1, 1), (1, 1), (0, 0), "cb", ".."))])
+    g2 = generate(rd, [_forged(**top, c=((1, 1), (0, 1), (0, 1), (0, 0), ".a", "x."),
+                               d=((1, 1), (1, 1), (0, 1), (0, 0), ".b", ".."),
+                               x=((1, 1), (1, 1), (1, 0), (0, 0), "c.", ".."))])
+    assert (g1.node_count(), g2.node_count()) == (4, 5)
+    assert is_isomorphic(g1, g2) == (False, None, 'edge clash at {"Forged":{"name":"d"}}')
+
+
+def test_is_isomorphic_reports_failed_witness():
+    # the same shape a -f_1-> b, with phi_1(b) 0 in g1 and 2 in g2
+    rd = build_root_datum("A1")
+    hw = ((1,), (0,), (0,), (1,), ".", "b")
+    g1 = generate(rd, [_forged(a=hw, b=((1,), (1,), (1,), (0,), "a", "."))])
+    g2 = generate(rd, [_forged(a=hw, b=((1,), (1,), (1,), (2,), "a", "."))])
+    assert is_isomorphic(g1, g2) == (False, None, "witness failed strict-morphism check: "
+                                     'phi not preserved at {"Forged":{"name":"b"}}')
+
+
 def test_kind_is_the_serialize_tag():
     rd = build_root_datum("A1")
     elements = [
@@ -409,6 +518,6 @@ def test_kind_is_the_serialize_tag():
         TensorElement((S0Element(), BkElement(1, 0))),
     ]
     for x in elements:
-        (tag,) = x.serialize()
-        assert x.tag == tag
+        (tag,) = json.loads(x.key())
+        assert x.tag == tag and x.key().startswith('{"%s":' % tag)
     assert len({x.tag for x in elements}) == 5

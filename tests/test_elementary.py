@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -54,9 +55,10 @@ def test_s0_caps():
 
 
 def test_serialization_forms():
-    assert BkElement(1, -2).serialize() == {"Bk": {"k": 1, "n": -2}}
-    assert TElement(Weight((1, 0), (0, 0))).serialize() == {"T": {"lambda": [1, 0], "root": [0, 0]}}
-    assert S0Element().serialize() == {"S0": {}}
+    assert json.loads(BkElement(1, -2).key()) == {"Bk": {"k": 1, "n": -2}}
+    assert json.loads(TElement(Weight((1, 0), (0, 0))).key()) == {
+        "T": {"lambda": [1, 0], "root": [0, 0]}}
+    assert json.loads(S0Element().key()) == {"S0": {}}
 
 
 def test_keys_injective():

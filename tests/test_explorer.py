@@ -73,6 +73,11 @@ def test_generate_a2_fundamental():
     assert weights == {lam, lam.subtract_alpha(1), lam.subtract_alpha(1).subtract_alpha(2)}
 
 
+def test_negative_depth_rejected():
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        generate(RD2, [model_highest_weight(RD2, (1, 0))], depth=-1)
+
+
 def test_depth_zero_generators_only():
     g = generate_highest_weight_crystal(RD2, (1, 1), depth=0)
     assert g.node_count() == 1

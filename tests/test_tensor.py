@@ -2,6 +2,7 @@
 structural properties: associativity under re-bracketing, normality
 preservation, and the lowering-power split rule on eps = 0 elements."""
 
+import json
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -267,7 +268,7 @@ def test_binary_oracle_property_sl2(ns, weights, k, a2_factors, a2_k):
 
 def test_serialization_preserves_order():
     x = TensorElement((sl2_hw(), sl2_low()))
-    data = x.serialize()
+    data = json.loads(x.key())
     assert list(data) == ["Tensor"]
     assert len(data["Tensor"]) == 2
     y = TensorElement((sl2_low(), sl2_hw()))
