@@ -22,9 +22,10 @@ is controlled by the environment variable CRYSTAL_NODE_BUDGET (default 10^6
 nodes; a finished profile-model graph holds about 1.2 KB per node, so about
 1.2 GB).  It bounds every graph a command generates, and an overrun reports
 the depth reached and the nodes still queued.  ``tensor`` without
-``--depth`` decomposes by the highest-weight rule and generates only the
-factors after the first, lambda_2 ... lambda_N, so there the budget bounds
-each of those factors, not the product; with ``--depth`` the truncated
+``--depth`` decomposes by the highest-weight rule and generates every
+factor but one: the largest on a datum of finite type, where the order
+does not matter, and the first on any other.  There the budget bounds
+each generated factor, not the product; with ``--depth`` the truncated
 product is built and the budget bounds it too.  ``verify oracle --depth d``
 compares the character with the recursion's weights of height <= d (a
 depth-d generation holds exactly those elements), and ``#B`` with

@@ -7,7 +7,8 @@ elements themselves; element keys appear only in ``is_isomorphic``'s
 witness and in the JSON form of a table.  Analyses (highest-weight scan,
 decomposition, characters, isomorphism) are read-only passes over a
 generated graph, except ``decompose_tensor``, which decomposes a tensor
-product from the first factor's weight and the other factors alone.
+product from one factor's weight and the other factors alone; on finite
+type that factor is the largest.
 
 The oracles at the bottom (the finite-type test, positive-root
 enumeration, the product formula for dimensions, the multiplicity
@@ -262,25 +263,33 @@ def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
     Under this library's tensor convention the highest-weight elements of
     B(nu) (x) B(mu) are exactly b_nu (x) b with eps_k(b) <= <h_k, nu> for
     every k (Kashiwara's tensor rule), and each spans a copy of
-    B(nu + wt(b)).  Folding that rule left to right needs only the factors
-    and the running table, never the product crystal.
+    B(nu + wt(b)).  Folding that rule over the factors needs only the
+    factors and the running table, never the product crystal.
 
-    The rule reads only the weight lambda_1 from the first factor, so
-    B(lambda_1) is never generated: the running table starts at lambda_1
-    (a bad first weight raises ValueError from ``model_highest_weight``),
-    and B(lambda_2) ... B(lambda_n) are generated in full.  The node budget
-    bounds each of those factors, not the product, and an infinite one
-    raises BudgetExceeded; lambda_1 may be any dominant weight, so an
-    infinite first factor still gives an exact, finite table.
+    Every factor's highest-weight element is built first, so a bad weight
+    anywhere raises ValueError (from ``model_highest_weight``) before any
+    generation.  The rule reads only the weight of the factor the fold
+    starts from, which is never generated; the others are generated in
+    full.  On a datum of finite type the product does not depend on the
+    order of its factors (Kashiwara, Duke Math. J. 63, 1991), so the fold
+    starts from the factor with the largest ``weyl_dim``, the earliest of
+    equals; on any other datum it starts from lambda_1, which may then be
+    any dominant weight, so an infinite first factor still gives an exact,
+    finite table.  The node budget bounds each generated factor, not the
+    product, and an infinite one raises BudgetExceeded.
     ``component_sizes`` stays empty, as there are no product nodes.
     ``decompose(tensor_product_graph(...))`` is the reference route.
     """
     if not weights:
         raise ValueError("decompose_tensor needs at least one factor")
-    first, *rest = weights
-    entries = {model_highest_weight(rd, first).weight(rd): 1}
-    for lam in rest:
-        factor = [stats_record(x, rd)[1:3] for x in generate_highest_weight_crystal(rd, lam).nodes]
+    tops = [model_highest_weight(rd, lam) for lam in weights]
+    first = tops[0]
+    if finite_type_check(rd):
+        first = max(tops, key=lambda x: weyl_dim(rd, x.weight(rd)))
+    tops.remove(first)
+    entries = {first.weight(rd): 1}
+    for top in tops:
+        factor = [stats_record(x, rd)[1:3] for x in generate(rd, [top]).nodes]
         step: dict[Weight, int] = {}
         for nu, mult in entries.items():
             caps = rd.pairing_vector(nu)

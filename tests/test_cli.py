@@ -450,6 +450,17 @@ def test_negative_depth_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_tensor_output_ignores_factor_order(capsys):
+    capsys.readouterr()
+    for flag in ("--tsv", "--json"):
+        outs = []
+        for weights in (["0,0,0,1", "0,1,0,1"], ["0,1,0,1", "0,0,0,1"]):
+            assert main(["tensor", "--preset", "D4", "--weight", weights[0],
+                         "--weight", weights[1], flag, "-"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], flag
+
+
 def test_tensor_single_weight(tmp_path):
     path = tmp_path / "single.tsv"
     assert main(["tensor", "--preset", "A2", "--weight", "2,1", "--tsv", str(path)]) == 0

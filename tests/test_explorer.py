@@ -367,11 +367,14 @@ PRODUCT_LIMIT = 1500
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_decompose_tensor_property_a2_a3(data):
-    rd = data.draw(st.sampled_from([RD2, RD3]))
+    # also D4; every order of the factors gives the same table
+    rd = data.draw(st.sampled_from([RD2, RD3, RD4]))
     weight = st.tuples(*[st.integers(0, 1)] * rd.n)
     weights = data.draw(st.lists(weight, min_size=2, max_size=3))
     assume(math.prod(weyl_dim(rd, rd.weight(w)) for w in weights) <= PRODUCT_LIMIT)
-    decompose_both(rd, weights)
+    table = decompose_both(rd, weights)
+    for order in set(itertools.permutations(weights)):
+        assert decompose_tensor(rd, order).entries == table.entries, order
 
 
 def test_decompose_tensor_needs_a_factor():
@@ -379,18 +382,25 @@ def test_decompose_tensor_needs_a_factor():
         decompose_tensor(RD2, [])
 
 
-@pytest.mark.parametrize("weights", [[(1, 1)], [(1, 1), (1, 0)], [(1, 1), (1, 0), (0, 1)]],
-                         ids=["N1", "N2", "N3"])
-def test_decompose_tensor_skips_the_first_factor(monkeypatch, weights):
-    # the rule reads only the first weight, so B(lambda_1) is never generated
+def record_generate(monkeypatch):
+    """Let explorer.generate record the seeds of each call in the returned list."""
     calls = []
     original = explorer.generate
 
-    def counting(rd, seeds, depth=None):
+    def recording(rd, seeds, depth=None):
         calls.append(seeds)
         return original(rd, seeds, depth=depth)
 
-    monkeypatch.setattr(explorer, "generate", counting)
+    monkeypatch.setattr(explorer, "generate", recording)
+    return calls
+
+
+@pytest.mark.parametrize("weights", [[(1, 1)], [(1, 1), (1, 0)], [(1, 1), (1, 0), (0, 1)]],
+                         ids=["N1", "N2", "N3"])
+def test_decompose_tensor_skips_the_first_factor(monkeypatch, weights):
+    # B(1,1) is the largest factor and comes first, so the fold starts from
+    # it, reads only its weight and never generates it
+    calls = record_generate(monkeypatch)
     table = decompose_tensor(RD2, weights)
     assert len(calls) == len(weights) - 1
     if len(weights) == 1:
@@ -402,6 +412,39 @@ def test_decompose_tensor_budget_skips_the_first_factor(monkeypatch):
     unbudgeted = decompose_tensor(RD2, [(1, 1), (1, 0)])
     monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "5")
     assert decompose_tensor(RD2, [(1, 1), (1, 0)]) == unbudgeted
+
+
+@pytest.mark.parametrize("rd, small, large", [
+    (RD2, (1, 0), (1, 1)),
+    (RD3, (1, 0, 0), (0, 1, 0)),
+    (RD4, (0, 0, 0, 1), (0, 1, 0, 1)),
+], ids=["A2", "A3", "D4"])
+@pytest.mark.parametrize("large_first", [True, False], ids=["large-small", "small-large"])
+def test_decompose_tensor_generates_all_but_the_largest_factor(monkeypatch, rd, small, large,
+                                                               large_first):
+    # on finite type the fold starts from the factor with the largest weyl_dim
+    calls = record_generate(monkeypatch)
+    weights = [large, small] if large_first else [small, large]
+    table = decompose_tensor(rd, weights)
+    assert calls == [[model_highest_weight(rd, small)]]
+    total = sum(weyl_dim(rd, wt) * m for wt, m in table.entries.items())
+    assert total == weyl_dim(rd, rd.weight(small)) * weyl_dim(rd, rd.weight(large))
+
+
+def test_decompose_tensor_budget_skips_the_largest_factor(monkeypatch):
+    # B(1,0) has 3 nodes and B(1,1) has 8: only the smaller one is generated
+    unbudgeted = decompose_tensor(RD2, [(1, 0), (1, 1)])
+    monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "5")
+    assert decompose_tensor(RD2, [(1, 0), (1, 1)]) == unbudgeted
+
+
+def test_decompose_tensor_keeps_the_order_off_finite_type(monkeypatch):
+    # affine A1 beside A1 is not of finite type, so the fold starts from
+    # B(0,0,1) and generates the infinite B(1,0,0), which overruns
+    monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "10")
+    rd = build_root_datum([[0, 2, 0], [2, 0, 0], [0, 0, 0]])
+    with pytest.raises(BudgetExceeded):
+        decompose_tensor(rd, [(0, 0, 1), (1, 0, 0)])
 
 
 def test_decompose_tensor_infinite_first_factor(monkeypatch):
@@ -419,6 +462,16 @@ def test_decompose_tensor_infinite_first_factor(monkeypatch):
 def test_decompose_tensor_rejects_a_bad_first_weight(first):
     with pytest.raises(ValueError, match="length 2|dominant"):
         decompose_tensor(RD2, [first, (1, 0)])
+
+
+@pytest.mark.parametrize("last, message", [((1, 0, 0), "length 2"), ((1, -1), "dominant")],
+                         ids=["wrong-length", "not-dominant"])
+def test_decompose_tensor_rejects_a_bad_later_weight_before_generating(monkeypatch, last,
+                                                                       message):
+    calls = record_generate(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        decompose_tensor(RD2, [(1, 0), (1, 1), last])
+    assert calls == []
 
 
 def test_tensor_product_graph_guards_frontier():
