@@ -44,7 +44,7 @@ print("after f_2 f_1:", json.loads(y.key()))
 
 # The embedding sends a profile to a capped tensor of elementary crystals,
 # slots in decreasing order from left to right:
-emb = embed_psi(rd, y, window(rd, y, margin=2))
+emb = embed_psi(rd, y, window(y, margin=2))
 print("embedded factors:", [json.loads(f.key()) for f in emb.factors])
 
 # Statistics and operators computed in the model and through the embedding

@@ -66,9 +66,6 @@ class NegInfinity:
     def __neg__(self):
         raise ArithmeticError("cannot negate -inf")
 
-    def __hash__(self):
-        return hash("NegInfinity")
-
 
 NEG_INF = NegInfinity()
 
@@ -94,8 +91,10 @@ class CrystalElement(ABC):
     leave the program: exported node ids, witness maps and violation
     messages.
 
-    The readers and the operators are written once, here, on the record of
-    :func:`stats_record`.  An element class plugs in with two methods:
+    The readers ``weight``, ``eps`` and ``phi`` and the operators ``e`` and
+    ``f`` are written once, here, on the record of :func:`stats_record`;
+    code that needs whole vectors reads the record itself.  An element
+    class plugs in with two methods:
 
     * ``_build(rd)`` returns x's record against rd.  Every element class,
       including one written for a test, must supply it.
@@ -136,12 +135,6 @@ class CrystalElement(ABC):
 
     def phi(self, rd: RootDatum, k: int):
         return stats_record(self, rd, k)[3][k - 1]
-
-    def eps_vector(self, rd: RootDatum) -> tuple:
-        return stats_record(self, rd)[2]
-
-    def phi_vector(self, rd: RootDatum) -> tuple:
-        return stats_record(self, rd)[3]
 
     def e(self, rd: RootDatum, k: int):
         site = stats_record(self, rd, k)[4][k - 1]
@@ -221,9 +214,6 @@ class CrystalGraph:
 
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def has_frontier(self) -> bool:
-        return any(nd.frontier for nd in self.nodes.values())
 
     def frontier_count(self) -> int:
         return sum(1 for nd in self.nodes.values() if nd.frontier)

@@ -182,7 +182,7 @@ def tensor_product_graph(
     the operators, so generation only fills in edges).  With a depth bound,
     truncated factors are allowed and the result is itself a truncation.
     """
-    if depth is None and any(g.has_frontier() for g in graphs):
+    if depth is None and any(g.frontier_count() for g in graphs):
         raise ValueError("tensor_product_graph needs completely explored factors "
                          "unless a depth bound is given")
     pools = [list(g.nodes) for g in graphs]
@@ -250,7 +250,7 @@ def decompose(g: CrystalGraph) -> DecompositionTable:
         sizes[hw] = len(seen)
     return DecompositionTable(
         entries=entries,
-        complete=not g.has_frontier(),
+        complete=not g.frontier_count(),
         depth=g.depth_bound,
         flagged=flagged,
         component_sizes=sizes,

@@ -143,10 +143,38 @@ class ModelElement(CrystalElement):
             h = self.__dict__["_hash"] = hash((self.wp, self.v))
         return h
 
-    def with_delta(self, k: int, p: int, delta: int) -> "ModelElement":
+    def _build(self, rd: RootDatum) -> tuple:
+        """The record of :func:`~kmcrystals.crystal_core.stats_record`,
+        ``(rd, wt, eps, phi, e_slots, f_slots, (lo, rows))``, the last field
+        its rank rows as tuples, kept until
+        :func:`~kmcrystals.crystal_core.trim_record` drops it.
+
+        An image of ``e``/``f`` carries a link to its source; it is popped
+        here, and while the source's record is for rd and still holds its
+        rows the record is derived from them (:func:`_derive`).  Any other
+        element (a seed, an element built directly, a source recorded
+        against another datum or with its rows dropped) takes the full pass
+        of :func:`_rank_rows`.  Either way every row computed goes through
+        :func:`_row_stats`."""
+        link = self.__dict__.pop("_link", None)
+        if link is not None:
+            rec = link[0].__dict__.get("_record")
+            if rec is not None and rec[0] is rd and len(rec) > 6:
+                return _derive(rd, self, rec, *link[1:])
+        lo, rows, wt = _rank_rows(rd, self)
+        rows = tuple(map(tuple, rows))
+        out = [_row_stats(self, k, lo, row, total)
+               for k, row, total in zip(rd.vertices(), rows, rd.pairing_vector(wt))]
+        # the four columns; empty ones on a datum of rank 0
+        return (rd, wt, *(tuple(zip(*out)) or ((),) * 4), (lo, rows))
+
+    def _move(self, rd: RootDatum, k: int, p: int, delta: int) -> "ModelElement":
         """self with ``delta`` added to v at (k, p), spliced into self's
         valid ``v`` (a count reaching 0 is dropped), so it keeps the form by
-        construction and is not re-validated.  RuntimeError below 0."""
+        construction and is not re-validated.  RuntimeError below 0.  The
+        image holds a link back to self in its ``__dict__``: ``_build`` pops
+        it and derives the image's record from self's rank rows while
+        self's record still holds them."""
         v = self.v
         i = bisect_left(v, ((k, p),))  # first entry at or after (k, p)
         old = v[i][1] if i < len(v) and v[i][0] == (k, p) else 0
@@ -160,17 +188,7 @@ class ModelElement(CrystalElement):
         y = object.__new__(ModelElement)  # skips __init__ and __post_init__
         fields = y.__dict__
         fields["wp"], fields["v"] = self.wp, v[:i] + entry + tail
-        return y
-
-    def _build(self, rd: RootDatum) -> tuple:
-        return _stats(rd, self)
-
-    def _move(self, rd: RootDatum, k: int, p: int, delta: int) -> "ModelElement":
-        """``with_delta``, with a link back to self in the image's
-        ``__dict__``: :func:`_stats` pops it and derives the image's record
-        from self's rank rows while self's record still holds them."""
-        y = self.with_delta(k, p, delta)
-        y.__dict__["_link"] = (self, k, p, delta)
+        fields["_link"] = (self, k, p, delta)
         return y
 
     def key(self) -> str:
@@ -194,7 +212,7 @@ def model_highest_weight(rd: RootDatum, lam) -> ModelElement:
     return model_element(wprofile({0: lam}))
 
 
-def window(rd: RootDatum, x: ModelElement, margin: int = 1) -> tuple[int, int]:
+def window(x: ModelElement, margin: int = 1) -> tuple[int, int]:
     """Slot range outside which all ranks vanish and partial sums are constant.
 
     Covers the supports of v and of the W-profile, the slots one above each
@@ -211,7 +229,7 @@ def window(rd: RootDatum, x: ModelElement, margin: int = 1) -> tuple[int, int]:
 
 def _rank_rows(rd: RootDatum, x: ModelElement) -> tuple[int, list[list[int]], Weight]:
     """(lo, rows, wt) with rows[k - 1][p - lo] = rank(k, p) over
-    ``window(rd, x)`` and wt the weight of x: the full rank pass, one pass
+    ``window(x)`` and wt the weight of x: the full rank pass, one pass
     over the entries of w and v that also sums wt.  Each entry of v goes
     through :func:`_add_entry`, which :func:`_derive` shares, so the rank
     formula is written once.  Every write (slot p or p+1 of a support slot
@@ -219,7 +237,7 @@ def _rank_rows(rd: RootDatum, x: ModelElement) -> tuple[int, list[list[int]], We
     silently.  Raises ValueError on an entry of v at a vertex outside
     1..n."""
     n, split = rd.n, rd.neighbor_split
-    lo, hi = window(rd, x)
+    lo, hi = window(x)
     rows = [[0] * (hi - lo + 1) for _ in range(n)]
     lam, root = (0,) * n, [0] * n
     for p, vec in x.wp.slots:
@@ -277,32 +295,6 @@ def _row_stats(x: ModelElement, k: int, lo: int, row: tuple, total: int) -> tupl
     e_site = lo + len(pbar) - 1 - pbar[::-1].index(phi) if eps else None  # largest attaining
     f_site = lo + pbar.index(phi) if phi else None  # smallest attaining slot
     return eps, phi, e_site, f_site
-
-
-def _stats(rd: RootDatum, x: ModelElement):
-    """The record of :func:`~kmcrystals.crystal_core.stats_record` for a
-    model element, ``(rd, wt, eps, phi, e_slots, f_slots, (lo, rows))``,
-    the last field its rank rows as tuples, kept until
-    :func:`~kmcrystals.crystal_core.trim_record` drops it.
-
-    An image of ``e``/``f`` carries a link to its source; it is popped
-    here, and while the source's record is for rd and still holds its rows
-    the record is derived from them (:func:`_derive`).  Any other element
-    (a seed, an element built directly, a source recorded against another
-    datum or with its rows dropped) takes the full pass of
-    :func:`_rank_rows`.  Either way every row computed goes through
-    :func:`_row_stats`."""
-    link = x.__dict__.pop("_link", None)
-    if link is not None:
-        rec = link[0].__dict__.get("_record")
-        if rec is not None and rec[0] is rd and len(rec) > 6:
-            return _derive(rd, x, rec, *link[1:])
-    lo, rows, wt = _rank_rows(rd, x)
-    rows = tuple(map(tuple, rows))
-    out = [_row_stats(x, k, lo, row, total)
-           for k, row, total in zip(rd.vertices(), rows, rd.pairing_vector(wt))]
-    # the four columns; empty ones on a datum of rank 0
-    return (rd, wt, *(tuple(zip(*out)) or ((),) * 4), (lo, rows))
 
 
 def _derive(rd: RootDatum, x: ModelElement, rec: tuple, k: int, p: int, c: int) -> tuple:
@@ -386,5 +378,5 @@ def embedding_mismatches(rd: RootDatum, x: ModelElement) -> list[str]:
     Each model operator image is re-embedded over x's window, so None must
     correspond to None and elements must match factor by factor.
     """
-    win = window(rd, x, margin=2)  # room for x and any single operator image
+    win = window(x, margin=2)  # room for x and any single operator image
     return strict_mismatches(rd, x, embed_psi(rd, x, win), lambda y: embed_psi(rd, y, win))[0]

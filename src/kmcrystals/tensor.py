@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import getitem, sub
 
-from .crystal_core import CrystalElement, ext_max, is_neg_inf
+from .crystal_core import CrystalElement, ext_max, is_neg_inf, stats_record
 from .root_datum import RootDatum, Weight
 
 
@@ -64,7 +64,14 @@ class TensorElement(CrystalElement):
         return list(_profiles(rd, self)[2][k - 1])
 
     def _build(self, rd: RootDatum) -> tuple:
-        return _stats(rd, self)
+        """The record of the module docstring.  ``max`` keeps the first
+        maximum it meets: scanning forward gives the smallest site, backward
+        the largest."""
+        wt, eps_rows, phi_rows = _profiles(rd, self)
+        e_sites = [max(range(len(eps)), key=eps.__getitem__) for eps in eps_rows]
+        f_sites = [max(reversed(range(len(phi))), key=phi.__getitem__) for phi in phi_rows]
+        eps, phi = tuple(map(getitem, eps_rows, e_sites)), tuple(map(getitem, phi_rows, f_sites))
+        return (rd, wt, eps, phi, _defined(e_sites, eps), _defined(f_sites, phi))
 
     def _move(self, rd: RootDatum, k: int, p: int, delta: int):
         moved = self.factors[p].e(rd, k) if delta < 0 else self.factors[p].f(rd, k)
@@ -80,15 +87,15 @@ class TensorElement(CrystalElement):
 
 def _profiles(rd: RootDatum, x: TensorElement):
     """(wt, eps profiles, phi profiles) of x, profile k - 1 for vertex k, from
-    one read of each distinct factor instance (its weight, the weight's
-    pairing vector, eps_vector and phi_vector), by identity, since hashing
-    a factor costs more: :func:`~kmcrystals.quiver_model.embed_psi` places
-    a few factor instances at most positions."""
+    one read of each distinct factor instance (its record's weight, eps and
+    phi, and the weight's pairing vector), by identity, since hashing a
+    factor costs more: :func:`~kmcrystals.quiver_model.embed_psi` places a
+    few factor instances at most positions."""
     reads = {}
     for b in x.factors:
         if id(b) not in reads:
-            w = b.weight(rd)
-            reads[id(b)] = w, rd.pairing_vector(w), b.eps_vector(rd), b.phi_vector(rd)
+            w, eps, phi = stats_record(b, rd)[1:4]
+            reads[id(b)] = w, rd.pairing_vector(w), eps, phi
     weights, pairings, eps_cols, phi_cols = zip(*[reads[id(b)] for b in x.factors])
     wt = Weight(tuple(map(sum, zip(*(w.lambda_part for w in weights)))),
                 tuple(map(sum, zip(*(w.root_part for w in weights)))))
@@ -98,19 +105,6 @@ def _profiles(rd: RootDatum, x: TensorElement):
         eps_rows.append(tuple(map(sub, eps, left)))
         phi_rows.append(tuple(c + left[-1] - s for c, s in zip(phi, left[1:])))  # + sum_{q>p}
     return wt, eps_rows, phi_rows
-
-
-def _stats(rd: RootDatum, x: TensorElement):
-    """The record of :func:`~kmcrystals.crystal_core.stats_record` for a
-    tensor element, ``(rd, wt, eps, phi, e_sites, f_sites)``, its sites
-    factor positions, None where the statistic is -inf.  ``max`` keeps the
-    first maximum it meets: scanning forward gives the smallest site,
-    backward the largest."""
-    wt, eps_rows, phi_rows = _profiles(rd, x)
-    e_sites = [max(range(len(eps)), key=eps.__getitem__) for eps in eps_rows]
-    f_sites = [max(reversed(range(len(phi))), key=phi.__getitem__) for phi in phi_rows]
-    eps, phi = tuple(map(getitem, eps_rows, e_sites)), tuple(map(getitem, phi_rows, f_sites))
-    return (rd, wt, eps, phi, _defined(e_sites, eps), _defined(f_sites, phi))
 
 
 def _defined(sites: list, stats: tuple) -> tuple:

@@ -280,7 +280,7 @@ def test_criterion_7_telescoping_identity():
         for g in _model_graphs():
             rd = g.rd
             for x in g.nodes:
-                lo, hi = window(rd, x)
+                lo, hi = window(x)
                 wt = x.weight(rd)
                 for k in rd.vertices():
                     total = sum(rank_complex(rd, x, k, p) for p in range(lo, hi + 1))

@@ -26,8 +26,7 @@ from kmcrystals import (
     tensor_product_graph,
     wprofile,
 )
-from kmcrystals import quiver_model
-from kmcrystals.crystal_core import _export_order, ext_max, is_neg_inf
+from kmcrystals.crystal_core import _export_order, ext_max, is_neg_inf, stats_record
 from kmcrystals.root_datum import Weight
 
 
@@ -51,7 +50,7 @@ def test_ext_max():
 def test_t_lambda_graph_passes_axioms():
     rd = build_root_datum("A2")
     g = generate(rd, [TElement(Weight((2, 1), (0, 0)))])
-    assert g.node_count() == 1 and not g.has_frontier()
+    assert g.node_count() == 1 and not g.frontier_count()
     assert check_axioms(g).violations == []
 
 
@@ -122,13 +121,13 @@ def test_axioms_read_image_statistics_from_the_graph(monkeypatch, name, lam, dep
     rd = build_root_datum(name)
     g = generate_highest_weight_crystal(rd, lam, depth=depth)
     calls = []
-    original = quiver_model._stats
+    original = ModelElement._build
 
-    def counting(rd, x):
-        calls.append(x)
-        return original(rd, x)
+    def counting(self, rd):
+        calls.append(self)
+        return original(self, rd)
 
-    monkeypatch.setattr(quiver_model, "_stats", counting)
+    monkeypatch.setattr(ModelElement, "_build", counting)
     report = check_axioms(g)
     assert report.ok() and report.checked > 0
     assert calls == []
@@ -161,7 +160,7 @@ def test_normal_on_sl2():
 def test_normal_truncated_affine_skips():
     rd = build_root_datum("affineA1")
     g = generate_highest_weight_crystal(rd, (1, 0), depth=6)
-    assert g.has_frontier()
+    assert g.frontier_count()
     report = check_normal(g)
     assert report.ok()
     assert report.skipped > 0
@@ -247,8 +246,8 @@ def _reference_json(g):
                 "id": nd.element.key(),
                 "kind": nd.element.tag,
                 "wt": nd.element.weight(g.rd).serialize(),
-                "eps": [stat(x) for x in nd.element.eps_vector(g.rd)],
-                "phi": [stat(x) for x in nd.element.phi_vector(g.rd)],
+                "eps": [stat(x) for x in stats_record(nd.element, g.rd)[2]],
+                "phi": [stat(x) for x in stats_record(nd.element, g.rd)[3]],
                 "frontier": nd.frontier,
             }
             for nd in nodes
@@ -288,9 +287,9 @@ def test_json_oracle_graphs_cover_the_schema():
     assert len(graphs["tensor A2 (1,1) x (1,0)"].generators) > 1
     assert all(x.tag == "Tensor" for x in graphs["tensor A2 (1,1) x (1,0)"].nodes)
     bk = graphs["Bk A2 depth 2"]
-    assert any(is_neg_inf(v) for x in bk.nodes for v in x.eps_vector(bk.rd))
+    assert any(is_neg_inf(v) for x in bk.nodes for v in stats_record(x, bk.rd)[2])
     affine = graphs["affineA1 (1,0) depth 3"]
-    assert affine.has_frontier() and affine.depth_bound == 3
+    assert affine.frontier_count() and affine.depth_bound == 3
     assert graphs["one node"].node_count() == 1 and not graphs["one node"].edges
     assert graphs["no nodes"].node_count() == 0
 
@@ -521,3 +520,22 @@ def test_kind_is_the_serialize_tag():
         (tag,) = json.loads(x.key())
         assert x.tag == tag and x.key().startswith('{"%s":' % tag)
     assert len({x.tag for x in elements}) == 5
+
+
+def _negated_neg_inf():
+    with pytest.raises(ArithmeticError) as info:
+        -NEG_INF
+    return [str(info.value)]
+
+
+def _normal_violations_on_b1():
+    # b_1(n) on A2 has eps_2 = -inf, which check_normal writes as text
+    return check_normal(generate(build_root_datum("A2"), [BkElement(1, 0)], depth=1)).violations
+
+
+@pytest.mark.parametrize("messages, expected", [
+    (_negated_neg_inf, "cannot negate -inf"),
+    (_normal_violations_on_b1, 'eps_2 = -inf < 0 at {"Bk":{"k":1,"n":0}}'),
+], ids=["negation", "check_normal"])
+def test_input_checks(messages, expected):
+    assert expected in messages()

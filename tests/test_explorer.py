@@ -62,7 +62,7 @@ def test_generate_sl2():
     g = generate_highest_weight_crystal(RD1, (1,), depth=5)
     assert g.node_count() == 2
     assert len(g.edges) == 1
-    assert not g.has_frontier()
+    assert not g.frontier_count()
 
 
 def test_generate_a2_fundamental():
@@ -81,7 +81,7 @@ def test_negative_depth_rejected():
 def test_depth_zero_generators_only():
     g = generate_highest_weight_crystal(RD2, (1, 1), depth=0)
     assert g.node_count() == 1
-    assert g.has_frontier() and not g.edges
+    assert g.frontier_count() and not g.edges
 
 
 def test_budget_exceeded_carries_partial(monkeypatch):
@@ -159,7 +159,7 @@ def test_is_isomorphic_rejects_another_truncation_in_either_order(deeper_first):
     full = generate_highest_weight_crystal(RD2, (1, 1))
     shallow = generate_highest_weight_crystal(RD2, (1, 1), depth=1)
     deep = generate_highest_weight_crystal(RD2, (1, 1), depth=10)
-    assert not deep.has_frontier()
+    assert not deep.frontier_count()
     if deeper_first:
         reason = "walk maps 3 of 8 nodes into a graph of 3"
         assert is_isomorphic(full, shallow) == (False, None, reason)
@@ -479,7 +479,7 @@ def test_tensor_product_graph_guards_frontier():
     with pytest.raises(ValueError, match="frontier|completely"):
         tensor_product_graph(RDA, [g, g])
     truncated = tensor_product_graph(RDA, [g, g], depth=2)
-    assert truncated.has_frontier()
+    assert truncated.frontier_count()
 
 
 def test_sizes_match_weyl_dim():
@@ -620,7 +620,7 @@ def test_keys_only_where_bytes_leave(monkeypatch):
 
 def _lowest_element(rd, lam):
     full = generate_highest_weight_crystal(rd, lam)
-    (lowest,) = [x for x in full.nodes if not any(x.phi_vector(rd))]
+    (lowest,) = [x for x in full.nodes if not any(stats_record(x, rd)[3])]
     return lowest  # from it, every node is first reached by an e-edge
 
 
@@ -635,18 +635,18 @@ def test_generate_derives_each_edge_once(monkeypatch, seed):
     # an edge already recorded in the other direction is not re-derived
     x = seed(build_root_datum("A3"), (1, 1, 1))
     deltas, builds = [], []
-    with_delta, stats = ModelElement.with_delta, quiver_model._stats
+    move, build = ModelElement._move, ModelElement._build
 
-    def counting_with_delta(self, k, p, delta):
+    def counting_move(self, rd, k, p, delta):
         deltas.append((k, p, delta))
-        return with_delta(self, k, p, delta)
+        return move(self, rd, k, p, delta)
 
-    def counting_stats(rd, x):
-        builds.append(x)
-        return stats(rd, x)
+    def counting_build(self, rd):
+        builds.append(self)
+        return build(self, rd)
 
-    monkeypatch.setattr(ModelElement, "with_delta", counting_with_delta)
-    monkeypatch.setattr(quiver_model, "_stats", counting_stats)
+    monkeypatch.setattr(ModelElement, "_move", counting_move)
+    monkeypatch.setattr(ModelElement, "_build", counting_build)
     g = generate(build_root_datum("A3"), [x])
     assert len(deltas) == len(g.edges) == 102
     assert len(builds) == g.node_count() == 64
@@ -780,8 +780,7 @@ def test_nodes_share_the_element_record(build):
         assert nd.element is x
         record = x.__dict__["_record"]
         assert nd.element.weight(g.rd) is record[1]
-        assert nd.element.eps_vector(g.rd) is record[2]
-        assert nd.element.phi_vector(g.rd) is record[3]
+        assert stats_record(nd.element, g.rd) is record
         assert not any(hasattr(nd, name) for name in ("weight", "eps", "phi"))
 
 
@@ -793,7 +792,7 @@ def test_graph_node_holds_exploration_state_only():
 def _full_pass_record(rd, x):
     """The record of a fresh element equal to model element x, which has no
     source to derive it from: the full rank pass, without its rows."""
-    return quiver_model._stats(rd, ModelElement(x.wp, x.v))[:6]
+    return ModelElement(x.wp, x.v)._build(rd)[:6]
 
 
 RECORDED = {
@@ -839,7 +838,7 @@ def test_random_diagram_records_and_checks(data):
     assert check_axioms(g).ok() and check_normal(g).ok()
     for x in g.nodes:
         assert embedding_mismatches(rd, x) == []
-        for b in {x, *embed_psi(rd, x, window(rd, x, margin=2)).factors}:
+        for b in {x, *embed_psi(rd, x, window(x, margin=2)).factors}:
             e_sites, f_sites = stats_record(b, rd)[4:6]
             for k in rd.vertices():
                 assert (e_sites[k - 1] is None) == (b.e(rd, k) is None)

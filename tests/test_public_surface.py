@@ -48,6 +48,19 @@ def test_tensor_is_the_submodule():
     assert kmcrystals.tensor.__name__ == "kmcrystals.tensor"
 
 
+def _public_methods(cls) -> list[str]:
+    """The public methods and properties defined on cls itself."""
+    return sorted(name for name, value in vars(cls).items() if not name.startswith("_")
+                  and (callable(value) or isinstance(value, property)))
+
+
+def test_element_and_graph_methods_are_pinned():
+    # whole vectors and other statistics are read from stats_record, not
+    # from accessors on the element or the graph
+    assert _public_methods(kmcrystals.CrystalElement) == ["e", "eps", "f", "key", "phi", "weight"]
+    assert _public_methods(kmcrystals.CrystalGraph) == ["edges", "frontier_count", "node_count"]
+
+
 def test_tracer_targets_exist_on_their_owners():
     # load the tracer by path; it is not installed, so nothing gets wrapped
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")

@@ -29,6 +29,7 @@ from kmcrystals import (
     wprofile,
 )
 from kmcrystals import quiver_model
+from kmcrystals.crystal_core import stats_record
 from kmcrystals.quiver_model import window
 from kmcrystals.root_datum import Weight
 
@@ -39,13 +40,13 @@ RDA = build_root_datum("affineA1")
 
 def eps_bar(rd, x, k, p):
     """-sum of the ranks over slots strictly above p (none above the window)."""
-    _, hi = window(rd, x)
+    _, hi = window(x)
     return -sum(rank_complex(rd, x, k, q) for q in range(p + 1, hi + 1))
 
 
 def phi_bar(rd, x, k, p):
     """Sum of the ranks over slots at most p (none below the window)."""
-    lo, _ = window(rd, x)
+    lo, _ = window(x)
     return sum(rank_complex(rd, x, k, q) for q in range(lo, p + 1))
 
 
@@ -89,8 +90,8 @@ def test_model_statistics():
     low = model_element(wprofile({0: (1,)}), {(1, 1): 1})
     assert (low.eps(RD1, 1), low.phi(RD1, 1)) == (1, 0)
     hw2 = model_highest_weight(RD2, (1, 0))
-    assert hw2.eps_vector(RD2) == (0, 0)
-    assert hw2.phi_vector(RD2) == (1, 0)
+    assert stats_record(hw2, RD2)[2] == (0, 0)
+    assert stats_record(hw2, RD2)[3] == (1, 0)
 
 
 def test_model_operators_sl2():
@@ -162,11 +163,10 @@ def test_embed_psi_shares_equal_factors(name, lam):
     # factors of their own, besides the caps, t_0 and each b_k(0)
     rd = build_root_datum(name)
     for x in generate_highest_weight_crystal(rd, lam, depth=8).nodes:
-        win = window(rd, x, margin=2)
+        win = window(x, margin=2)
         emb, ref = embed_psi(rd, x, win), _fresh_embedding(rd, x, win)
         assert emb == ref and hash(emb) == hash(ref) and emb.key() == ref.key()
-        assert (emb.weight(rd), emb.eps_vector(rd), emb.phi_vector(rd)) == (
-            ref.weight(rd), ref.eps_vector(rd), ref.phi_vector(rd))
+        assert stats_record(emb, rd)[1:4] == stats_record(ref, rd)[1:4]
         for k in rd.vertices():
             assert emb.e(rd, k) == ref.e(rd, k) and emb.f(rd, k) == ref.f(rd, k)
         distinct = len({id(b) for b in emb.factors})
@@ -177,8 +177,7 @@ def test_embed_psi_shares_equal_factors(name, lam):
         for y in filter(None, images):
             emb_y, ref_y = embed_psi(rd, y, win), _fresh_embedding(rd, y, win)
             assert emb_y == ref_y and hash(emb_y) == hash(ref_y) and emb_y.key() == ref_y.key()
-            assert (emb_y.weight(rd), emb_y.eps_vector(rd), emb_y.phi_vector(rd)) == (
-                ref_y.weight(rd), ref_y.eps_vector(rd), ref_y.phi_vector(rd))
+            assert stats_record(emb_y, rd)[1:4] == stats_record(ref_y, rd)[1:4]
             changed = [i for i, (a, b) in enumerate(zip(emb.factors, emb_y.factors)) if a is not b]
             assert len(changed) == 1 and emb.factors[changed[0]] != emb_y.factors[changed[0]]
 
@@ -188,17 +187,17 @@ def test_embedding_parts_are_per_datum():
     # gets parts of its own for each, so no factor's record is read on the
     # other datum
     x = model_element(wprofile({0: (1, 1)}), {(1, 1): 1, (2, 1): 1, (2, 2): 1})
-    win = window(RD2, x, margin=2)
+    win = window(x, margin=2)
     embs = {rd: embed_psi(rd, x, win) for rd in (RD2, RDA)}
     assert {id(b) for b in embs[RD2].factors}.isdisjoint({id(b) for b in embs[RDA].factors})
     for rd, emb in embs.items():
         ref = _fresh_embedding(rd, x, win)
         assert emb == ref
-        assert (emb.eps_vector(rd), emb.phi_vector(rd)) == (ref.eps_vector(rd), ref.phi_vector(rd))
-        assert (emb.eps_vector(rd), emb.phi_vector(rd)) == (x.eps_vector(rd), x.phi_vector(rd))
+        assert stats_record(emb, rd)[2:4] == stats_record(ref, rd)[2:4]
+        assert stats_record(emb, rd)[2:4] == stats_record(x, rd)[2:4]
     for rd, emb in embs.items():
         assert all(b.__dict__["_record"][0] is rd for b in emb.factors)
-    assert embs[RD2].eps_vector(RD2) != embs[RDA].eps_vector(RDA)
+    assert stats_record(embs[RD2], RD2)[2] != stats_record(embs[RDA], RDA)[2]
 
 
 def test_embed_psi_window_too_small():
@@ -217,7 +216,7 @@ def test_embed_psi_window_too_small():
 def test_embed_preserves_weight():
     g = generate_highest_weight_crystal(RD2, (1, 1))
     for x in g.nodes:
-        emb = embed_psi(RD2, x, window(RD2, x, margin=2))
+        emb = embed_psi(RD2, x, window(x, margin=2))
         assert emb.weight(RD2) == x.weight(RD2)
 
 
@@ -267,7 +266,7 @@ def test_embedding_is_strict_morphism_of_graphs():
     from kmcrystals import check_strict_morphism
 
     hw = model_highest_weight(RD1, (2,))
-    win = window(RD1, hw, margin=4)  # roomy enough for the whole string
+    win = window(hw, margin=4)  # roomy enough for the whole string
     g_model = generate(RD1, [hw])
     g_tensor = generate(RD1, [embed_psi(RD1, hw, win)])
     assert g_model.node_count() == g_tensor.node_count() == 3
@@ -345,7 +344,7 @@ def test_telescoping_identity_property(entries, w0, wslot):
         x = model_element(wprofile({wslot: w0}), entries)
         v, w = dict(x.v), dict(x.wp.slots)
         wt = x.weight(rd)
-        lo, hi = window(rd, x, margin=2)
+        lo, hi = window(x, margin=2)
         for k in rd.vertices():
             ranks = {p: rank_complex(rd, x, k, p) for p in range(lo, hi + 1)}
             assert sum(ranks.values()) == rd.pairing(k, wt)
@@ -423,16 +422,16 @@ def test_operator_images_keep_the_form(name, lam):
             rebuilt, direct = model_element(y.wp, dict(y.v)), ModelElement(y.wp, y.v)
             for z in (rebuilt, direct):
                 assert y == z and hash(y) == hash(z) and y.key() == z.key()
-            lo, hi = window(rd, x, margin=0)
+            lo, hi = window(x, margin=0)
             dropped += len(y.v) < len(x.v)
             beyond += any(not lo <= p <= hi for (_, p), _ in set(y.v) - set(x.v))
             x = y
     assert dropped and beyond
     hw = model_highest_weight(rd, lam)
     with pytest.raises(RuntimeError, match=r"v\[1,1\] would become negative"):
-        hw.with_delta(1, 1, -1)
+        hw._move(rd, 1, 1, -1)
     with pytest.raises(RuntimeError, match=r"v\[1,1\] would become negative"):
-        hw.with_delta(1, 1, +1).with_delta(1, 1, -2)
+        hw._move(rd, 1, 1, +1)._move(rd, 1, 1, -2)
 
 
 def test_record_is_per_datum(monkeypatch):
@@ -450,10 +449,10 @@ def test_record_is_per_datum(monkeypatch):
         y = model_highest_weight(RD2, (1, 0)).f(RD2, 1)
         for rd in order:
             eps, phi, f1, e2 = expected[rd]
-            assert (x.eps_vector(rd), x.phi_vector(rd)) == (eps, phi)
+            assert stats_record(x, rd)[2:4] == (eps, phi)
             assert x.f(rd, 1) == model_element(wp, f1)  # f_1 at this datum's slot
             assert x.e(rd, 2) == model_element(wp, e2)  # e_2 likewise
-            assert y.phi_vector(rd) == ((0, 1) if rd is RD2 else (0, 2))
+            assert stats_record(y, rd)[3] == ((0, 1) if rd is RD2 else (0, 2))
     # an image derives its record from its source's rows only when the
     # source is recorded against the datum asked about
     passes = []
@@ -466,11 +465,11 @@ def test_record_is_per_datum(monkeypatch):
     monkeypatch.setattr(quiver_model, "_rank_rows", counting)
     hw = model_highest_weight(RD2, (1, 0))
     y = hw.f(RD2, 1)  # hw is recorded against A2
-    assert y.phi_vector(RDA) == (0, 2) and passes == [hw, y]
+    assert stats_record(y, RDA)[3] == (0, 2) and passes == [hw, y]
     y = hw.f(RD2, 1)
-    assert hw.phi_vector(RDA) == (1, 0)  # hw recorded again, now against affineA1
+    assert stats_record(hw, RDA)[3] == (1, 0)  # hw recorded again, now against affineA1
     del passes[:]
-    assert y.phi_vector(RDA) == (0, 2) and passes == []
+    assert stats_record(y, RDA)[3] == (0, 2) and passes == []
 
 
 def test_derived_record_widens_the_window(monkeypatch):
@@ -482,7 +481,7 @@ def test_derived_record_widens_the_window(monkeypatch):
     hi = lo + len(rows[0]) - 1
     steps = [x._move(RD2, k, p, +1)
              for k, p in itertools.product((1, 2), (lo - 1, lo, hi, hi + 1))]
-    full = [quiver_model._stats(RD2, ModelElement(y.wp, y.v))[:6] for y in steps]
+    full = [ModelElement(y.wp, y.v)._build(RD2)[:6] for y in steps]
     monkeypatch.setattr(quiver_model, "_rank_rows", None)  # no full pass from here on
     for y, record in zip(steps, full):
         y.weight(RD2)
@@ -491,8 +490,8 @@ def test_derived_record_widens_the_window(monkeypatch):
 
 def test_zero_weight_crystal():
     hw = model_highest_weight(RD2, (0, 0))
-    assert hw.eps_vector(RD2) == (0, 0)
-    assert hw.phi_vector(RD2) == (0, 0)
+    assert stats_record(hw, RD2)[2] == (0, 0)
+    assert stats_record(hw, RD2)[3] == (0, 0)
     assert hw.f(RD2, 1) is None and hw.e(RD2, 2) is None
     g = generate(RD2, [hw])
     assert g.node_count() == 1
@@ -528,10 +527,24 @@ def test_profile_entry_at_a_non_vertex(v):
     x = model_element(wprofile({0: (1, 1)}), v)
     reads = [
         lambda: x.weight(RD2),
-        lambda: x.eps_vector(RD2),
+        lambda: x.eps(RD2, 1),
         lambda: x.f(RD2, 1),
         lambda: rank_complex(RD2, x, 1, 1),
     ]
     for read in reads:
         with pytest.raises(ValueError, match=r"vertex index [03] out of range 1\.\.2"):
             read()
+
+
+@pytest.mark.parametrize("read", [
+    lambda x, rd: x.weight(rd),
+    lambda x, rd: x.eps(rd, 1),
+    lambda x, rd: x.f(rd, 1),
+    lambda x, rd: rank_complex(rd, x, 1, 1),
+], ids=["weight", "eps", "f", "rank_complex"])
+def test_input_checks(read):
+    # an A2 element queried against A3: its W vector has the wrong length
+    x = model_highest_weight(RD2, (1, 0))
+    message = "^W-profile vector length does not match root datum rank$"
+    with pytest.raises(ValueError, match=message):
+        read(x, build_root_datum("A3"))

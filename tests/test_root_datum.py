@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kmcrystals import build_root_datum, load_root_datum
-from kmcrystals.root_datum import Weight
+from kmcrystals.root_datum import RootDatum, Weight
 
 
 def test_preset_a2_cartan():
@@ -149,3 +149,29 @@ def test_load_root_datum_toml(tmp_path):
     path2 = tmp_path / "rd2.toml"
     path2.write_text(texts[1])
     assert load_root_datum(path2).cartan == ((2, -2), (-2, 2))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Weight((1,), (0,)) + Weight((1, 0), (0, 0)), "cannot add weights of different rank"),
+    (lambda: Weight((1, 0), (0, 0)).subtract_alpha(3), "vertex index 3 out of range 1..2"),
+    (lambda: Weight((1, 0), (0, 0)).add_alpha(0), "vertex index 0 out of range 1..2"),
+    (lambda: RootDatum(((2, -1), (-1,))), "Cartan matrix row 2 has length 1, expected 2"),
+    (lambda: RootDatum(((2, 0), (0, 3))), r"Cartan diagonal entry \(2,2\) is 3, must be 2"),
+    (lambda: RootDatum(((2, 1), (1, 2))), r"Cartan off-diagonal entry \(1,2\) is 1, must be <= 0"),
+    (lambda: RootDatum(((2, -1), (-2, 2))), r"Cartan matrix not symmetric at \(1,2\): -1 != -2"),
+    (lambda: build_root_datum("A2").weight((1,)), "weight coordinates must have length 2"),
+    (lambda: build_root_datum("A2").weight((1, 0), (0,)), "weight coordinates must have length 2"),
+    (lambda: build_root_datum([[0, 1], [1]]), "adjacency row 2 has length 1, expected 2"),
+    (lambda: build_root_datum([[0, 1.0], [1.0, 0]]),
+     r"adjacency entry \(1,2\) is not an integer: 1\.0"),
+    (lambda: build_root_datum([[0, True], [True, 0]]),
+     r"adjacency entry \(1,2\) is not an integer: True"),
+    (lambda: build_root_datum("A0"), "preset rank must be positive: 'A0'"),
+    (lambda: build_root_datum("D2"), "D-series preset needs rank >= 3: 'D2'"),
+    (lambda: build_root_datum("E5"), "E-series preset needs rank 6, 7 or 8: 'E5'"),
+    (lambda: build_root_datum({"name": "A2"}),
+     "root datum dict must contain 'preset' or 'adjacency'"),
+])
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

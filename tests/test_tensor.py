@@ -5,6 +5,7 @@ preservation, and the lowering-power split rule on eps = 0 elements."""
 import json
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmcrystals import (
@@ -273,3 +274,9 @@ def test_serialization_preserves_order():
     assert len(data["Tensor"]) == 2
     y = TensorElement((sl2_low(), sl2_hw()))
     assert x.key() != y.key()
+
+
+@pytest.mark.parametrize("factors", [(), []], ids=["tuple", "list"])
+def test_input_checks(factors):
+    with pytest.raises(ValueError, match="^tensor element needs at least one factor$"):
+        TensorElement(factors)
