@@ -30,6 +30,10 @@ product is built and the budget bounds it too.  ``verify oracle --depth d``
 compares the character with the recursion's weights of height <= d (a
 depth-d generation holds exactly those elements), and ``#B`` with
 ``weyl_dim`` only when the cut drops none.
+
+The argument parser is built once, when this module is imported, and
+``main(argv)`` only parses with it: ``main`` may be called any number of
+times in one interpreter, and nothing is carried from one call to the next.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from .root_datum import RootDatum, build_root_datum, load_root_datum
 VERIFY_SUITES = ("axioms", "normal", "closed", "embedding", "oracle")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kmcrystals")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -93,6 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--pairs", type=int, default=20, help="number of random weight pairs")
     v.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     return parser
+
+
+# Built once, on import: parse_args reads the parser and writes only the
+# namespace it returns, so calls share nothing through it.
+_PARSER = _build_parser()
 
 
 def _parse_weight(text: str, n: int) -> tuple[int, ...]:
@@ -263,7 +272,7 @@ def _run_verify(args, rd, weights) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     command = {"graph": _run_graph, "tensor": _run_tensor, "verify": _run_verify}[args.command]

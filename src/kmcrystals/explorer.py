@@ -273,10 +273,11 @@ def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
     full.  On a datum of finite type the product does not depend on the
     order of its factors (Kashiwara, Duke Math. J. 63, 1991), so the fold
     starts from the factor with the largest ``weyl_dim``, the earliest of
-    equals; on any other datum it starts from lambda_1, which may then be
-    any dominant weight, so an infinite first factor still gives an exact,
-    finite table.  The node budget bounds each generated factor, not the
-    product, and an infinite one raises BudgetExceeded.
+    equals, with the positive roots enumerated once for all factors; on
+    any other datum it starts from lambda_1, which may then be any dominant
+    weight, so an infinite first factor still gives an exact, finite
+    table.  The node budget bounds each generated factor, not the product,
+    and an infinite one raises BudgetExceeded.
     ``component_sizes`` stays empty, as there are no product nodes.
     ``decompose(tensor_product_graph(...))`` is the reference route.
     """
@@ -285,7 +286,8 @@ def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
     tops = [model_highest_weight(rd, lam) for lam in weights]
     first = tops[0]
     if finite_type_check(rd):
-        first = max(tops, key=lambda x: weyl_dim(rd, x.weight(rd)))
+        roots = positive_roots(rd)
+        first = max(tops, key=lambda x: _weyl_product(rd, x.weight(rd), roots))
     tops.remove(first)
     entries = {first.weight(rd): 1}
     for top in tops:
@@ -403,9 +405,14 @@ def weyl_dim(rd: RootDatum, lam: Weight) -> int:
     """dim V(lam) by the product formula over positive roots; exact integers."""
     if not rd.is_dominant(lam):
         raise ValueError("weyl_dim needs a dominant weight")
+    return _weyl_product(rd, lam, positive_roots(rd))
+
+
+def _weyl_product(rd: RootDatum, lam: Weight, roots) -> int:
+    """dim V(lam) for a dominant lam, given ``positive_roots(rd)``."""
     shifted = [p + 1 for p in rd.pairing_vector(lam)]  # <h_k, lam + rho>
     num = den = 1
-    for coeffs in positive_roots(rd):
+    for coeffs in roots:
         num *= sum(map(mul, coeffs, shifted))
         den *= sum(coeffs)
     if num % den != 0:

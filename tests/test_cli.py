@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -308,17 +309,59 @@ def test_one_file_for_two_outputs_exits_2(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().out.startswith("digraph crystal")
 
 
-def test_usage_error_without_traceback():
+def run_fresh(argv, **env):
+    """Run ``python -m kmcrystals.cli argv`` in a new interpreter."""
     path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "kmcrystals.cli", "verify", "axioms", "--preset", "A2",
-         "--weight", "1"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "kmcrystals.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_usage_error_without_traceback():
+    proc = run_fresh(["verify", "axioms", "--preset", "A2", "--weight", "1"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["graph", "--preset", "A2", "--weight", "1,0"]) == 0
+    assert main(["tensor", "--preset", "A2", "--weight", "1,0", "--weight", "0,1"]) == 0
+    assert main(["verify", "axioms", "--preset", "A2", "--weight", "1,0"]) == 0
+    assert built == []
+
+
+def test_calls_in_one_interpreter_share_no_state(monkeypatch, capsys):
+    # each output equals the same call's output in a new interpreter: the
+    # append action starts empty, and an exit by argparse leaves nothing
+    # behind; COLUMNS fixes the help text's width on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    tensor = ["tensor", "--preset", "A2"]
+    sequence = [
+        tensor + ["--weight", "1,0", "--weight", "0,1", "--weight", "1,1"],
+        tensor + ["--weight", "1,0", "--weight", "0,1"],
+        tensor + ["--tsv", "-"],  # no --weight: a usage error
+        tensor + ["--weight", "2,0"],
+        ["tensor", "--help"],
+        tensor + ["--weight", "1,1", "--weight", "1,0"],
+    ]
+    codes = []
+    for argv in sequence:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        fresh = run_fresh(argv, COLUMNS="80")
+        assert (rc, captured.out, captured.err) == (fresh.returncode, fresh.stdout,
+                                                    fresh.stderr), argv
+        codes.append(rc)
+    assert codes == [0, 0, 2, 0, 0, 0]
 
 
 def test_missing_root_datum_exits_2():

@@ -250,6 +250,11 @@ def test_weyl_dim_rejects_bad_input():
         weyl_dim(RD1, Weight((1,), (1,)))
     with pytest.raises(ValueError, match="finite"):
         positive_roots(RDA)
+    # dominance is checked first, then finite type
+    with pytest.raises(ValueError, match="^weyl_dim needs a dominant weight$"):
+        weyl_dim(RDA, Weight((1, 0), (1, 0)))
+    with pytest.raises(ValueError, match="^positive root enumeration needs a finite-type"):
+        weyl_dim(RDA, RDA.weight((1, 0)))
 
 
 def test_finite_type_detection():
@@ -429,6 +434,22 @@ def test_decompose_tensor_generates_all_but_the_largest_factor(monkeypatch, rd, 
     assert calls == [[model_highest_weight(rd, small)]]
     total = sum(weyl_dim(rd, wt) * m for wt, m in table.entries.items())
     assert total == weyl_dim(rd, rd.weight(small)) * weyl_dim(rd, rd.weight(large))
+
+
+def test_decompose_tensor_enumerates_positive_roots_once(monkeypatch):
+    calls = []
+    original = explorer.positive_roots
+
+    def counting(rd):
+        calls.append(rd)
+        return original(rd)
+
+    monkeypatch.setattr(explorer, "positive_roots", counting)
+    weights = [(0, 0, 0, 1), (0, 1, 0, 1), (1, 0, 0, 0)]
+    table = decompose_tensor(RD4, weights)
+    assert calls == [RD4]
+    total = sum(weyl_dim(RD4, wt) * m for wt, m in table.entries.items())
+    assert total == 8 * 160 * 8
 
 
 def test_decompose_tensor_budget_skips_the_largest_factor(monkeypatch):
