@@ -29,7 +29,7 @@ import itertools
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from operator import add, ge, mul, sub
+from operator import add, ge, is_not, mul, sub
 
 from .crystal_core import (
     CrystalElement,
@@ -93,19 +93,28 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
     A model node's record, built at admission, holds its rank rows while
     the node is queued, so that its operator images derive their records
     from them; the rows are dropped (:func:`~kmcrystals.crystal_core.trim_record`)
-    once the node is expanded or left at the frontier, and from the shared
-    factors of tensor nodes when generation ends or on BudgetExceeded.
+    once the node is expanded or left at the frontier.
+
+    Equal factors of tensor nodes are one instance.  A table kept for this
+    call only maps each factor of an admitted tensor node to itself; a new
+    tensor node is rebuilt on the table's instances before its record is
+    built, so each distinct factor builds its record once and an image
+    equal to a known factor never builds one.  A shared factor keeps its
+    rank rows, from which the factors of later nodes derive their records,
+    until generation ends or on BudgetExceeded; then each distinct factor
+    is trimmed once.
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
     node_budget = env_node_budget()
     g = CrystalGraph(rd=rd, depth_bound=depth)
     queue: deque[GraphNode] = deque()
+    shared: dict[CrystalElement, CrystalElement] = {}  # each distinct factor of a tensor node
 
-    def trim_all():
-        """Drop the rank rows left in the graph's elements and their factors."""
-        for x in g.nodes:
-            for part in flatten(x):  # x itself, or the factors of a tensor x
+    def trim_factors():
+        """Drop the rank rows left in the shared factors, nested ones included."""
+        for b in shared:
+            for part in flatten(b):
                 trim_record(part)
 
     def admit(x: CrystalElement, d: int) -> GraphNode:
@@ -115,8 +124,14 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
             return nd
         if len(g.nodes) >= node_budget:
             reached = max((nd.depth for nd in g.nodes.values()), default=0)
-            trim_all()
+            for y in g.nodes:
+                trim_record(y)
+            trim_factors()
             raise BudgetExceeded(node_budget, g, reached, len(queue))
+        if isinstance(x, TensorElement):
+            factors = tuple([shared.setdefault(b, b) for b in x.factors])
+            if any(map(is_not, factors, x.factors)):
+                x = TensorElement(factors)
         x.weight(rd)  # builds x's record while an image's source still holds its rank rows
         nd = g.nodes[x] = GraphNode(x, d, True, [None] * rd.n, [None] * rd.n)
         queue.append(nd)
@@ -137,9 +152,7 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
                     nd.up[k - 1] = src.element
                     src.down[k - 1] = nd
         trim_record(x)  # its images' records are built; x keeps its record's six fields
-    # operators keep an element's class, so only tensor seeds give nodes with factors
-    if any(isinstance(s, TensorElement) for s in g.generators):
-        trim_all()
+    trim_factors()
     return g
 
 
@@ -268,7 +281,8 @@ def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
 
     Every factor's highest-weight element is built first, so a bad weight
     anywhere raises ValueError (from ``model_highest_weight``) before any
-    generation.  The rule reads only the weight of the factor the fold
+    generation; the weights are read with ``rd.weight``, which builds no
+    element's record.  The rule reads only the weight of the factor the fold
     starts from, which is never generated; the others are generated in
     full.  On a datum of finite type the product does not depend on the
     order of its factors (Kashiwara, Duke Math. J. 63, 1991), so the fold
@@ -284,12 +298,13 @@ def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
     if not weights:
         raise ValueError("decompose_tensor needs at least one factor")
     tops = [model_highest_weight(rd, lam) for lam in weights]
-    first = tops[0]
+    lams = [rd.weight(lam) for lam in weights]  # the tops' weights, without their records
+    first = 0
     if finite_type_check(rd):
         roots = positive_roots(rd)
-        first = max(tops, key=lambda x: _weyl_product(rd, x.weight(rd), roots))
-    tops.remove(first)
-    entries = {first.weight(rd): 1}
+        first = max(range(len(lams)), key=lambda i: _weyl_product(rd, lams[i], roots))
+    del tops[first]
+    entries = {lams[first]: 1}
     for top in tops:
         factor = [stats_record(x, rd)[1:3] for x in generate(rd, [top]).nodes]
         step: dict[Weight, int] = {}

@@ -13,8 +13,15 @@ collapses the whole result to None.  An element keeps the record every
 element keeps, ``(rd, wt, eps, phi, e_sites, f_sites)`` (see
 :func:`~kmcrystals.crystal_core.stats_record`), its sites factor
 positions, and None exactly where eps_k (for e_k) or phi_k (for f_k) is
--inf; profiles are only recomputed on demand.  :class:`TensorElement`
-supplies the ``_build`` and ``_move`` of
+-inf.  It is built from one read of each distinct factor instance
+(:func:`_columns`) by one scan per vertex and statistic: forward with a
+running left sum for eps (:func:`_eps_scan`), backward with a running
+right sum for phi (:func:`_phi_scan`).  A position where the factor's
+statistic is -inf takes no part in the maximum and gets no arithmetic;
+a vertex where every position is -inf gets -inf and no site.  The
+profiles are not kept: ``eps_profile`` and ``phi_profile`` recompute
+them on demand with the same scans, so the formula is written once.
+:class:`TensorElement` supplies the ``_build`` and ``_move`` of
 :class:`~kmcrystals.crystal_core.CrystalElement`, which reads the record
 and applies the operators: ``_move`` applies the operator to the factor
 at the site, and returns None when that factor does.
@@ -33,10 +40,8 @@ flattening must produce the same statistics and mirrored operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import getitem, sub
 
-from .crystal_core import CrystalElement, ext_max, is_neg_inf, stats_record
+from .crystal_core import NEG_INF, CrystalElement, ext_max, stats_record
 from .root_datum import RootDatum, Weight
 
 
@@ -56,28 +61,41 @@ class TensorElement(CrystalElement):
         return h
 
     def eps_profile(self, rd: RootDatum, k: int) -> list:
+        """[eps_k^p for each position p], NEG_INF where eps_k(b_p) is -inf."""
         rd._check_vertex(k)
-        return list(_profiles(rd, self)[1][k - 1])
+        profile = [NEG_INF] * len(self.factors)
+        _eps_scan(_columns(rd, self)[1], k - 1, profile)
+        return profile
 
     def phi_profile(self, rd: RootDatum, k: int) -> list:
+        """[phi_k^p for each position p], NEG_INF where phi_k(b_p) is -inf."""
         rd._check_vertex(k)
-        return list(_profiles(rd, self)[2][k - 1])
+        profile = [NEG_INF] * len(self.factors)
+        _phi_scan(_columns(rd, self)[1], k - 1, profile)
+        return profile
 
     def _build(self, rd: RootDatum) -> tuple:
-        """The record of the module docstring.  ``max`` keeps the first
-        maximum it meets: scanning forward gives the smallest site, backward
-        the largest."""
-        wt, eps_rows, phi_rows = _profiles(rd, self)
-        e_sites = [max(range(len(eps)), key=eps.__getitem__) for eps in eps_rows]
-        f_sites = [max(reversed(range(len(phi))), key=phi.__getitem__) for phi in phi_rows]
-        eps, phi = tuple(map(getitem, eps_rows, e_sites)), tuple(map(getitem, phi_rows, f_sites))
-        return (rd, wt, eps, phi, _defined(e_sites, eps), _defined(f_sites, phi))
+        """The record of the module docstring: per vertex, one forward scan
+        for eps_k and its smallest site, one backward scan for phi_k and its
+        largest site, over the factor reads of :func:`_columns`."""
+        wt, cols = _columns(rd, self)
+        n = rd.n
+        eps, phi, e_sites, f_sites = [None] * n, [None] * n, [None] * n, [None] * n
+        for i in range(n):
+            eps[i], e_sites[i] = _eps_scan(cols, i)
+            phi[i], f_sites[i] = _phi_scan(cols, i)
+        return (rd, wt, tuple(eps), tuple(phi), tuple(e_sites), tuple(f_sites))
 
     def _move(self, rd: RootDatum, k: int, p: int, delta: int):
+        """self with the factor at p moved, or None when that factor's
+        operator returns None.  The factors stay nonempty, so the image is
+        not re-validated."""
         moved = self.factors[p].e(rd, k) if delta < 0 else self.factors[p].f(rd, k)
         if moved is None:
             return None
-        return TensorElement(self.factors[:p] + (moved,) + self.factors[p + 1 :])
+        y = object.__new__(TensorElement)  # skips __init__ and __post_init__
+        y.__dict__["factors"] = self.factors[:p] + (moved,) + self.factors[p + 1 :]
+        return y
 
     def key(self) -> str:
         """The list of the factors' keys, in order, under ``"Tensor"``:
@@ -85,31 +103,65 @@ class TensorElement(CrystalElement):
         return '{"Tensor":[' + ",".join([x.key() for x in self.factors]) + "]}"
 
 
-def _profiles(rd: RootDatum, x: TensorElement):
-    """(wt, eps profiles, phi profiles) of x, profile k - 1 for vertex k, from
-    one read of each distinct factor instance (its record's weight, eps and
-    phi, and the weight's pairing vector), by identity, since hashing a
-    factor costs more: :func:`~kmcrystals.quiver_model.embed_psi` places a
-    few factor instances at most positions."""
+def _columns(rd: RootDatum, x: TensorElement) -> tuple:
+    """(wt, cols) of x: cols[p] is ``(eps, phi, pairs, wt)`` of factor p,
+    its record's eps and phi vectors, its weight's pairing vector and its
+    weight, and wt is the sum of the factors' weights.  Each distinct
+    factor instance is read once, by identity, since hashing a factor
+    costs more: :func:`~kmcrystals.quiver_model.embed_psi` places a few
+    factor instances at most positions, and
+    :func:`~kmcrystals.explorer.generate` shares equal factors."""
     reads = {}
+    cols = []
     for b in x.factors:
-        if id(b) not in reads:
+        col = reads.get(id(b))
+        if col is None:
             w, eps, phi = stats_record(b, rd)[1:4]
-            reads[id(b)] = w, rd.pairing_vector(w), eps, phi
-    weights, pairings, eps_cols, phi_cols = zip(*[reads[id(b)] for b in x.factors])
-    wt = Weight(tuple(map(sum, zip(*(w.lambda_part for w in weights)))),
-                tuple(map(sum, zip(*(w.root_part for w in weights)))))
-    eps_rows, phi_rows = [], []
-    for pairs, eps, phi in zip(zip(*pairings), zip(*eps_cols), zip(*phi_cols)):
-        left = list(accumulate(pairs, initial=0))  # left[p] = sum_{q<p} wt_k(b_q)
-        eps_rows.append(tuple(map(sub, eps, left)))
-        phi_rows.append(tuple(c + left[-1] - s for c, s in zip(phi, left[1:])))  # + sum_{q>p}
-    return wt, eps_rows, phi_rows
+            col = reads[id(b)] = (eps, phi, rd.pairing_vector(w), w)
+        cols.append(col)
+    weights = [col[3] for col in cols]
+    wt = Weight(tuple(map(sum, zip(*[w.lambda_part for w in weights]))),
+                tuple(map(sum, zip(*[w.root_part for w in weights]))))
+    return wt, cols
 
 
-def _defined(sites: list, stats: tuple) -> tuple:
-    """The sites, each None where its statistic is -inf."""
-    return tuple(None if is_neg_inf(c) else p for p, c in zip(sites, stats))
+def _eps_scan(cols: list, i: int, profile: list | None = None) -> tuple:
+    """(eps_k, e-site) at vertex k = i + 1: the maximum of eps_k^p over the
+    positions p where eps_k(b_p) is finite, and the smallest p attaining
+    it; (NEG_INF, None) when there is none.  A -inf entry is skipped, with
+    no arithmetic on it.  Each eps_k^p computed is written to
+    ``profile[p]`` when a profile is given."""
+    best = site = None
+    left = 0  # sum_{q<p} wt_k(b_q)
+    for p, (eps, _, pairs, _) in enumerate(cols):
+        c = eps[i]
+        if c is not NEG_INF:
+            c -= left
+            if site is None or c > best:  # strictly greater: the first maximum stays
+                best, site = c, p
+            if profile is not None:
+                profile[p] = c
+        left += pairs[i]
+    return (NEG_INF, None) if site is None else (best, site)
+
+
+def _phi_scan(cols: list, i: int, profile: list | None = None) -> tuple:
+    """(phi_k, f-site) at vertex k = i + 1, as :func:`_eps_scan` does it
+    for phi_k^p, scanning from the last position, so the site is the
+    largest p attaining the maximum."""
+    best = site = None
+    right = 0  # sum_{q>p} wt_k(b_q)
+    for p in range(len(cols) - 1, -1, -1):
+        _, phi, pairs, _ = cols[p]
+        c = phi[i]
+        if c is not NEG_INF:
+            c += right
+            if site is None or c > best:  # strictly greater: the last maximum stays
+                best, site = c, p
+            if profile is not None:
+                profile[p] = c
+        right += pairs[i]
+    return (NEG_INF, None) if site is None else (best, site)
 
 
 def flatten(x: CrystalElement) -> tuple[CrystalElement, ...]:

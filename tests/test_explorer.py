@@ -452,6 +452,26 @@ def test_decompose_tensor_enumerates_positive_roots_once(monkeypatch):
     assert total == 8 * 160 * 8
 
 
+@pytest.mark.parametrize("rd, weights, first", [
+    (RD4, [(0, 0, 0, 1), (0, 1, 0, 1), (1, 0, 0, 0)], (0, 1, 0, 1)),  # the largest
+    (RDA, [(1, 0), (0, 0)], (1, 0)),  # off finite type, the first
+], ids=["D4", "affineA1"])
+def test_decompose_tensor_records_only_generated_factors(monkeypatch, rd, weights, first):
+    # weights are read with rd.weight: the factor the fold starts from never
+    # builds a record, and each generated factor makes one full rank pass
+    passes = []
+    original = quiver_model._rank_rows
+
+    def counting(rd, x):
+        passes.append(x.wp)
+        return original(rd, x)
+
+    monkeypatch.setattr(quiver_model, "_rank_rows", counting)
+    decompose_tensor(rd, weights)
+    assert sorted(wp.slots for wp in passes) == sorted(
+        ((0, lam),) if any(lam) else () for lam in weights if lam != first)
+
+
 def test_decompose_tensor_budget_skips_the_largest_factor(monkeypatch):
     # B(1,0) has 3 nodes and B(1,1) has 8: only the smaller one is generated
     unbudgeted = decompose_tensor(RD2, [(1, 0), (1, 1)])
@@ -834,11 +854,12 @@ def test_derived_records_equal_the_full_pass(build):
 
 
 def test_tensor_factor_records_equal_the_full_pass():
-    # a factor moved by e_k/f_k derives its record from the factor it replaced
+    # equal factors of the graph's tensor nodes are one instance, and a
+    # factor moved by e_k/f_k derives its record from the factor it replaced
     pair = TensorElement((model_highest_weight(RD3, (1, 0, 1)), model_highest_weight(RD3, (0, 1, 0))))
     g = generate(RD3, [pair])
     factors = {id(b): b for x in g.nodes for b in x.factors}
-    assert len(factors) > g.node_count()
+    assert len(set(factors.values())) == len(factors) == 15 + 6  # all of B(1,0,1) and B(0,1,0)
     for b in factors.values():
         assert b.__dict__["_record"][:6] == _full_pass_record(RD3, b)
 
@@ -917,6 +938,20 @@ def test_partial_graph_keeps_no_rows(monkeypatch):
         for x in info.value.partial.nodes:
             for part in (x, *flatten(x)):
                 assert len(part.__dict__["_record"]) == 6
+
+
+def test_partial_tensor_graph_shares_factors_without_rows(monkeypatch):
+    # a budget overrun trims each shared factor of the partial graph, the
+    # factors of its queued nodes included, and equal factors stay one instance
+    monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "40")
+    with pytest.raises(BudgetExceeded) as info:
+        _closed_family_component(RD3, (1, 1, 0), (0, 1, 1))
+    partial = info.value.partial
+    assert info.value.queued > 0
+    factors = {id(b): b for x in partial.nodes for b in x.factors}
+    assert len(set(factors.values())) == len(factors) < 2 * partial.node_count()
+    for b in factors.values():
+        assert len(b.__dict__["_record"]) == 6 and "_link" not in b.__dict__
 
 
 def test_image_drops_its_link_once_recorded():

@@ -2,11 +2,13 @@
 structural properties: associativity under re-bracketing, normality
 preservation, and the lowering-power split rule on eps = 0 elements."""
 
+import functools
 import json
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kmcrystals import (
     NEG_INF,
@@ -16,17 +18,20 @@ from kmcrystals import (
     TensorElement,
     build_root_datum,
     check_normal,
+    embed_psi,
     flatten,
     generate,
     generate_highest_weight_crystal,
     model_highest_weight,
     tensor_product_graph,
 )
-from kmcrystals.crystal_core import is_neg_inf, stats_record
+from kmcrystals.crystal_core import ext_max, is_neg_inf, stats_record
+from kmcrystals.quiver_model import window
 from kmcrystals.tensor import binary_e, binary_eps, binary_f, binary_phi
 
 RD1 = build_root_datum("A1")
 RD2 = build_root_datum("A2")
+RDA = build_root_datum("affineA1")
 
 
 def sl2_hw():
@@ -265,6 +270,59 @@ def test_binary_oracle_property_sl2(ns, weights, k, a2_factors, a2_k):
                 assert moved is None
             else:
                 assert moved is not None and flatten(moved) == expected.factors
+
+
+def _formula_profiles(rd, x, k):
+    """eps_k^p and phi_k^p of the module docstring, straight from the
+    factors' readers with -inf arithmetic, as an oracle for the scans."""
+    pairs = [rd.pairing(k, b.weight(rd)) for b in x.factors]
+    eps = [b.eps(rd, k) - sum(pairs[:p]) for p, b in enumerate(x.factors)]
+    phi = [b.phi(rd, k) + sum(pairs[p + 1:]) for p, b in enumerate(x.factors)]
+    return eps, phi
+
+
+# T and B_1 factors only: every entry at vertex 2 is -inf
+A2_VERTEX_1_FACTOR = st.one_of(
+    st.builds(BkElement, st.just(1), st.integers(-2, 2)),
+    st.builds(lambda lam: TElement(RD2.weight(lam)), st.tuples(st.integers(-1, 2),
+                                                              st.integers(-1, 2))),
+)
+# capped tensors of B(1,0), B(0,1), B(1,1) on A2 and of affineA1 B(1,1) to depth 3
+CAPPED_POOL = [(rd, list(embed_psi(rd, x, window(x, margin=2)).factors))
+               for rd, xs in ((RD2, A2_MODEL_POOL),
+                              (RDA, generate_highest_weight_crystal(RDA, (1, 1), depth=3).nodes))
+               for x in xs]
+TENSOR_CASES = st.one_of(
+    st.tuples(st.just(RD2), st.lists(A2_FACTOR, min_size=1, max_size=6)),
+    st.tuples(st.just(RD2), st.lists(A2_VERTEX_1_FACTOR, min_size=1, max_size=4)),
+    st.sampled_from(CAPPED_POOL),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=TENSOR_CASES)
+@example(case=(RD1, [sl2_low()]))  # one factor
+@example(case=(RD2, [BkElement(1, 2), TElement(RD2.weight((1, 0)))]))  # vertex 2 all -inf
+@example(case=max(CAPPED_POOL, key=lambda case: len(case[1])))  # the longest capped tensor
+def test_record_is_the_profiles_maxima(case):
+    # the one-pass record against its profiles: eps_k and phi_k are their
+    # maxima, e_k acts at the first position attaining the eps maximum and
+    # f_k at the last attaining the phi maximum, and a site is None exactly
+    # where the statistic is -inf; the profiles follow the formula
+    rd, factors = case
+    x = TensorElement(tuple(factors))  # a fresh element, so its record is built here
+    _, wt, eps, phi, e_sites, f_sites = stats_record(x, rd)
+    assert wt == functools.reduce(operator.add, [b.weight(rd) for b in factors])
+    for k in rd.vertices():
+        profiles = (x.eps_profile(rd, k), x.phi_profile(rd, k))
+        assert profiles == _formula_profiles(rd, x, k)
+        for stat, site, profile, last in zip((eps, phi), (e_sites, f_sites), profiles,
+                                             (False, True)):
+            top = ext_max(profile)
+            assert stat[k - 1] is top if is_neg_inf(top) else stat[k - 1] == top
+            attaining = [p for p, c in enumerate(profile) if not is_neg_inf(c) and c == top]
+            assert site[k - 1] == (attaining[-1 if last else 0] if attaining else None)
+            assert (site[k - 1] is None) == is_neg_inf(stat[k - 1])
 
 
 def test_serialization_preserves_order():
