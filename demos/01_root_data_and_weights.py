@@ -7,7 +7,7 @@ the loop-free graphs they encode, and exact weight arithmetic.
 """
 
 from kmcrystals import build_root_datum
-from kmcrystals.explorer import finite_type_check
+from kmcrystals.oracles import finite_type_check
 from kmcrystals.root_datum import Weight
 
 # A root datum can come from a preset name ...

@@ -13,12 +13,10 @@ from kmcrystals import (
     closed_family_instance,
     decompose,
     decompose_tensor,
-    freudenthal_multiplicities,
     generate_highest_weight_crystal,
-    positive_roots,
     tensor_product_graph,
-    weyl_dim,
 )
+from kmcrystals.oracles import freudenthal_multiplicities, positive_roots, weyl_dim
 
 rd = build_root_datum("A2")
 

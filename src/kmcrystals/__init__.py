@@ -4,8 +4,9 @@ The pieces: root data and weights (:mod:`root_datum`), the abstract crystal
 contract with graph exploration and axiom checkers (:mod:`crystal_core`),
 the elementary crystals (:mod:`elementary`), the signed-max tensor product
 rule (:mod:`tensor`), the quiver-profile model of highest-weight crystals
-with its strict tensor embedding (:mod:`quiver_model`), and graph analysis
-with independent representation-theoretic oracles (:mod:`explorer`).
+with its strict tensor embedding (:mod:`quiver_model`), graph generation
+and analysis (:mod:`explorer`), and the independent representation-theoretic
+oracles, which use no crystal (:mod:`oracles`).
 """
 
 from .crystal_core import (
@@ -26,16 +27,13 @@ from .explorer import (
     closed_family_instance,
     decompose,
     decompose_tensor,
-    finite_type_check,
-    freudenthal_multiplicities,
     generate,
     generate_highest_weight_crystal,
     highest_weight_elements,
     is_isomorphic,
-    positive_roots,
     tensor_product_graph,
-    weyl_dim,
 )
+from .oracles import finite_type_check, freudenthal_multiplicities, positive_roots, weyl_dim
 from .quiver_model import (
     ModelElement,
     WProfile,

@@ -5,26 +5,31 @@ Subcommands: ``graph`` writes an explored B(lambda) as DOT or JSON,
 table, ``verify`` runs one of the built-in verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 node budget
-exceeded.  Every usage error in every subcommand (a missing or malformed
-root datum or weight, a weight of the wrong length or not dominant, a
-negative ``--depth``, ``--max-entry`` or ``--pairs``, a CRYSTAL_NODE_BUDGET
-that is not a nonnegative integer, the oracle suite on a datum not of
-finite type, an infinite crystal without ``--depth``, an output path that
-is empty, names a directory or lies in a missing one, symlinks followed,
-one file given to two outputs) is found before any work starts and before
-any file is written, and exits 2 with one ``error:`` line on stderr.  An
-output file the system still refuses (a name too long, say) exits 2 the
-same way, after the work.  A crystal B(lambda) is infinite iff lambda is
-nonzero on a connected component of the diagram not of finite type; every
-subcommand applies this one rule to each ``--weight``, and ``verify
-closed`` to the largest weight its ``--max-entry`` draws.  The node budget
-is controlled by the environment variable CRYSTAL_NODE_BUDGET (default 10^6
-nodes; a finished profile-model graph holds about 1.2 KB per node, so about
-1.2 GB).  It bounds every graph a command generates, and an overrun reports
-the depth reached and the nodes still queued.  ``tensor`` without
-``--depth`` decomposes by the highest-weight rule and generates every
-factor but one: the largest on a datum of finite type, where the order
-does not matter, and the first on any other.  There the budget bounds
+exceeded.  Every integer typed (a ``--weight`` entry, ``--depth``,
+``--max-entry``, ``--pairs``, ``--seed``) is ASCII digits with an optional
+leading ``-``; a preset's rank is ASCII digits without a leading zero and
+at most 1000 (``root_datum.MAX_PRESET_RANK``).  Every usage error in every
+subcommand (a missing or malformed root datum or weight, a preset rank
+above that bound, a weight of the wrong length or not dominant, a negative
+``--depth``, ``--max-entry`` or ``--pairs``, a CRYSTAL_NODE_BUDGET that is
+not a nonnegative integer, the oracle suite on a datum not of finite type,
+an infinite crystal without ``--depth``, an output path that is empty,
+names a directory or lies in a missing one, symlinks followed, one file
+given to two outputs) is found before any work starts and before any file
+is written, and exits 2 with one ``error:`` line on stderr.  An output file
+the system still refuses (a name too long, say) exits 2 the same way, after
+the work.  A crystal B(lambda) is infinite iff lambda is nonzero on a
+connected component of the diagram not of finite type; every subcommand
+applies this one rule to each ``--weight``, and ``verify closed`` to the
+largest weight its ``--max-entry`` draws; the oracle suite's rule reads the
+same ``oracles.infinite_vertices``, computed at most once per command.  The
+node budget is controlled by the environment variable CRYSTAL_NODE_BUDGET
+(default 10^6 nodes; a finished profile-model graph holds about 1.2 KB per
+node, so about 1.2 GB).  It bounds every graph a command generates, and an
+overrun reports the depth reached and the nodes still queued.  ``tensor``
+without ``--depth`` decomposes by the highest-weight rule and generates
+every factor but one: the largest on a datum of finite type, where the
+order does not matter, and the first on any other.  There the budget bounds
 each generated factor, not the product; with ``--depth`` the truncated
 product is built and the budget bounds it too.  ``verify oracle --depth d``
 compares the character with the recursion's weights of height <= d (a
@@ -42,6 +47,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from functools import partial
 
@@ -53,16 +59,28 @@ from .explorer import (
     decompose,
     decompose_tensor,
     env_node_budget,
-    finite_type_check,
-    freudenthal_multiplicities,
     generate_highest_weight_crystal,
     tensor_product_graph,
-    weyl_dim,
 )
+from .oracles import freudenthal_multiplicities, infinite_vertices, weyl_dim
 from .quiver_model import embedding_mismatches
-from .root_datum import RootDatum, build_root_datum, load_root_datum
+from .root_datum import build_root_datum, load_root_datum
 
 VERIFY_SUITES = ("axioms", "normal", "closed", "embedding", "oracle")
+
+
+_INTEGER = re.compile(r"-?[0-9]+")  # compiled on import, like the parser
+
+
+def _integer(text: str) -> int:
+    """ASCII digits with an optional leading -; ValueError on any other text,
+    such as spaces, + or _ (which ``int`` accepts) or non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse's message names the type: "invalid int value"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--preset", help="named root datum, e.g. A2, D4, E6, affineA1")
         p.add_argument("--root-datum", help="JSON or TOML file with preset/adjacency")
-        p.add_argument("--depth", type=int, default=None, help="max operator applications")
+        p.add_argument("--depth", type=_integer, default=None, help="max operator applications")
 
     g = sub.add_parser("graph", help="generate B(lambda) and emit DOT or JSON")
     add_common(g)
@@ -93,9 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", choices=VERIFY_SUITES)
     add_common(v)
     v.add_argument("--weight", help="comma-separated dominant coordinates")
-    v.add_argument("--max-entry", type=int, default=2, help="random weight entry bound")
-    v.add_argument("--pairs", type=int, default=20, help="number of random weight pairs")
-    v.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    v.add_argument("--max-entry", type=_integer, default=2, help="random weight entry bound")
+    v.add_argument("--pairs", type=_integer, default=20, help="number of random weight pairs")
+    v.add_argument("--seed", type=_integer, default=0, help="seed for randomized suites")
     return parser
 
 
@@ -107,7 +125,7 @@ _PARSER = _build_parser()
 def _parse_weight(text: str, n: int) -> tuple[int, ...]:
     """The dominant weight written as comma-separated coordinates."""
     try:
-        coords = tuple(int(part) for part in text.split(","))
+        coords = tuple(_integer(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"weight {text!r} is not a comma-separated integer vector")
     if len(coords) != n:
@@ -115,27 +133,6 @@ def _parse_weight(text: str, n: int) -> tuple[int, ...]:
     if any(x < 0 for x in coords):
         raise ValueError(f"weight {text} is not dominant")
     return coords
-
-
-def _infinite_vertices(rd: RootDatum) -> set[int]:
-    """The vertices on connected components of the diagram not of finite
-    type: B(lambda) is finite iff lambda vanishes on all of them."""
-    infinite: set[int] = set()
-    unseen = set(rd.vertices())
-    while unseen:
-        component, stack = set(), [unseen.pop()]
-        while stack:
-            k = stack.pop()
-            component.add(k)
-            linked = {l for l in unseen if rd.edge_mult[k - 1][l - 1]}
-            unseen -= linked
-            stack += linked
-        block = sorted(component)
-        if not finite_type_check(RootDatum(tuple(
-            tuple(rd.cartan[k - 1][l - 1] for l in block) for k in block
-        ))):
-            infinite |= component
-    return infinite
 
 
 def _validate(args):
@@ -177,13 +174,15 @@ def _validate(args):
         texts = args.weight if args.command == "tensor" else [args.weight]
         weights = [_parse_weight(text, rd.n) for text in texts]
         generated = [(f"weight {text}", w) for text, w in zip(texts, weights)]
+    oracle = args.command == "verify" and args.suite == "oracle"
+    # one finite-type decision serves both rules below
+    infinite = infinite_vertices(rd) if args.depth is None or oracle else set()
     if args.depth is None:
-        infinite = _infinite_vertices(rd)
         for label, w in generated:
             if any(w[k - 1] for k in infinite):
                 raise ValueError(f"{label} is nonzero on a component of the diagram not of "
                                  "finite type, where B(lambda) is infinite; give --depth")
-    if args.command == "verify" and args.suite == "oracle" and not finite_type_check(rd):
+    if oracle and infinite:
         raise ValueError("oracle suite needs a finite-type root datum")
     return rd, weights
 

@@ -1,4 +1,4 @@
-"""Crystal graph generation and analysis, plus independent finite-type oracles.
+"""Crystal graph generation and analysis.
 
 Generation is a breadth-first closure of a seed set under every e_k and
 f_k, up to an optional depth bound; nodes left unexpanded are frontier
@@ -8,19 +8,8 @@ witness and in the JSON form of a table.  Analyses (highest-weight scan,
 decomposition, characters, isomorphism) are read-only passes over a
 generated graph, except ``decompose_tensor``, which decomposes a tensor
 product from one factor's weight and the other factors alone; on finite
-type that factor is the largest.
-
-The oracles at the bottom (the finite-type test, positive-root
-enumeration, the product formula for dimensions, the multiplicity
-recursion) are classical finite-type representation theory, computed in
-exact integer arithmetic with no crystal machinery at all.  They work in
-root coordinates: a root or a weight's distance r below lam is a vector of
-simple-root coefficients, and every pairing is a row of the Cartan matrix
-dotted with it.  The multiplicity recursion runs only at the dominant
-weights, reads the rest at dominant conjugates found by simple reflections,
-and fills in the Weyl orbits at the end (Moody and Patera, Bull. AMS 7,
-1982; Stembridge, Adv. Math. 136, 1998).  They exist to cross-check the
-crystal graphs against an independent route.
+type that factor is the largest.  The crystal-free oracles the graphs are
+checked against live in :mod:`oracles`.
 """
 
 from __future__ import annotations
@@ -29,7 +18,7 @@ import itertools
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from operator import add, ge, is_not, mul, sub
+from operator import is_not
 
 from .crystal_core import (
     CrystalElement,
@@ -40,6 +29,9 @@ from .crystal_core import (
     stats_record,
     trim_record,
 )
+from .oracles import _weyl_product, finite_type_check
+# bench/tracer.py wraps these on explorer; test_tracer_targets_exist_on_their_owners checks it
+from .oracles import freudenthal_multiplicities, positive_roots, weyl_dim
 from .quiver_model import model_highest_weight
 from .root_datum import RootDatum, Weight
 from .tensor import TensorElement, flatten
@@ -364,176 +356,3 @@ def is_isomorphic(g1: CrystalGraph, g2: CrystalGraph):
     if not report.ok():
         return False, None, "witness failed strict-morphism check: " + report.violations[0]
     return True, {a.element.key(): b.element.key() for a, b in mapping.items()}, ""
-
-
-# ---------------------------------------------------------------------------
-# Independent finite-type oracles (no crystal machinery below this line).
-
-
-def finite_type_check(rd: RootDatum) -> bool:
-    """True iff the Cartan matrix is positive definite (all leading minors > 0).
-
-    One fraction-free (Bareiss) elimination without row swaps: its i-th
-    pivot is the i-th leading principal minor, and the last one is det C.
-    Each division is exact and by the previous pivot, already known > 0.
-    """
-    m = [list(row) for row in rd.cartan]
-    prev = 1
-    for i, pivot_row in enumerate(m):
-        pivot = pivot_row[i]
-        if pivot <= 0:
-            return False
-        for row in m[i + 1:]:
-            for c in range(i + 1, rd.n):
-                row[c] = (row[c] * pivot - row[i] * pivot_row[c]) // prev
-        prev = pivot
-    return True
-
-
-def positive_roots(rd: RootDatum) -> list[tuple[int, ...]]:
-    """All positive roots as simple-root coefficient vectors, by height closure.
-
-    Simply-laced only (which is all this library handles): a root string
-    through beta in a simple direction has length at most one, so
-    beta + alpha_k is a root iff (beta, alpha_k), row k of C dotted with
-    beta, is below 1 if beta - alpha_k is a root and below 0 if not.
-    """
-    if not finite_type_check(rd):
-        raise ValueError("positive root enumeration needs a finite-type root datum")
-    level = [tuple(int(i == k) for i in range(rd.n)) for k in range(rd.n)]
-    roots = set(level)
-    while level:
-        nxt = []
-        for beta in level:
-            for k, row in enumerate(rd.cartan):
-                lowered = beta[:k] + (beta[k] - 1,) + beta[k + 1:]
-                if sum(map(mul, row, beta)) < (lowered in roots):
-                    gamma = beta[:k] + (beta[k] + 1,) + beta[k + 1:]
-                    if gamma not in roots:
-                        roots.add(gamma)
-                        nxt.append(gamma)
-        level = nxt
-    return sorted(roots)
-
-
-def weyl_dim(rd: RootDatum, lam: Weight) -> int:
-    """dim V(lam) by the product formula over positive roots; exact integers."""
-    if not rd.is_dominant(lam):
-        raise ValueError("weyl_dim needs a dominant weight")
-    return _weyl_product(rd, lam, positive_roots(rd))
-
-
-def _weyl_product(rd: RootDatum, lam: Weight, roots) -> int:
-    """dim V(lam) for a dominant lam, given ``positive_roots(rd)``."""
-    shifted = [p + 1 for p in rd.pairing_vector(lam)]  # <h_k, lam + rho>
-    num = den = 1
-    for coeffs in roots:
-        num *= sum(map(mul, coeffs, shifted))
-        den *= sum(coeffs)
-    if num % den != 0:
-        raise AssertionError("dimension product did not divide evenly")
-    return num // den
-
-
-def freudenthal_multiplicities(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
-    """Weight multiplicities of V(lam), by Freudenthal's recursion at the
-    dominant weights only; multiplicities are Weyl-invariant (Moody and
-    Patera, Bull. AMS 7, 1982).
-
-    A weight mu = lam - r is held by r and its pairings <h_k, mu> =
-    <h_k, lam> - (C r)_k, and s_i adds <h_i, mu> to r_i.  (a) The dominant
-    mu <= lam are found by subtracting positive roots from dominant weights
-    and keeping the dominant results: a dominant mu < nu is reached from nu
-    by such steps through dominant weights (Stembridge, Adv. Math. 136,
-    1998).  (b) At those, in
-    order of height, Freudenthal's formula
-
-        (|lam + rho|^2 - |mu + rho|^2) m(mu)
-            = 2 sum_{alpha > 0} sum_{j >= 1} m(mu + j alpha) (mu + j alpha, alpha)
-
-    reads m(mu + j alpha) at its dominant conjugate, found by reflecting
-    while some <h_i, nu> < 0; the first weight of multiplicity 0 ends the
-    string, as weight strings are unbroken.  The formula is integral: the
-    left factor is (r, lam + mu + 2 rho) = sum_k r_k (<h_k, lam> +
-    <h_k, mu> + 2), and (mu + j alpha, alpha) = (mu, alpha) + j (alpha,
-    alpha).  (c) Each orbit is filled in by reflecting down wherever
-    <h_i, nu> > 0, keeping s_i nu only if i is its first negative pairing,
-    so each element is reached once.  (d) Weights come by height of r, then
-    by r, in the exact coordinates the crystal graphs use, so characters
-    compare directly.
-    """
-    if not rd.is_dominant(lam):
-        raise ValueError("freudenthal_multiplicities needs a dominant weight")
-    lam_pair = rd.pairing_vector(lam)
-    strings = []  # (alpha, C alpha, (alpha, alpha))
-    for alpha in positive_roots(rd):
-        c_alpha = tuple(sum(map(mul, row, alpha)) for row in rd.cartan)
-        strings.append((alpha, c_alpha, sum(map(mul, alpha, c_alpha))))
-
-    def pairing(r):
-        return tuple(p - sum(map(mul, row, r)) for p, row in zip(lam_pair, rd.cartan))
-
-    def reflect(r, pair, i):
-        """s_i of the weight lam - r with pairings pair, in the same form."""
-        c = pair[i]
-        return (r[:i] + (r[i] + c,) + r[i + 1:],
-                tuple([p - c * a for p, a in zip(pair, rd.cartan[i])]))
-
-    top = (0,) * rd.n
-    dominant, stack = {top}, [top]  # (a)
-    while stack:
-        r = stack.pop()
-        pair = pairing(r)
-        for alpha, c_alpha, _ in strings:
-            nu = tuple(map(add, r, alpha))
-            if nu not in dominant and all(map(ge, pair, c_alpha)):
-                dominant.add(nu)
-                stack.append(nu)
-
-    mult = {top: 1}
-    conjugates: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def conjugate_mult(r):
-        """m(lam - r) read at its dominant conjugate; None once a reflection
-        leaves the weights <= lam, as later ones only go up.  Each weight
-        passed on the way is memoized with the same end."""
-        if r not in conjugates:
-            path, nu, pair = [r], r, pairing(r)
-            while min(nu, default=0) >= 0 and (
-                    i := next((k for k, p in enumerate(pair) if p < 0), None)) is not None:
-                nu, pair = reflect(nu, pair, i)
-                if nu in conjugates:
-                    nu = conjugates[nu]
-                    break
-                path.append(nu)
-            conjugates.update(dict.fromkeys(path, nu))
-        return mult.get(conjugates[r])
-
-    for r in sorted(dominant, key=lambda r: (sum(r), r))[1:]:  # (b)
-        pair = pairing(r)
-        rhs = 0
-        for alpha, _, norm in strings:
-            step = sum(map(mul, alpha, pair))  # (mu, alpha)
-            nu = tuple(map(sub, r, alpha))
-            while (m := conjugate_mult(nu)) is not None:
-                step += norm
-                rhs += m * step
-                nu = tuple(map(sub, nu, alpha))
-        denom = sum(x * (p + q + 2) for x, p, q in zip(r, lam_pair, pair))
-        if denom <= 0 or (2 * rhs) % denom != 0:
-            raise AssertionError("multiplicity recursion produced a non-integer")
-        mult[r] = (2 * rhs) // denom
-
-    orbits = {}
-    for r, m in mult.items():  # (c)
-        stack = [(r, pairing(r))]
-        while stack:
-            nu, pair = stack.pop()
-            orbits[nu] = m
-            for i, c in enumerate(pair):
-                if c > 0:
-                    lower, lower_pair = reflect(nu, pair, i)
-                    if all(p >= 0 for p in lower_pair[:i]):  # else reached another way
-                        stack.append((lower, lower_pair))
-    return {Weight(lam.lambda_part, tuple(map(add, lam.root_part, r))): orbits[r]
-            for r in sorted(orbits, key=lambda r: (sum(r), r))}  # (d)

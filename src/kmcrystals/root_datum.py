@@ -155,6 +155,9 @@ class RootDatum:
             raise ValueError(f"vertex index {k} out of range 1..{self.n}")
 
 
+MAX_PRESET_RANK = 1000  # the dense adjacency of a preset holds at most 10^6 entries
+
+
 def _adjacency_to_cartan(adjacency) -> tuple[tuple[int, ...], ...]:
     seq = (list, tuple)
     if not (isinstance(adjacency, seq) and all(isinstance(row, seq) for row in adjacency)):
@@ -182,26 +185,28 @@ def _adjacency_to_cartan(adjacency) -> tuple[tuple[int, ...], ...]:
 
 
 def _preset_adjacency(name: str):
-    """Adjacency matrix of a named diagram (Bourbaki numbering for D and E)."""
+    """Adjacency matrix of a named diagram (Bourbaki numbering for D and E).
+    The rank, ASCII digits with no leading zero, is bounded before any use."""
     if name == "affineA1":
         return [[0, 2], [2, 0]]
-    m = re.fullmatch(r"([ADE])(\d+)", name)
+    m = re.fullmatch(r"([ADE])(0|[1-9][0-9]*)", name)
     if not m:
         raise ValueError(f"unknown preset {name!r}")
     family, rank = m.group(1), int(m.group(2))
     if rank < 1:
         raise ValueError(f"preset rank must be positive: {name!r}")
-    edges: list[tuple[int, int]] = []
+    if family == "D" and rank < 3:
+        raise ValueError(f"D-series preset needs rank >= 3: {name!r}")
+    if family == "E" and rank not in (6, 7, 8):
+        raise ValueError(f"E-series preset needs rank 6, 7 or 8: {name!r}")
+    if rank > MAX_PRESET_RANK:
+        raise ValueError(f"preset rank must be at most {MAX_PRESET_RANK}: {name!r}")
     if family == "A":
         edges = [(i, i + 1) for i in range(1, rank)]
     elif family == "D":
-        if rank < 3:
-            raise ValueError(f"D-series preset needs rank >= 3: {name!r}")
         edges = [(i, i + 1) for i in range(1, rank - 2)]
         edges += [(rank - 2, rank - 1), (rank - 2, rank)]
-    elif family == "E":
-        if rank not in (6, 7, 8):
-            raise ValueError(f"E-series preset needs rank 6, 7 or 8: {name!r}")
+    else:
         # chain 1-3-4-...-rank with the branch vertex 2 attached to 4
         edges = [(1, 3)] + [(i, i + 1) for i in range(3, rank)] + [(2, 4)]
     adj = [[0] * rank for _ in range(rank)]

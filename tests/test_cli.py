@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from kmcrystals import build_root_datum, closed_family_instance, crystal_core
+from kmcrystals import build_root_datum, cli, closed_family_instance, crystal_core
 from kmcrystals.cli import main
+from kmcrystals.oracles import infinite_vertices
+from kmcrystals.root_datum import MAX_PRESET_RANK
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -250,6 +252,17 @@ def test_malformed_weight_exits_2(capsys, tmp_path, monkeypatch):
         ["graph", "--preset", "A2", "--weight", "1,0", "--dot", ""],
         ["tensor", "--preset", "A2", "--weight", "1,0", "--tsv", ""],
         ["graph", "--preset", "A2", "--weight", "1,0", "--dot", "ok", "--json", "lost.json"],
+        # an integer is ASCII digits with an optional leading -, which int() alone is not
+        ["graph", "--preset", "A2", "--weight", "1_0,0"],
+        ["graph", "--preset", "A2", "--weight", " 1,0"],
+        ["graph", "--preset", "A2", "--weight", "+1,0"],
+        ["graph", "--preset", "A2", "--weight", "1, 0"],
+        ["graph", "--preset", "A2", "--weight", "\u0661,0"],  # ARABIC-INDIC DIGIT ONE
+        ["tensor", "--preset", "A2", "--weight", "1,0", "--weight", "0,1_0"],
+        ["verify", "oracle", "--preset", "A2", "--weight", "1,+1"],
+        # a preset's rank has no leading zero and ASCII digits only
+        ["graph", "--preset", "A02", "--weight", "1,0"],
+        ["graph", "--preset", "A\u0662", "--weight", "1,0"],  # ARABIC-INDIC DIGIT TWO
     ):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
@@ -258,11 +271,37 @@ def test_malformed_weight_exits_2(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "ok").exists()
 
 
+@pytest.mark.parametrize("text", ["1_0", "+1", " 1", "1 ", "\u0661"])
+@pytest.mark.parametrize("command, flag", [
+    (["graph", "--preset", "A2", "--weight", "1,0"], "--depth"),
+    (["verify", "closed", "--preset", "A2", "--pairs", "1"], "--max-entry"),
+    (["verify", "closed", "--preset", "A2"], "--pairs"),
+    (["verify", "closed", "--preset", "A2", "--pairs", "1"], "--seed"),
+])
+def test_integer_flags_take_ascii_digits_only(command, flag, text, capsys):
+    # the same usage error as any other text that is not an integer, such as x
+    assert main(command + [flag, text]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (f"kmcrystals {command[0]}: error: argument {flag}: "
+                                    f"invalid int value: {text!r}")
+
+
+def test_preset_rank_is_bounded(capsys):
+    for family in "AD":
+        name = f"{family}{MAX_PRESET_RANK + 1}"
+        assert main(["graph", "--preset", name, "--weight", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: preset rank must be at most {MAX_PRESET_RANK}: {name!r}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["graph", "--preset", "A2", "--root-datum", "rd.json", "--weight", "1,0"],
      "give either --preset or --root-datum, not both"),
     # B(0) is finite on any datum, so only the suite's own rule rejects this
     (["verify", "oracle", "--preset", "affineA1", "--weight", "0,0"],
+     "oracle suite needs a finite-type root datum"),
+    (["verify", "oracle", "--preset", "affineA1", "--weight", "1,0", "--depth", "2"],
      "oracle suite needs a finite-type root datum"),
 ])
 def test_usage_error_names_its_rule(argv, message, capsys, tmp_path, monkeypatch):
@@ -270,6 +309,29 @@ def test_usage_error_names_its_rule(argv, message, capsys, tmp_path, monkeypatch
     (tmp_path / "rd.json").write_text('{"preset": "A2"}')
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_finite_type_is_decided_once_per_command(monkeypatch, capsys):
+    calls = []
+
+    def counting(rd):
+        calls.append(rd.n)
+        return infinite_vertices(rd)
+
+    monkeypatch.setattr(cli, "infinite_vertices", counting)
+    for argv, count in (
+        (["verify", "oracle", "--preset", "A3", "--weight", "0,1,0"], 1),
+        (["verify", "oracle", "--preset", "A3", "--weight", "0,1,0", "--depth", "2"], 1),
+        (["verify", "oracle", "--preset", "affineA1", "--weight", "0,0"], 1),
+        (["graph", "--preset", "A2", "--weight", "1,0"], 1),
+        (["graph", "--preset", "A2", "--weight", "1,0", "--depth", "2"], 0),
+        (["tensor", "--preset", "affineA1", "--weight", "0,0", "--weight", "0,1"], 1),
+        (["verify", "closed", "--preset", "A2", "--pairs", "1"], 1),
+    ):
+        calls.clear()
+        main(argv)
+        assert len(calls) == count, argv
+    capsys.readouterr()
 
 
 def test_unwritable_output_exits_2_after_the_work(capsys, tmp_path, monkeypatch):

@@ -1,10 +1,13 @@
+import ast
 import gc
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 import weakref
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,8 +38,9 @@ from kmcrystals import (
     tensor_product_graph,
     weyl_dim,
 )
-from kmcrystals import crystal_core, explorer, quiver_model
+from kmcrystals import crystal_core, explorer, oracles, quiver_model
 from kmcrystals.crystal_core import GraphNode, stats_record
+from kmcrystals.oracles import infinite_vertices
 from kmcrystals.quiver_model import window
 from kmcrystals.root_datum import Weight
 from kmcrystals.tensor import TensorElement, flatten
@@ -295,6 +299,51 @@ def adjacency_matrices(draw, max_n=6, max_entry=2):
 def test_finite_type_check_matches_sylvester(adj):
     rd = build_root_datum(adj)
     assert finite_type_check(rd) == sylvester_positive_definite(rd.cartan)
+
+
+@st.composite
+def diagrams_in_pieces(draw, max_n=7):
+    """Random loop-free symmetric adjacency matrices of rank <= max_n with
+    edge multiplicities 0-3, whose vertices fall into up to three
+    interleaved groups with no edge between groups: most draws are
+    disconnected, and a component's vertices need not be consecutive."""
+    n = draw(st.integers(1, max_n))
+    group = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    entry = st.one_of(st.just(0), st.integers(0, 3))
+    adj = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if group[i] == group[j]:
+            adj[i][j] = adj[j][i] = draw(entry)
+    return adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(adj=diagrams_in_pieces())
+def test_infinite_vertices_are_the_components_not_of_finite_type(adj):
+    rd = build_root_datum(adj)
+    n = len(adj)
+    reach = [{i} | {j for j in range(n) if adj[i][j]} for i in range(n)]
+    for _ in range(n):  # transitive closure: reach[i] becomes i's component
+        reach = [set().union(*(reach[j] for j in r)) for r in reach]
+    expected = set()
+    for component in {frozenset(r) for r in reach}:
+        block = sorted(component)
+        if not sylvester_positive_definite([[rd.cartan[k][l] for l in block] for k in block]):
+            expected |= {k + 1 for k in block}
+    assert infinite_vertices(rd) == expected
+    assert finite_type_check(rd) == (not infinite_vertices(rd))
+
+
+def test_oracles_import_only_the_standard_library_and_root_datum():
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert (node.level, node.module) == (1, "root_datum"), ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names, ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names, ast.unparse(node)
 
 
 @pytest.mark.parametrize("source, lam", [

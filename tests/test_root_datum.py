@@ -167,6 +167,8 @@ def test_load_root_datum_toml(tmp_path):
     (lambda: build_root_datum([[0, True], [True, 0]]),
      r"adjacency entry \(1,2\) is not an integer: True"),
     (lambda: build_root_datum("A0"), "preset rank must be positive: 'A0'"),
+    (lambda: build_root_datum("A02"), "unknown preset 'A02'"),
+    (lambda: build_root_datum("A1001"), "preset rank must be at most 1000: 'A1001'"),
     (lambda: build_root_datum("D2"), "D-series preset needs rank >= 3: 'D2'"),
     (lambda: build_root_datum("E5"), "E-series preset needs rank 6, 7 or 8: 'E5'"),
     (lambda: build_root_datum({"name": "A2"}),
