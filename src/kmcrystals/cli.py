@@ -11,7 +11,9 @@ leading ``-``; a preset's rank is ASCII digits without a leading zero and
 at most 1000 (``root_datum.MAX_PRESET_RANK``).  Every usage error in every
 subcommand (a missing or malformed root datum or weight, a preset rank
 above that bound, a weight of the wrong length or not dominant, a negative
-``--depth``, ``--max-entry`` or ``--pairs``, a CRYSTAL_NODE_BUDGET that is
+or non-integer ``--depth``, ``--max-entry``, ``--pairs`` or ``--seed``, a
+missing ``--weight`` or subcommand, an unknown suite or option, one of
+them found by the argument parser, a CRYSTAL_NODE_BUDGET that is
 not a nonnegative integer, the oracle suite on a datum not of finite type,
 an infinite crystal without ``--depth``, an output path that is empty,
 names a directory or lies in a missing one, symlinks followed, one file
@@ -83,8 +85,17 @@ def _integer(text: str) -> int:
 _integer.__name__ = "int"  # argparse's message names the type: "invalid int value"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as the CLI's other
+    usage errors are, one ``error:`` line on stderr and exit 2, without the
+    usage lines.  The subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kmcrystals")
+    parser = _Parser(prog="kmcrystals")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):

@@ -16,7 +16,9 @@ that truncations of infinite crystals can be tested without false failures.
 
 ``graph_to_dot`` and ``graph_to_json`` return text.  Both print nodes in
 key order and edges by node index; that order is computed once per graph,
-on its first export, and shared by the two writers.
+on its first export, and shared by the two writers.  Each writer builds a
+text that recurs once per call (a weight's JSON or DOT label, a class's
+kind, a vertex's edge fields) and joins looked-up pieces after that.
 """
 
 from __future__ import annotations
@@ -457,47 +459,55 @@ def _json_list(items, pad: int, brackets: str = "[]") -> str:
 def graph_to_json(g: CrystalGraph) -> str:
     """JSON text of a graph, ``{nodes, edges, generators, depth}`` with
     deterministic node and edge order, as ``json.dumps(..., indent=2)``
-    plus a newline would print it; -inf statistics are the string "-inf"."""
+    plus a newline would print it; -inf statistics are the string "-inf".
+
+    A text that recurs is written once: each distinct weight, eps vector and
+    phi vector, each class's kind and each vertex's ``k`` come with the
+    field names around them, so a node is seven pieces and an edge five."""
     keys, nodes, edges, generators = _export_order(g)
     ids = [encode_basestring_ascii(key) for key in keys]
-    texts: dict = {}  # JSON text of each distinct weight and eps/phi vector
+    gap = ",\n      "  # between two fields of a node or an edge
 
-    def weight_text(wt: Weight) -> str:
-        text = texts.get(wt)
-        if text is None:
-            text = texts[wt] = _json_list(
-                [f"{encode_basestring_ascii(name)}: {_json_list(list(map(str, values)), 10)}"
-                 for name, values in wt.serialize().items()], 8, "{}")
-        return text
+    def vector(values: tuple) -> str:
+        return _json_list(['"-inf"' if is_neg_inf(x) else str(x) for x in values], 8)
 
-    def stats_text(values: tuple) -> str:
-        text = texts.get(values)
-        if text is None:
-            text = texts[values] = _json_list(
-                ['"-inf"' if is_neg_inf(x) else str(x) for x in values], 8)
-        return text
+    def weight(wt: Weight) -> str:
+        return _json_list(
+            [f"{encode_basestring_ascii(name)}: {_json_list(list(map(str, values)), 10)}"
+             for name, values in wt.serialize().items()], 8, "{}")
 
+    # value -> its text and the name of the next field; weights are keyed by
+    # their coordinates, which are equal exactly when the weights are
+    kinds: dict[str, str] = {}
+    weights: dict[tuple, str] = {}
+    eps_texts: dict[tuple, str] = {}
+    phi_texts: dict[tuple, str] = {}
     # One flat list of short pieces, joined once.  Building each node, edge
     # or section as a string of its own first left more freed memory held
     # by the allocator after the export (higher RSS once the text is gone).
     parts = ['{\n  "nodes": [']
-    sep = "\n    "
+    opening = '\n    {\n      "id": '
+    closing = ("false\n    }", "true\n    }")
     for node_id, nd in zip(ids, nodes):
-        wt, eps, phi = stats_record(nd.element, g.rd)[1:4]
-        parts += (sep, '{\n      "id": ', node_id,
-                  ',\n      "kind": ', encode_basestring_ascii(nd.element.tag),
-                  ',\n      "wt": ', weight_text(wt),
-                  ',\n      "eps": ', stats_text(eps),
-                  ',\n      "phi": ', stats_text(phi),
-                  ',\n      "frontier": ', "true" if nd.frontier else "false", "\n    }")
-        sep = ",\n    "
+        x = nd.element
+        wt, eps, phi = stats_record(x, g.rd)[1:4]
+        coords = (wt.lambda_part, wt.root_part)
+        parts += (opening, node_id,
+                  kinds.get(x.tag) or kinds.setdefault(
+                      x.tag, f'{gap}"kind": {encode_basestring_ascii(x.tag)}{gap}"wt": '),
+                  weights.get(coords) or weights.setdefault(coords, weight(wt) + gap + '"eps": '),
+                  eps_texts.get(eps) or eps_texts.setdefault(eps, vector(eps) + gap + '"phi": '),
+                  phi_texts.get(phi) or phi_texts.setdefault(
+                      phi, vector(phi) + gap + '"frontier": '),
+                  closing[nd.frontier])
+        opening = ',\n    {\n      "id": '
     parts.append("\n  ]" if nodes else "]")
     parts.append(',\n  "edges": [')
-    sep = "\n    "
+    opening = '\n    {\n      "src": '
+    ks = [f'{gap}"k": {k}{gap}"dst": ' for k in g.rd.vertices()]
     for (a, k, b) in edges:
-        parts += (sep, '{\n      "src": ', ids[a], ',\n      "k": ', str(k),
-                  ',\n      "dst": ', ids[b], "\n    }")
-        sep = ",\n    "
+        parts += (opening, ids[a], ks[k - 1], ids[b], "\n    }")
+        opening = ',\n    {\n      "src": '
     parts.append("\n  ]" if edges else "]")
     depth = "null" if g.depth_bound is None else str(g.depth_bound)
     parts.append(f',\n  "generators": {_json_list([ids[i] for i in generators], 4)},\n'
@@ -513,19 +523,23 @@ _DOT_COLORS = (
 
 def graph_to_dot(g: CrystalGraph) -> str:
     """DOT form: edge color/label by vertex index, node label = pairing vector,
-    frontier nodes dashed.  Byte-stable for fixed input."""
+    frontier nodes dashed.  Byte-stable for fixed input.  The label text of
+    each distinct weight and the label-and-color tail of each vertex's
+    edges are written once."""
     _, nodes, edges, _ = _export_order(g)
     lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=box, fontname="Helvetica"];']
-    labels: dict[Weight, str] = {}  # one pairing vector per distinct weight
+    labels: dict[tuple, str] = {}  # (lambda_part, root_part) -> its pairing vector label
+    styles = ("];", ", style=dashed];")
     for i, nd in enumerate(nodes):
         wt = stats_record(nd.element, g.rd)[1]
-        label = labels.get(wt)
+        coords = (wt.lambda_part, wt.root_part)
+        label = labels.get(coords)
         if label is None:
-            label = labels[wt] = ",".join(map(str, g.rd.pairing_vector(wt)))
-        style = ', style=dashed' if nd.frontier else ""
-        lines.append(f'  n{i} [label="({label})"{style}];')
+            label = labels[coords] = ' [label="(%s)"' % ",".join(map(str, g.rd.pairing_vector(wt)))
+        lines.append(f"  n{i}{label}{styles[nd.frontier]}")
+    tails = [f' [label="{k}", color="{_DOT_COLORS[(k - 1) % len(_DOT_COLORS)]}"];'
+             for k in g.rd.vertices()]
     for (a, k, b) in edges:
-        color = _DOT_COLORS[(k - 1) % len(_DOT_COLORS)]
-        lines.append(f'  n{a} -> n{b} [label="{k}", color="{color}"];')
+        lines.append(f"  n{a} -> n{b}{tails[k - 1]}")
     lines.append("}\n")
     return "\n".join(lines)

@@ -65,7 +65,12 @@ from .tensor import TensorElement
 @dataclass(frozen=True)
 class WProfile:
     """Slot placement of the framing dimensions: p -> nonzero nonnegative
-    vector over I, slots listed in increasing order (see :func:`wprofile`)."""
+    vector over I, slots listed in increasing order (see :func:`wprofile`).
+
+    A profile also keeps, in its ``__dict__``, what the elements on it
+    share: the key prefix and the table of entry texts
+    (:meth:`_key_texts`) and the parts of :func:`embed_psi`.  Equality and
+    hashing read ``slots`` only."""
 
     slots: tuple[tuple[int, tuple[int, ...]], ...]  # strictly increasing slot indices
 
@@ -92,14 +97,28 @@ class WProfile:
     def support(self) -> list[int]:
         return [p for p, _ in self.slots]
 
-    def _key_prefix(self) -> str:
-        """The text every model element's key on this profile starts with,
-        up to its first ``v`` entry; written once and kept on the profile."""
-        prefix = self.__dict__.get("_prefix")
-        if prefix is None:
+    def _key_texts(self) -> tuple[str, "_EntryTexts"]:
+        """The pieces every model element's key on this profile is joined
+        from: the text up to its first ``v`` entry, and the table of entry
+        texts ``((k, p), c) -> '"k,p":c'``, each written on first use.  Both
+        are kept on the profile, so they live as long as its elements."""
+        texts = self.__dict__.get("_texts")
+        if texts is None:
             w = ",".join(['"%d":[%s]' % (p, ",".join(map(str, vec))) for p, vec in self.slots])
-            prefix = self.__dict__["_prefix"] = '{"Model":{"w":{' + w + '},"v":{'
-        return prefix
+            texts = self.__dict__["_texts"] = ('{"Model":{"w":{' + w + '},"v":{', _EntryTexts())
+        return texts
+
+
+class _EntryTexts(dict):
+    """``((k, p), c) -> '"k,p":c'``, the key text of one entry of ``v``,
+    written the first time it is looked up."""
+
+    __slots__ = ()
+
+    def __missing__(self, entry):
+        (k, p), c = entry
+        text = self[entry] = f'"{k},{p}":{c}'
+        return text
 
 
 def wprofile(slots: dict[int, object]) -> WProfile:
@@ -117,8 +136,10 @@ class ModelElement(CrystalElement):
     """A dimension profile v against a fixed W-profile; entries always >= 0.
 
     ``key`` is ``{"Model":{"w":{"p":vector,...},"v":{"k,p":count,...}}}``,
-    its text up to ``v`` written once per ``WProfile`` and shared by every
-    element of one B(lambda), so a key costs one piece per entry of ``v``.
+    joined from texts kept on the ``WProfile`` and shared by every element
+    of one B(lambda): the text up to ``v``, and the text of each distinct
+    entry of ``v``, written the first time an element on the profile
+    holds it.  So a key costs one lookup per entry and one join.
     """
 
     tag = "Model"
@@ -193,8 +214,8 @@ class ModelElement(CrystalElement):
 
     def key(self) -> str:
         """The compact-JSON text of the class docstring."""
-        return (self.wp._key_prefix() + ",".join([f'"{k},{p}":{c}' for (k, p), c in self.v])
-                + "}}}")
+        prefix, entries = self.wp._key_texts()
+        return prefix + ",".join(map(entries.__getitem__, self.v)) + "}}}"
 
 
 def model_element(wp: WProfile, v: dict[tuple[int, int], int] | None = None) -> ModelElement:

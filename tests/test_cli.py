@@ -283,8 +283,7 @@ def test_integer_flags_take_ascii_digits_only(command, flag, text, capsys):
     assert main(command + [flag, text]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines()[-1] == (f"kmcrystals {command[0]}: error: argument {flag}: "
-                                    f"invalid int value: {text!r}")
+    assert err == f"error: argument {flag}: invalid int value: {text!r}\n"
 
 
 def test_preset_rank_is_bounded(capsys):
@@ -433,7 +432,29 @@ def test_missing_root_datum_exits_2():
 
 def test_unknown_suite_exits_2(capsys):
     assert main(["verify", "nonsense", "--preset", "A2"]) == 2
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == ""
+    # the choices' quoting differs between Python versions; the line does not
+    assert err.startswith("error: argument suite: invalid choice: 'nonsense' (choose from ")
+    assert err.count("\n") == 1 and err.endswith(")\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["graph", "--preset", "A2"], "the following arguments are required: --weight"),
+    ([], "the following arguments are required: command"),
+    (["graph", "--preset", "A2", "--weight", "1,0", "--svg", "-"],
+     "unrecognized arguments: --svg -"),
+])
+def test_argparse_usage_error_is_one_line(argv, message, capsys):
+    # the parser's own errors read like every other usage error: no usage lines
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_help_still_prints_to_stdout(capsys):
+    assert main(["graph", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: kmcrystals graph") and err == ""
 
 
 def test_budget_exits_3(tmp_path, monkeypatch, capsys):

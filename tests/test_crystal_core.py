@@ -26,7 +26,7 @@ from kmcrystals import (
     tensor_product_graph,
     wprofile,
 )
-from kmcrystals.crystal_core import _export_order, ext_max, is_neg_inf, stats_record
+from kmcrystals.crystal_core import _DOT_COLORS, _export_order, ext_max, is_neg_inf, stats_record
 from kmcrystals.root_datum import Weight
 
 
@@ -273,6 +273,8 @@ def _oracle_graphs():
             build_root_datum("affineA1"), (1, 0), depth=3),
         "one node": generate_highest_weight_crystal(rd2, (0, 0)),
         "no nodes": generate(rd2, []),
+        "Model and Bk A2 depth 2": generate(
+            rd2, [model_highest_weight(rd2, (1, 1)), BkElement(2, 0)], depth=2),
     }
 
 
@@ -292,6 +294,45 @@ def test_json_oracle_graphs_cover_the_schema():
     assert affine.frontier_count() and affine.depth_bound == 3
     assert graphs["one node"].node_count() == 1 and not graphs["one node"].edges
     assert graphs["no nodes"].node_count() == 0
+    mixed = graphs["Model and Bk A2 depth 2"]
+    assert {x.tag for x in mixed.nodes} == {"Model", "Bk"} and mixed.depth_bound == 2
+    assert {nd.frontier for nd in mixed.nodes.values()} == {True, False}
+    # both kinds on each side of the frontier
+    assert {(x.tag, nd.frontier) for x, nd in mixed.nodes.items()} == {
+        ("Model", True), ("Model", False), ("Bk", True), ("Bk", False)}
+
+
+def _reference_dot(g):
+    """The graph's DOT text built field by field: nodes in key order labelled
+    by their pairing vectors, frontier nodes dashed, edges sorted by (src, k,
+    dst) index, each coloured by its vertex, the palette wrapping after 8."""
+    nodes = sorted(g.nodes.values(), key=lambda nd: nd.element.key())
+    index = {nd.element: i for i, nd in enumerate(nodes)}
+    lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=box, fontname="Helvetica"];']
+    for i, nd in enumerate(nodes):
+        label = ",".join(str(c) for c in g.rd.pairing_vector(nd.element.weight(g.rd)))
+        style = ", style=dashed" if nd.frontier else ""
+        lines.append(f'  n{i} [label="({label})"{style}];')
+    for a, k, b in sorted((index[x], k, index[y]) for x, k, y in g.edges):
+        lines.append(f'  n{a} -> n{b} [label="{k}", color="{_DOT_COLORS[(k - 1) % 8]}"];')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _dot_graphs():
+    """The JSON oracle's graphs and B(omega_1) of A9, whose f_9 edge takes
+    the first colour again."""
+    graphs = _oracle_graphs()
+    rd9 = build_root_datum("A9")
+    graphs["A9 omega_1"] = generate_highest_weight_crystal(rd9, (1,) + (0,) * 8)
+    return graphs
+
+
+@pytest.mark.parametrize("name", list(_dot_graphs()))
+def test_dot_text_matches_its_reference(name):
+    g = _dot_graphs()[name]
+    assert graph_to_dot(g) == _reference_dot(g)
+    if name == "A9 omega_1":
+        assert f'[label="9", color="{_DOT_COLORS[0]}"]' in graph_to_dot(g)
 
 
 def test_dot_output_stable_and_marked():
@@ -304,12 +345,20 @@ def test_dot_output_stable_and_marked():
 
 
 def test_element_key_round_trip():
-    rd = build_root_datum("A2")
-    g = generate_highest_weight_crystal(rd, (1, 1))
-    ids = [node["id"] for node in json.loads(graph_to_json(g))["nodes"]]
-    assert ids == sorted(x.key() for x in g.nodes)
-    for x in g.nodes:
-        assert json.loads(x.key()) == _serialize(x)
+    rd2, rd4 = build_root_datum("A2"), build_root_datum("D4")
+    for g in (
+        generate_highest_weight_crystal(rd2, (1, 1)),
+        generate_highest_weight_crystal(rd4, (1, 0, 1, 0)),
+        # a W slot below 0 and one above, so slots of both signs appear in keys
+        generate(rd2, [model_element(wprofile({-2: (1, 0), 1: (0, 2)}))]),
+    ):
+        ids = [node["id"] for node in json.loads(graph_to_json(g))["nodes"]]
+        assert ids == sorted(x.key() for x in g.nodes)
+        for x in g.nodes:
+            assert json.loads(x.key()) == _serialize(x)
+        # the elements share one profile, whose entry texts are one per entry met
+        (wp,) = {id(x.wp): x.wp for x in g.nodes}.values()
+        assert set(wp._key_texts()[1]) == {entry for x in g.nodes for entry in x.v}
 
 
 def _serialize(x) -> dict:
