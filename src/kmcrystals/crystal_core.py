@@ -463,7 +463,8 @@ def graph_to_json(g: CrystalGraph) -> str:
 
     A text that recurs is written once: each distinct weight, eps vector and
     phi vector, each class's kind and each vertex's ``k`` come with the
-    field names around them, so a node is seven pieces and an edge five."""
+    field names around them, so a node is seven pieces and an edge five.
+    A weight's text fills one ``%`` template per rank with its coordinates."""
     keys, nodes, edges, generators = _export_order(g)
     ids = [encode_basestring_ascii(key) for key in keys]
     gap = ",\n      "  # between two fields of a node or an edge
@@ -471,10 +472,16 @@ def graph_to_json(g: CrystalGraph) -> str:
     def vector(values: tuple) -> str:
         return _json_list(['"-inf"' if is_neg_inf(x) else str(x) for x in values], 8)
 
+    templates: dict[int, str] = {}  # rank -> the text of a weight, "%d" for each coordinate
+
     def weight(wt: Weight) -> str:
-        return _json_list(
-            [f"{encode_basestring_ascii(name)}: {_json_list(list(map(str, values)), 10)}"
-             for name, values in wt.serialize().items()], 8, "{}")
+        n = len(wt.lambda_part)
+        template = templates.get(n)
+        if template is None:
+            coords = _json_list(["%d"] * n, 10)
+            template = templates[n] = _json_list(
+                [f'"lambda": {coords}', f'"root": {coords}'], 8, "{}")
+        return template % (*wt.lambda_part, *wt.root_part)
 
     # value -> its text and the name of the next field; weights are keyed by
     # their coordinates, which are equal exactly when the weights are

@@ -32,7 +32,7 @@ from .crystal_core import (
 from .oracles import _weyl_product, finite_type_check
 # bench/tracer.py wraps these on explorer; test_tracer_targets_exist_on_their_owners checks it
 from .oracles import freudenthal_multiplicities, positive_roots, weyl_dim
-from .quiver_model import model_highest_weight
+from .quiver_model import drop_row_table, model_highest_weight
 from .root_datum import RootDatum, Weight
 from .tensor import TensorElement, flatten
 
@@ -85,7 +85,12 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
     A model node's record, built at admission, holds its rank rows while
     the node is queued, so that its operator images derive their records
     from them; the rows are dropped (:func:`~kmcrystals.crystal_core.trim_record`)
-    once the node is expanded or left at the frontier.
+    once the node is expanded or left at the frontier.  Those derivations
+    read and fill the row table of the nodes' W-profile
+    (:func:`~kmcrystals.quiver_model._row_table`); every profile met is a
+    seed's or a seed factor's, and their tables are dropped when the call
+    returns or raises, BudgetExceeded included, so a table lives for one
+    generation and a finished or partial graph holds none.
 
     Equal factors of tensor nodes are one instance.  A table kept for this
     call only maps each factor of an admitted tensor node to itself; a new
@@ -129,22 +134,28 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
         queue.append(nd)
         return nd
 
-    g.generators = tuple(admit(s, 0).element for s in seeds)
-    while queue:
-        nd = queue.popleft()
-        x = nd.element
-        if depth is None or nd.depth < depth:  # else it stays frontier
-            nd.frontier = False
-            for k in rd.vertices():
-                if nd.down[k - 1] is None and (y := x.f(rd, k)) is not None:
-                    nxt = nd.down[k - 1] = admit(y, nd.depth + 1)
-                    nxt.up[k - 1] = x
-                if nd.up[k - 1] is None and (y := x.e(rd, k)) is not None:
-                    src = admit(y, nd.depth + 1)
-                    nd.up[k - 1] = src.element
-                    src.down[k - 1] = nd
-        trim_record(x)  # its images' records are built; x keeps its record's six fields
-    trim_factors()
+    seeds = tuple(seeds)
+    try:
+        g.generators = tuple(admit(s, 0).element for s in seeds)
+        while queue:
+            nd = queue.popleft()
+            x = nd.element
+            if depth is None or nd.depth < depth:  # else it stays frontier
+                nd.frontier = False
+                for k in rd.vertices():
+                    if nd.down[k - 1] is None and (y := x.f(rd, k)) is not None:
+                        nxt = nd.down[k - 1] = admit(y, nd.depth + 1)
+                        nxt.up[k - 1] = x
+                    if nd.up[k - 1] is None and (y := x.e(rd, k)) is not None:
+                        src = admit(y, nd.depth + 1)
+                        nd.up[k - 1] = src.element
+                        src.down[k - 1] = nd
+            trim_record(x)  # its images' records are built; x keeps its record's six fields
+        trim_factors()
+    finally:
+        for s in seeds:
+            for part in flatten(s):
+                drop_row_table(part)
     return g
 
 

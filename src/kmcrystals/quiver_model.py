@@ -27,13 +27,21 @@ The formula has one implementation, the per-entry update of
 (:func:`_rank_rows`) builds every rank row from w and every entry of v; it
 runs for seeds and for elements built directly.  An image of e_k or f_k
 differs from its source in one entry of v, at (k, p), which moves only the
-rows of k and of its neighbours, so its record is derived from the
-source's rows (:func:`_derive`): that one entry is added to those rows,
-only their statistics are recomputed, and every other vertex shares its
-row and statistics with the source.  Both routes assert the telescoping
-identity on every row they compute.  The rows stay on a record only until
-the element's images are built; :func:`~kmcrystals.explorer.generate`
-drops them once it has expanded a node.
+rows of k and of its neighbours, each by two terms at adjacent slots, so
+its record is derived from the source's rows (:func:`_derive`) and every
+other vertex shares its row and statistics with the source.  The rows of
+one B(lambda) are few: every element shares one W-profile, and a row is
+fixed by the entries of v it sees, so a full D4 (1,1,1,1) generation meets
+a few hundred distinct rows over ten thousand row moves.  So each moved
+row is looked up in a row table kept on the profile (:func:`_row_table`),
+which maps a row and the two terms to the row they give, with its sum and
+statistics; only a row met for the first time is built and scanned.  Both
+routes assert the telescoping identity on every row they give a record:
+the full pass while it scans, a derivation by comparing the looked-up
+row's sum with the <h_k, wt> the weight gives.  The rows stay on a record
+only until the element's images are built, and a table only for one
+generation; :func:`~kmcrystals.explorer.generate` drops the rows once it
+has expanded a node, and the tables of its seeds' profiles when it ends.
 
 The slot choice deserves a comment, because a plausible alternative (min
 for e, max for f) is wrong: on a one-vertex datum with w^0 = 1 the maximum
@@ -69,8 +77,13 @@ class WProfile:
 
     A profile also keeps, in its ``__dict__``, what the elements on it
     share: the key prefix and the table of entry texts
-    (:meth:`_key_texts`) and the parts of :func:`embed_psi`.  Equality and
-    hashing read ``slots`` only."""
+    (:meth:`_key_texts`), the parts of :func:`embed_psi`, and the row
+    table that derived records read (:func:`_row_table`).  The first two
+    live as long as the profile; the row table is transient: it is
+    built by the first record derived on the profile and dropped by
+    :func:`~kmcrystals.explorer.generate` when the generation it seeds
+    ends, so a finished graph holds none.  Equality and hashing read
+    ``slots`` only."""
 
     slots: tuple[tuple[int, tuple[int, ...]], ...]  # strictly increasing slot indices
 
@@ -175,8 +188,9 @@ class ModelElement(CrystalElement):
         rows the record is derived from them (:func:`_derive`).  Any other
         element (a seed, an element built directly, a source recorded
         against another datum or with its rows dropped) takes the full pass
-        of :func:`_rank_rows`.  Either way every row computed goes through
-        :func:`_row_stats`."""
+        of :func:`_rank_rows`.  Either way every row's statistics come from
+        :func:`_row_stats`: the full pass scans each row, a derivation only
+        the rows its profile's row table has not met."""
         link = self.__dict__.pop("_link", None)
         if link is not None:
             rec = link[0].__dict__.get("_record")
@@ -320,36 +334,97 @@ def _row_stats(x: ModelElement, k: int, lo: int, row: tuple, total: int) -> tupl
 
 def _derive(rd: RootDatum, x: ModelElement, rec: tuple, k: int, p: int, c: int) -> tuple:
     """The record of x, which is the source of ``rec`` with c units added
-    to v at (k, p).  Only the rows of k and its neighbours change: they get
-    that one entry's terms from :func:`_add_entry`, after the window is
-    widened where (k, p) sits at or past its edge, and only their
-    statistics are recomputed, each against the source's <h_l, wt> =
-    phi - eps moved by -C_lk * c.  Every other vertex shares its row, its
-    statistics and its sites with the source."""
+    to v at (k, p).  Only the rows of k and its neighbours change, after
+    the window is widened where (k, p) sits at or past its edge.  Each
+    such row is looked up in the row table of x's profile
+    (:func:`_row_table`), which gives the row that entry's terms move it
+    to, with that row's sum and statistics; a row met for the first time
+    is built and goes through :func:`_row_stats`.  The stored sum is
+    checked against the source's <h_l, wt> = phi - eps moved by
+    -C_lk * c, so the telescoping identity holds on every derived row.
+    Every other vertex shares its row, its statistics and its sites with
+    the source."""
     _, wt, eps, phi, e_sites, f_sites, (lo, rows) = rec
     if p <= lo:  # slot lo stays empty on every row, so phi_bar starts at 0
         rows = tuple((0,) * (lo - p + 1) + row for row in rows)
         lo = p - 1
-    split, cartan = rd.neighbor_split, rd.cartan
-    below, above = split[k - 1]
-    touched = [k, *[l for l, _ in below], *[l for l, _ in above]]
-    rows = list(rows)
-    width = p + 2 - lo
-    for l in touched:  # a row shorter than another is zero beyond its end
-        row = rows[l - 1] = list(rows[l - 1])
-        if len(row) < width:
-            row += [0] * (width - len(row))
-    _add_entry(rows, split, k, p - lo, c)
-    eps, phi, e_sites, f_sites = list(eps), list(phi), list(e_sites), list(f_sites)
-    for l in touched:
-        i = l - 1
-        row = rows[i] = tuple(rows[i])
-        total = phi[i] - eps[i] - cartan[i][k - 1] * c
-        eps[i], phi[i], e_sites[i], f_sites[i] = _row_stats(x, l, lo, row, total)
+    i = p - lo
+    _, entries, moves, touched = _row_table(rd, x.wp)
+    spec = touched.get((k, c)) or _touched_rows(rd, moves, touched, k, c)
+    rows, eps, phi, e_sites, f_sites = list(rows), list(eps), list(phi), list(e_sites), list(f_sites)
+    for j, d0, d1, shift, trans in spec:
+        row = rows[j]
+        total = phi[j] - eps[j] + shift
+        entry = trans.get((row, i)) or _new_move(x, j + 1, entries, trans, row, i, d0, d1, total)
+        if entry[1] != total:
+            raise AssertionError(f"telescoping identity failed at vertex {j + 1} on {x.key()}")
+        rows[j], _, eps[j], phi[j], e_off, f_off = entry
+        e_sites[j] = None if e_off is None else lo + e_off
+        f_sites[j] = None if f_off is None else lo + f_off
     root = list(wt.root_part)
     root[k - 1] += c
     return (rd, Weight(wt.lambda_part, tuple(root)), tuple(eps), tuple(phi), tuple(e_sites),
             tuple(f_sites), (lo, tuple(rows)))
+
+
+def _row_table(rd: RootDatum, wp: WProfile) -> tuple:
+    """The row table of wp against rd, ``(rd, entries, moves, touched)``,
+    kept in wp's ``__dict__`` and rebuilt when a record on wp is derived
+    against another datum.
+
+    * ``entries`` maps each distinct rank row met to its one entry
+      ``(row, sum, eps, phi, e_offset, f_offset)``, the statistics of
+      :func:`_row_stats` with sites counted from the row's first slot;
+    * ``moves[(d0, d1)]`` maps ``(row, i)`` to the entry of the row with
+      d0 added at index i and d1 at index i + 1;
+    * ``touched[(k, c)]`` lists, for c units of v at vertex k, each row
+      that moves as ``(index, d0, d1, shift, moves[(d0, d1)])``, shift
+      being the move of that vertex's <h_l, wt>.
+
+    :func:`~kmcrystals.explorer.generate` drops the tables of its seeds'
+    profiles when it ends (:func:`drop_row_table`), so a table lives for
+    one generation; one built outside any generation lives as long as the
+    profile, or until a generation its elements seed ends."""
+    table = wp.__dict__.get("_rows")
+    if table is None or table[0] is not rd:
+        table = wp.__dict__["_rows"] = (rd, {}, {}, {})
+    return table
+
+
+def drop_row_table(x: CrystalElement) -> None:
+    """Drop the row table of x's profile, if x is a model element."""
+    if isinstance(x, ModelElement):
+        x.wp.__dict__.pop("_rows", None)
+
+
+def _touched_rows(rd: RootDatum, moves: dict, touched: dict, k: int, c: int) -> tuple:
+    """``touched[(k, c)]`` of :func:`_row_table`, read off the terms that
+    :func:`_add_entry` adds at indices 0 and 1 of zero rows."""
+    probe = [[0, 0] for _ in rd.vertices()]
+    _add_entry(probe, rd.neighbor_split, k, 0, c)
+    spec = touched[k, c] = tuple(
+        (j, d0, d1, -rd.cartan[j][k - 1] * c, moves.setdefault((d0, d1), {}))
+        for j, (d0, d1) in enumerate(probe) if d0 or d1)
+    return spec
+
+
+def _new_move(x: ModelElement, l: int, entries: dict, trans: dict, row: tuple, i: int,
+              d0: int, d1: int, total: int) -> tuple:
+    """The entry that row (vertex l's) moves to, stored in ``trans`` under
+    ``(row, i)``: the row is built with d0 added at index i and d1 at i + 1,
+    padded with zeros first where it ends before i + 1, and its statistics
+    come from :func:`_row_stats` unless another move reached it first."""
+    new = list(row)
+    if len(new) < i + 2:  # a row shorter than another is zero beyond its end
+        new += [0] * (i + 2 - len(new))
+    new[i] += d0
+    new[i + 1] += d1
+    new = tuple(new)
+    entry = entries.get(new)
+    if entry is None:
+        entry = entries[new] = (new, total, *_row_stats(x, l, 0, new, total))
+    trans[row, i] = entry
+    return entry
 
 
 def embed_psi(rd: RootDatum, x: ModelElement, win: tuple[int, int]) -> TensorElement:

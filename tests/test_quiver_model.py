@@ -488,6 +488,51 @@ def test_derived_record_widens_the_window(monkeypatch):
         assert y.__dict__["_record"][:6] == record
 
 
+def test_row_table_is_per_datum(monkeypatch):
+    # A2 and affineA1 have the same rank but different edge multiplicities,
+    # so their moves of one entry differ; a profile derived against one and
+    # then the other must never read the first datum's table
+    wp = wprofile({0: (1, 1)})
+    v = {(1, 1): 1, (2, 1): 1, (2, 2): 1}
+    full_pass = quiver_model._rank_rows
+    for order in ((RD2, RDA, RD2), (RDA, RD2, RDA)):
+        for rd in order:
+            x = model_element(wp, v)
+            x.weight(rd)
+            images = [y for k in (1, 2) for y in (x.e(rd, k), x.f(rd, k)) if y is not None]
+            expected = [ModelElement(y.wp, y.v)._build(rd)[:6] for y in images]
+            monkeypatch.setattr(quiver_model, "_rank_rows", None)  # the images derive
+            assert [y._build(rd)[:6] for y in images] == expected
+            monkeypatch.setattr(quiver_model, "_rank_rows", full_pass)
+            assert wp.__dict__["_rows"][0] is rd
+
+
+def test_row_table_hits_keep_the_telescoping_check(monkeypatch):
+    # a second image along a move already made reads the row table and
+    # computes no row statistics; a stored row sum that disagrees with the
+    # weight is still caught on such a hit
+    calls = []
+    original = quiver_model._row_stats
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    x = model_highest_weight(RD2, (1, 1))
+    x.f(RD2, 1).weight(RD2)
+    monkeypatch.setattr(quiver_model, "_row_stats", counting)
+    x.f(RD2, 1).weight(RD2)
+    assert calls == []  # every touched row was a hit
+    moves = x.wp.__dict__["_rows"][2]
+    for trans in moves.values():
+        for move, entry in trans.items():
+            row, total, *stats = entry
+            monkeypatch.setitem(trans, move, (row, total + 1, *stats))
+    with pytest.raises(AssertionError, match="^telescoping identity failed at vertex 1 on "):
+        x.f(RD2, 1).weight(RD2)
+    assert calls == []
+
+
 def test_zero_weight_crystal():
     hw = model_highest_weight(RD2, (0, 0))
     assert stats_record(hw, RD2)[2] == (0, 0)
