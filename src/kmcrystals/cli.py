@@ -27,16 +27,19 @@ largest weight its ``--max-entry`` draws; the oracle suite's rule reads the
 same ``oracles.infinite_vertices``, computed at most once per command.  The
 node budget is controlled by the environment variable CRYSTAL_NODE_BUDGET
 (default 10^6 nodes; a finished profile-model graph holds about 1.2 KB per
-node, so about 1.2 GB).  It bounds every graph a command generates, and an
-overrun reports the depth reached and the nodes still queued.  ``tensor``
-without ``--depth`` decomposes by the highest-weight rule and generates
-every factor but one: the largest on a datum of finite type, where the
-order does not matter, and the first on any other.  There the budget bounds
-each generated factor, not the product; with ``--depth`` the truncated
-product is built and the budget bounds it too.  ``verify oracle --depth d``
-compares the character with the recursion's weights of height <= d (a
-depth-d generation holds exactly those elements), and ``#B`` with
-``weyl_dim`` only when the cut drops none.
+node, so about 1.2 GB).  It bounds every graph a command generates and
+every crystal it walks, counted in elements enumerated, and an overrun
+reports the depth reached and the nodes still queued.  ``tensor`` without
+``--depth`` decomposes by the highest-weight rule and walks every factor
+but one layer by layer (``explorer.f_layers``), building no graph: it
+skips the largest on a datum of finite type, where the order does not
+matter, and the first on any other.  There the budget bounds the elements
+walked in each factor, not the product; with ``--depth`` the truncated
+product is built and the budget bounds it too.  ``verify oracle`` reads
+the character and ``#B`` off a walk of B(lambda) as well; with ``--depth
+d`` it walks layers 0..d and compares the character with the recursion's
+weights of height <= d (layer h holds exactly the elements of height h),
+and ``#B`` with ``weyl_dim`` only when the cut drops none.
 
 The argument parser is built once, when this module is imported, and
 ``main(argv)`` only parses with it: ``main`` may be called any number of
@@ -51,21 +54,22 @@ import os
 import random
 import re
 import sys
+from collections import Counter
 from functools import partial
 
-from .crystal_core import check_axioms, check_normal, graph_to_dot, graph_to_json
+from .crystal_core import check_axioms, check_normal, graph_to_dot, graph_to_json, stats_record
 from .explorer import (
     BudgetExceeded,
-    character,
     closed_family_instance,
     decompose,
     decompose_tensor,
     env_node_budget,
+    f_layers,
     generate_highest_weight_crystal,
     tensor_product_graph,
 )
 from .oracles import freudenthal_multiplicities, infinite_vertices, weyl_dim
-from .quiver_model import embedding_mismatches
+from .quiver_model import embedding_mismatches, model_highest_weight
 from .root_datum import build_root_datum, load_root_datum
 
 VERIFY_SUITES = ("axioms", "normal", "closed", "embedding", "oracle")
@@ -246,6 +250,8 @@ def _suite_report(args, rd, weights) -> tuple[list[str], bool]:
             lines.append(f"closed: {lam} x {mu} -> {'ok' if iso else 'FAIL ' + reason}")
             ok = ok and iso
         return lines, ok
+    if args.suite == "oracle":
+        return _oracle_report(args, rd, weights[0])
     g = generate_highest_weight_crystal(rd, weights[0], depth=args.depth)
     if args.suite == "axioms":
         report = check_axioms(g)
@@ -256,22 +262,29 @@ def _suite_report(args, rd, weights) -> tuple[list[str], bool]:
         return ([f"normal: {len(report.violations)} violations, "
                  f"{report.checked} checked, {report.skipped} skipped"]
                 + report.violations[:10], report.ok())
-    if args.suite == "embedding":
-        mismatches: list[str] = []
-        for x in g.nodes:
-            mismatches += embedding_mismatches(rd, x)
-        return ([f"embedding: {len(mismatches)} mismatches on {g.node_count()} elements"]
-                + mismatches[:10], not mismatches)
-    wt = rd.weight(weights[0])  # the oracle suite
+    mismatches: list[str] = []  # the embedding suite
+    for x in g.nodes:
+        mismatches += embedding_mismatches(rd, x)
+    return ([f"embedding: {len(mismatches)} mismatches on {g.node_count()} elements"]
+            + mismatches[:10], not mismatches)
+
+
+def _oracle_report(args, rd, lam) -> tuple[list[str], bool]:
+    """The oracle suite's report: the character and #B need only weights,
+    so B(lam) is walked by layers, 0..--depth, and never built as a graph."""
+    walk = f_layers(rd, model_highest_weight(rd, lam), depth=args.depth)
+    char = Counter(stats_record(x, rd)[1] for layer in walk for x in layer)
+    size = char.total()
+    wt = rd.weight(lam)
     dim = weyl_dim(rd, wt)
     mults = freudenthal_multiplicities(rd, wt)
     kept = {mu: m for mu, m in mults.items()
             if args.depth is None or sum(mu.root_part) <= args.depth}
-    chars_ok = character(g) == kept
-    lines = [f"oracle: #B = {g.node_count()}, weyl_dim = {dim}",
+    chars_ok = dict(char) == kept
+    lines = [f"oracle: #B = {size}, weyl_dim = {dim}",
              f"oracle: character {'matches' if chars_ok else 'DIFFERS from'} "
              "multiplicity recursion"]
-    return lines, chars_ok and (len(kept) < len(mults) or g.node_count() == dim)
+    return lines, chars_ok and (len(kept) < len(mults) or size == dim)
 
 
 def _run_verify(args, rd, weights) -> int:

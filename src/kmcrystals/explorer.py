@@ -2,14 +2,17 @@
 
 Generation is a breadth-first closure of a seed set under every e_k and
 f_k, up to an optional depth bound; nodes left unexpanded are frontier
-nodes.  Graphs, highest-weight lists and decomposition tables hold the
-elements themselves; element keys appear only in ``is_isomorphic``'s
-witness and in the JSON form of a table.  Analyses (highest-weight scan,
-decomposition, characters, isomorphism) are read-only passes over a
-generated graph, except ``decompose_tensor``, which decomposes a tensor
-product from one factor's weight and the other factors alone; on finite
-type that factor is the largest.  The crystal-free oracles the graphs are
-checked against live in :mod:`oracles`.
+nodes.  Beside it, ``f_layers`` walks a highest-weight crystal layer by
+layer under the f_k alone, with no e_k, no edges and no graph, for
+consumers that read only each element's weight and eps.  Graphs,
+highest-weight lists and decomposition tables hold the elements
+themselves; element keys appear only in ``is_isomorphic``'s witness and in
+the JSON form of a table.  Analyses (highest-weight scan, decomposition,
+characters, isomorphism) are read-only passes over a generated graph,
+except ``decompose_tensor``, which decomposes a tensor product from one
+factor's weight and walks of the other factors; on finite type that
+factor is the largest.  The crystal-free oracles the graphs are checked
+against live in :mod:`oracles`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import itertools
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from operator import is_not
+from operator import is_not, le
 
 from .crystal_core import (
     CrystalElement,
@@ -40,11 +43,12 @@ DEFAULT_NODE_BUDGET = 10**6
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when generation would exceed the node budget.  Carries the
-    partial graph, the largest depth of a node in it and the number of its
-    nodes still queued for expansion."""
+    """Raised when generation or a walk would exceed the node budget.
+    Carries the partial graph (None from :func:`f_layers`, which builds
+    none), the largest depth of an element enumerated and the number of
+    them still queued for expansion."""
 
-    def __init__(self, budget: int, partial: CrystalGraph, depth: int, queued: int):
+    def __init__(self, budget: int, partial: CrystalGraph | None, depth: int, queued: int):
         super().__init__(
             f"node budget {budget} exceeded at depth {depth} with {queued} nodes queued"
         )
@@ -157,6 +161,57 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
             for part in flatten(s):
                 drop_row_table(part)
     return g
+
+
+def f_layers(rd: RootDatum, top: CrystalElement, depth: int | None = None):
+    """Yield the layers of the crystal below the highest-weight element
+    ``top``: layer 0 is ``[top]``, and layer h + 1 lists the distinct f_k
+    images of layer h, in the order :func:`generate` admits them.  On a
+    highest-weight crystal such as B(lambda) every element lies below top,
+    at the height of its weight below top's, so layers 0..d are the nodes
+    of ``generate(rd, [top], depth=d)``, at their depths.  ``depth`` None
+    walks every layer (the crystal had better be finite).
+
+    No e_k is applied and no graph is built: a consumer reads each
+    element's record, whose weight and eps are all the tensor rule and a
+    character need.  Only the layer being read and the one it expands to
+    are alive.  Each image builds its record while its source still holds
+    its rank rows, so top makes the walk's one full rank pass, and a
+    source's rows are dropped once its images are built.  Enumerating more
+    elements than CRYSTAL_NODE_BUDGET allows raises BudgetExceeded, with
+    the depth and queue that ``generate`` reports at the same element and
+    no partial graph.  The row table of top's profile is dropped when the
+    walk returns or raises."""
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be >= 0")
+    node_budget = env_node_budget()
+    layer, height, count = [top], 0, 1
+    try:
+        if node_budget < 1:
+            raise BudgetExceeded(node_budget, None, 0, 0)
+        top.weight(rd)
+        while layer:
+            yield layer
+            if height == depth:
+                break
+            below: dict[CrystalElement, None] = {}
+            for i, x in enumerate(layer):
+                for k in rd.vertices():
+                    y = x.f(rd, k)
+                    if y is not None and y not in below:
+                        if count >= node_budget:
+                            raise BudgetExceeded(node_budget, None, height + bool(below),
+                                                 len(layer) - i - 1 + len(below))
+                        y.weight(rd)  # built from x's rank rows
+                        below[y] = None
+                        count += 1
+                trim_record(x)
+            layer, x, y = list(below), None, None  # keep nothing of the expanded layer
+            height += 1
+    finally:
+        for x in layer:
+            trim_record(x)
+        drop_row_table(top)
 
 
 def generate_highest_weight_crystal(rd: RootDatum, lam, depth=None):
@@ -284,17 +339,19 @@ def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
 
     Every factor's highest-weight element is built first, so a bad weight
     anywhere raises ValueError (from ``model_highest_weight``) before any
-    generation; the weights are read with ``rd.weight``, which builds no
+    enumeration; the weights are read with ``rd.weight``, which builds no
     element's record.  The rule reads only the weight of the factor the fold
-    starts from, which is never generated; the others are generated in
-    full.  On a datum of finite type the product does not depend on the
-    order of its factors (Kashiwara, Duke Math. J. 63, 1991), so the fold
-    starts from the factor with the largest ``weyl_dim``, the earliest of
-    equals, with the positive roots enumerated once for all factors; on
-    any other datum it starts from lambda_1, which may then be any dominant
-    weight, so an infinite first factor still gives an exact, finite
-    table.  The node budget bounds each generated factor, not the product,
-    and an infinite one raises BudgetExceeded.
+    starts from, which is never enumerated; the others are walked in full
+    by :func:`f_layers`, each layer folded into the running table as it
+    comes, so no factor is held whole.  On a datum of finite type the
+    product does not depend on the order of its factors (Kashiwara, Duke
+    Math. J. 63, 1991), so the fold starts from the factor with the
+    largest ``weyl_dim``, the earliest of equals, with the positive roots
+    enumerated once for all factors; on any other datum it starts from
+    lambda_1, which may then be any dominant weight, so an infinite first
+    factor still gives an exact, finite table.  The node budget bounds the
+    elements walked in each factor, not the product, and an infinite factor
+    raises BudgetExceeded.
     ``component_sizes`` stays empty, as there are no product nodes.
     ``decompose(tensor_product_graph(...))`` is the reference route.
     """
@@ -309,14 +366,15 @@ def decompose_tensor(rd: RootDatum, weights) -> DecompositionTable:
     del tops[first]
     entries = {lams[first]: 1}
     for top in tops:
-        factor = [stats_record(x, rd)[1:3] for x in generate(rd, [top]).nodes]
+        capped = [(nu, mult, rd.pairing_vector(nu)) for nu, mult in entries.items()]
         step: dict[Weight, int] = {}
-        for nu, mult in entries.items():
-            caps = rd.pairing_vector(nu)
-            for b_wt, b_eps in factor:
-                if all(e <= c for e, c in zip(b_eps, caps)):
-                    wt = nu + b_wt
-                    step[wt] = step.get(wt, 0) + mult
+        for layer in f_layers(rd, top):
+            for x in layer:
+                _, b_wt, b_eps = stats_record(x, rd)[:3]
+                for nu, mult, caps in capped:
+                    if all(map(le, b_eps, caps)):
+                        wt = nu + b_wt
+                        step[wt] = step.get(wt, 0) + mult
         entries = step
     return DecompositionTable(entries=entries, complete=True, depth=None)
 

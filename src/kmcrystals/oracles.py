@@ -24,18 +24,27 @@ from .root_datum import RootDatum, Weight
 def finite_type_check(rd: RootDatum) -> bool:
     """True iff the Cartan matrix is positive definite (all leading minors > 0).
 
-    One fraction-free (Bareiss) elimination without row swaps: its i-th
+    The decision is made once per datum and kept in its ``__dict__``, so
+    the callers in one command (the CLI's rule, ``positive_roots``,
+    ``decompose_tensor``) share one elimination (:func:`_positive_definite`)."""
+    finite = rd.__dict__.get("_finite")
+    if finite is None:
+        finite = rd.__dict__["_finite"] = _positive_definite(rd.cartan)
+    return finite
+
+
+def _positive_definite(cartan) -> bool:
+    """One fraction-free (Bareiss) elimination without row swaps: its i-th
     pivot is the i-th leading principal minor, and the last one is det C.
-    Each division is exact and by the previous pivot, already known > 0.
-    """
-    m = [list(row) for row in rd.cartan]
+    Each division is exact and by the previous pivot, already known > 0."""
+    m = [list(row) for row in cartan]
     prev = 1
     for i, pivot_row in enumerate(m):
         pivot = pivot_row[i]
         if pivot <= 0:
             return False
         for row in m[i + 1:]:
-            for c in range(i + 1, rd.n):
+            for c in range(i + 1, len(m)):
                 row[c] = (row[c] * pivot - row[i] * pivot_row[c]) // prev
         prev = pivot
     return True
@@ -44,7 +53,10 @@ def finite_type_check(rd: RootDatum) -> bool:
 def infinite_vertices(rd: RootDatum) -> set[int]:
     """The vertices on connected components of the diagram not of finite
     type: B(lambda) is finite iff lambda vanishes on all of them.  The one
-    place that splits the diagram into components."""
+    place that splits the diagram into components.  A connected diagram is
+    decided by :func:`finite_type_check` on rd itself; a disconnected one
+    by one elimination per component, which also settles rd's own decision
+    (C is positive definite iff each of its diagonal blocks is)."""
     infinite: set[int] = set()
     unseen = set(rd.vertices())
     while unseen:
@@ -55,11 +67,12 @@ def infinite_vertices(rd: RootDatum) -> set[int]:
             linked = {l for l in unseen if rd.edge_mult[k - 1][l - 1]}
             unseen -= linked
             stack += linked
+        if len(component) == rd.n:
+            return set() if finite_type_check(rd) else component
         block = sorted(component)
-        if not finite_type_check(RootDatum(tuple(
-            tuple(rd.cartan[k - 1][l - 1] for l in block) for k in block
-        ))):
+        if not _positive_definite([[rd.cartan[k - 1][l - 1] for l in block] for k in block]):
             infinite |= component
+    rd.__dict__.setdefault("_finite", not infinite)
     return infinite
 
 

@@ -40,8 +40,11 @@ routes assert the telescoping identity on every row they give a record:
 the full pass while it scans, a derivation by comparing the looked-up
 row's sum with the <h_k, wt> the weight gives.  The rows stay on a record
 only until the element's images are built, and a table only for one
-generation; :func:`~kmcrystals.explorer.generate` drops the rows once it
-has expanded a node, and the tables of its seeds' profiles when it ends.
+generation or walk: :func:`~kmcrystals.explorer.generate` and
+:func:`~kmcrystals.explorer.f_layers` drop the rows once they have
+expanded an element, and the tables of their seeds' profiles when they
+end.  The rows each entry of v moves are the datum's, found once per
+datum (:func:`_row_moves`).
 
 The slot choice deserves a comment, because a plausible alternative (min
 for e, max for f) is wrong: on a one-vertex datum with w^0 = 1 the maximum
@@ -81,8 +84,9 @@ class WProfile:
     table that derived records read (:func:`_row_table`).  The first two
     live as long as the profile; the row table is transient: it is
     built by the first record derived on the profile and dropped by
-    :func:`~kmcrystals.explorer.generate` when the generation it seeds
-    ends, so a finished graph holds none.  Equality and hashing read
+    :func:`~kmcrystals.explorer.generate` or
+    :func:`~kmcrystals.explorer.f_layers` when the generation or walk it
+    seeds ends, so a finished graph holds none.  Equality and hashing read
     ``slots`` only."""
 
     slots: tuple[tuple[int, tuple[int, ...]], ...]  # strictly increasing slot indices
@@ -379,12 +383,14 @@ def _row_table(rd: RootDatum, wp: WProfile) -> tuple:
       d0 added at index i and d1 at index i + 1;
     * ``touched[(k, c)]`` lists, for c units of v at vertex k, each row
       that moves as ``(index, d0, d1, shift, moves[(d0, d1)])``, shift
-      being the move of that vertex's <h_l, wt>.
+      being the move of that vertex's <h_l, wt>; the first four fields are
+      the datum's (:func:`_row_moves`), built once per datum.
 
-    :func:`~kmcrystals.explorer.generate` drops the tables of its seeds'
-    profiles when it ends (:func:`drop_row_table`), so a table lives for
-    one generation; one built outside any generation lives as long as the
-    profile, or until a generation its elements seed ends."""
+    :func:`~kmcrystals.explorer.generate` and
+    :func:`~kmcrystals.explorer.f_layers` drop the tables of their seeds'
+    profiles when they end (:func:`drop_row_table`), so a table lives for
+    one generation or walk; one built outside any lives as long as the
+    profile, or until a generation or walk its elements seed ends."""
     table = wp.__dict__.get("_rows")
     if table is None or table[0] is not rd:
         table = wp.__dict__["_rows"] = (rd, {}, {}, {})
@@ -398,13 +404,27 @@ def drop_row_table(x: CrystalElement) -> None:
 
 
 def _touched_rows(rd: RootDatum, moves: dict, touched: dict, k: int, c: int) -> tuple:
-    """``touched[(k, c)]`` of :func:`_row_table`, read off the terms that
-    :func:`_add_entry` adds at indices 0 and 1 of zero rows."""
-    probe = [[0, 0] for _ in rd.vertices()]
-    _add_entry(probe, rd.neighbor_split, k, 0, c)
-    spec = touched[k, c] = tuple(
-        (j, d0, d1, -rd.cartan[j][k - 1] * c, moves.setdefault((d0, d1), {}))
-        for j, (d0, d1) in enumerate(probe) if d0 or d1)
+    """``touched[(k, c)]`` of :func:`_row_table`: the datum's rows moved by
+    c units at vertex k (:func:`_row_moves`), each with the table's
+    ``moves`` dict of its two terms."""
+    spec = touched[k, c] = tuple((*move, moves.setdefault(move[1:3], {}))
+                                 for move in _row_moves(rd, k, c))
+    return spec
+
+
+def _row_moves(rd: RootDatum, k: int, c: int) -> tuple:
+    """``(index, d0, d1, shift)`` for each row that c units of v at vertex
+    k move, read off the terms that :func:`_add_entry` adds at indices 0
+    and 1 of zero rows; shift is the move of that vertex's <h_l, wt>.  It
+    depends on the datum alone, so it is kept in rd's ``__dict__`` and
+    shared by every row table built against rd."""
+    known = rd.__dict__.setdefault("_row_moves", {})
+    spec = known.get((k, c))
+    if spec is None:
+        probe = [[0, 0] for _ in rd.vertices()]
+        _add_entry(probe, rd.neighbor_split, k, 0, c)
+        spec = known[k, c] = tuple((j, d0, d1, -rd.cartan[j][k - 1] * c)
+                                   for j, (d0, d1) in enumerate(probe) if d0 or d1)
     return spec
 
 

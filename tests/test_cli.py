@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kmcrystals import build_root_datum, cli, closed_family_instance, crystal_core
+from kmcrystals import build_root_datum, cli, closed_family_instance, crystal_core, oracles
 from kmcrystals.cli import main
 from kmcrystals.oracles import infinite_vertices
 from kmcrystals.root_datum import MAX_PRESET_RANK
@@ -331,6 +331,48 @@ def test_finite_type_is_decided_once_per_command(monkeypatch, capsys):
         main(argv)
         assert len(calls) == count, argv
     capsys.readouterr()
+
+
+def test_finite_type_takes_one_elimination_per_command(monkeypatch, capsys):
+    # the decision is kept on the datum: the CLI's rule, decompose_tensor,
+    # positive_roots, weyl_dim and the multiplicity recursion share it
+    calls = []
+    original = oracles._positive_definite
+
+    def counting(cartan):
+        calls.append(len(cartan))
+        return original(cartan)
+
+    monkeypatch.setattr(oracles, "_positive_definite", counting)
+    for argv, n in (
+        (["tensor", "--preset", "D4", "--weight", "1,0,0,0", "--weight", "0,1,0,0"], 4),
+        (["tensor", "--preset", "A2", "--weight", "1,0", "--weight", "0,1", "--weight", "1,1"], 2),
+        (["verify", "oracle", "--preset", "A3", "--weight", "0,1,0"], 3),
+        (["verify", "oracle", "--preset", "E6", "--weight", "1,0,0,0,0,0", "--depth", "3"], 6),
+    ):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert calls == [n], argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tensor", "--preset", "A2", "--weight", "1,1", "--weight", "1,0"],
+     "node budget 2 exceeded at depth 1 with 0 nodes queued"),
+    (["tensor", "--preset", "D4", "--weight", "1,0,0,0", "--weight", "0,1,0,0"],
+     "node budget 2 exceeded at depth 1 with 0 nodes queued"),
+    (["verify", "oracle", "--preset", "A3", "--weight", "1,1,1"],
+     "node budget 2 exceeded at depth 1 with 1 nodes queued"),
+    (["verify", "oracle", "--preset", "A3", "--weight", "1,1,1", "--depth", "2"],
+     "node budget 2 exceeded at depth 1 with 1 nodes queued"),
+])
+def test_walked_factor_over_budget_exits_3(argv, message, monkeypatch, capsys):
+    # tensor walks every factor but the largest, and verify oracle walks
+    # B(lambda): the budget bounds the elements walked, and an overrun
+    # reports what generating the same crystal would
+    monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "2")
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_unwritable_output_exits_2_after_the_work(capsys, tmp_path, monkeypatch):

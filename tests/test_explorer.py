@@ -6,7 +6,7 @@ import math
 import sys
 import tracemalloc
 import weakref
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -40,6 +40,7 @@ from kmcrystals import (
 )
 from kmcrystals import crystal_core, explorer, oracles, quiver_model
 from kmcrystals.crystal_core import GraphNode, stats_record
+from kmcrystals.explorer import f_layers
 from kmcrystals.oracles import infinite_vertices
 from kmcrystals.quiver_model import window
 from kmcrystals.root_datum import Weight
@@ -436,16 +437,22 @@ def test_decompose_tensor_needs_a_factor():
         decompose_tensor(RD2, [])
 
 
-def record_generate(monkeypatch):
-    """Let explorer.generate record the seeds of each call in the returned list."""
+def record_walk(monkeypatch):
+    """Let explorer.f_layers record the top element of each walk in the
+    returned list; decompose_tensor enumerates a factor only by a walk, so
+    generate must not run at all."""
     calls = []
-    original = explorer.generate
+    original = explorer.f_layers
 
-    def recording(rd, seeds, depth=None):
-        calls.append(seeds)
-        return original(rd, seeds, depth=depth)
+    def recording(rd, top, depth=None):
+        calls.append(top)
+        return original(rd, top, depth=depth)
 
-    monkeypatch.setattr(explorer, "generate", recording)
+    def refusing(rd, seeds, depth=None):
+        raise AssertionError("decompose_tensor called generate")
+
+    monkeypatch.setattr(explorer, "f_layers", recording)
+    monkeypatch.setattr(explorer, "generate", refusing)
     return calls
 
 
@@ -453,8 +460,8 @@ def record_generate(monkeypatch):
                          ids=["N1", "N2", "N3"])
 def test_decompose_tensor_skips_the_first_factor(monkeypatch, weights):
     # B(1,1) is the largest factor and comes first, so the fold starts from
-    # it, reads only its weight and never generates it
-    calls = record_generate(monkeypatch)
+    # it, reads only its weight and never enumerates it
+    calls = record_walk(monkeypatch)
     table = decompose_tensor(RD2, weights)
     assert len(calls) == len(weights) - 1
     if len(weights) == 1:
@@ -477,10 +484,10 @@ def test_decompose_tensor_budget_skips_the_first_factor(monkeypatch):
 def test_decompose_tensor_generates_all_but_the_largest_factor(monkeypatch, rd, small, large,
                                                                large_first):
     # on finite type the fold starts from the factor with the largest weyl_dim
-    calls = record_generate(monkeypatch)
+    calls = record_walk(monkeypatch)
     weights = [large, small] if large_first else [small, large]
     table = decompose_tensor(rd, weights)
-    assert calls == [[model_highest_weight(rd, small)]]
+    assert calls == [model_highest_weight(rd, small)]
     total = sum(weyl_dim(rd, wt) * m for wt, m in table.entries.items())
     assert total == weyl_dim(rd, rd.weight(small)) * weyl_dim(rd, rd.weight(large))
 
@@ -558,10 +565,143 @@ def test_decompose_tensor_rejects_a_bad_first_weight(first):
                          ids=["wrong-length", "not-dominant"])
 def test_decompose_tensor_rejects_a_bad_later_weight_before_generating(monkeypatch, last,
                                                                        message):
-    calls = record_generate(monkeypatch)
+    calls = record_walk(monkeypatch)
     with pytest.raises(ValueError, match=message):
         decompose_tensor(RD2, [(1, 0), (1, 1), last])
     assert calls == []
+
+
+def _walk(rd, lam, depth=None):
+    """The top element of B(lam) and the layers the walk yields from it."""
+    top = model_highest_weight(rd, lam)
+    return top, [list(layer) for layer in f_layers(rd, top, depth)]
+
+
+def _layers_by_depth(g):
+    """A graph's elements grouped by depth, in the order generate admitted them."""
+    layers = {}
+    for x, nd in g.nodes.items():
+        layers.setdefault(nd.depth, []).append(x)
+    return [layers[d] for d in sorted(layers)]
+
+
+@pytest.mark.parametrize("rd, lam", [
+    (RD2, (2, 1)),
+    (RD3, (1, 0, 1)),
+    (RD3, (1, 1, 1)),
+    (RD4, (1, 0, 1, 1)),
+    (build_root_datum("E6"), (1, 0, 0, 0, 0, 1)),
+], ids=["A2", "A3 (1,0,1)", "A3 (1,1,1)", "D4", "E6"])
+def test_walk_enumerates_what_generate_does(rd, lam):
+    # the layers are generate's nodes at each depth, in admission order, so
+    # the (wt, eps) multiset the tensor rule reads and the count agree
+    top, layers = _walk(rd, lam)
+    g = generate_highest_weight_crystal(rd, lam)
+    assert layers == _layers_by_depth(g)
+    walked = [x for layer in layers for x in layer]
+    assert len(walked) == g.node_count() == weyl_dim(rd, rd.weight(lam))
+    assert (Counter(stats_record(x, rd)[1:3] for x in walked)
+            == Counter(stats_record(x, rd)[1:3] for x in g.nodes))
+    for x in walked:  # derived records, rows dropped
+        assert x.__dict__["_record"] == _full_pass_record(rd, x)
+    assert "_rows" not in top.wp.__dict__
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_walk_matches_generate_on_random_truncations(data):
+    # the random diagrams of test_random_diagram_records_and_checks, most of
+    # them infinite, at depth 1-4
+    rd = build_root_datum(data.draw(adjacency_matrices(max_n=5, max_entry=3)))
+    lam = data.draw(st.tuples(*[st.integers(0, 2)] * rd.n))
+    depth = data.draw(st.integers(1, 4))
+    top, layers = _walk(rd, lam, depth)
+    assert layers == _layers_by_depth(generate_highest_weight_crystal(rd, lam, depth=depth))
+    assert "_rows" not in top.wp.__dict__
+
+
+@pytest.mark.parametrize("lam, depth", [((1, 0), 6), ((1, 1), 8), ((0, 2), 5), ((3, 1), 0)])
+def test_walk_matches_generate_on_affine_truncations(lam, depth):
+    top, layers = _walk(RDA, lam, depth)
+    g = generate_highest_weight_crystal(RDA, lam, depth=depth)
+    assert layers == _layers_by_depth(g)
+    assert len(layers) == depth + 1
+    assert (Counter(stats_record(x, RDA)[1:3] for layer in layers for x in layer)
+            == Counter(stats_record(x, RDA)[1:3] for x in g.nodes))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 5, 12, 40])
+def test_walk_overruns_its_budget_where_generate_does(monkeypatch, budget):
+    # the same count, so the same element, depth and queue in the message
+    monkeypatch.setenv("CRYSTAL_NODE_BUDGET", str(budget))
+    for rd, lam in ((RD3, (1, 1, 1)), (RDA, (1, 0))):
+        with pytest.raises(BudgetExceeded) as by_graph:
+            generate_highest_weight_crystal(rd, lam)
+        top = model_highest_weight(rd, lam)
+        with pytest.raises(BudgetExceeded) as by_walk:
+            for _ in f_layers(rd, top):
+                pass
+        assert str(by_walk.value) == str(by_graph.value)
+        assert by_walk.value.partial is None
+        assert "_rows" not in top.wp.__dict__
+        assert len(top.__dict__.get("_record", ())) in (0, 6)
+
+
+def test_walk_drops_the_row_table_when_left_early():
+    top = model_highest_weight(RD3, (1, 1, 1))
+    walk = f_layers(RD3, top)
+    next(walk)
+    layer = next(walk)
+    assert "_rows" in top.wp.__dict__
+    walk.close()
+    assert "_rows" not in top.wp.__dict__
+    assert all(len(x.__dict__["_record"]) == 6 for x in [top, *layer])
+
+
+def test_walk_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="depth"):
+        next(f_layers(RD2, model_highest_weight(RD2, (1, 0)), depth=-1))
+
+
+def test_walk_makes_one_full_rank_pass_and_holds_two_layers(monkeypatch):
+    # when a layer is yielded, no element of an earlier one but top is
+    # alive, so expanding it into the next holds two layers at most
+    passes = []
+    original = quiver_model._rank_rows
+
+    def counting(rd, x):
+        passes.append(x)
+        return original(rd, x)
+
+    monkeypatch.setattr(quiver_model, "_rank_rows", counting)
+    top = model_highest_weight(RD4, (1, 0, 1, 1))
+    earlier = []
+    sizes = []
+    for layer in f_layers(RD4, top):
+        assert [ref for ref in earlier if ref() is not None] == []
+        earlier += [weakref.ref(x) for x in layer if x is not top]
+        sizes.append(len(layer))
+    assert len(sizes) > 4 and sum(sizes) == weyl_dim(RD4, RD4.weight((1, 0, 1, 1)))
+    assert passes == [top]
+
+
+def test_decompose_tensor_peak_memory_is_a_layer_not_a_graph():
+    # the fold holds two layers of the walked factor, not a graph of it: on
+    # D4 (1,1,1,1) x (1,1,1,1) the traced peak was 0.94 MB against 5.17 MB
+    # for generating the factor (5.35 MB when decompose_tensor generated it)
+    def peak(run):
+        run()  # first-use caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    walked = peak(lambda: decompose_tensor(RD4, [(1, 1, 1, 1), (1, 1, 1, 1)]))
+    graphed = peak(lambda: generate_highest_weight_crystal(RD4, (1, 1, 1, 1)))
+    assert walked < graphed / 4
 
 
 def test_tensor_product_graph_guards_frontier():

@@ -488,6 +488,28 @@ def test_derived_record_widens_the_window(monkeypatch):
         assert y.__dict__["_record"][:6] == record
 
 
+def test_touched_rows_are_built_once_per_datum(monkeypatch):
+    # which rows c units at vertex k move, and by how much, depends on the
+    # datum alone: each (k, c) is probed once per datum and kept on it, and
+    # each generation's row table only attaches its own moves dicts.  An
+    # equal datum built anew probes again: nothing is kept in the process
+    probes = []
+    original = quiver_model._add_entry
+
+    def counting(rows, split, l, i, c):
+        probes.append((l, c))  # seeds have v empty: every call is a probe
+        return original(rows, split, l, i, c)
+
+    monkeypatch.setattr(quiver_model, "_add_entry", counting)
+    every = [(1, 1), (2, 1), (3, 1)]  # e_k images equal known nodes and build no record
+    for _ in range(2):
+        rd = build_root_datum("A3")
+        probes.clear()
+        for lam in ((1, 1, 1), (1, 0, 1), (0, 2, 0)):
+            generate_highest_weight_crystal(rd, lam)
+        assert sorted(probes) == sorted(rd.__dict__["_row_moves"]) == every
+
+
 def test_row_table_is_per_datum(monkeypatch):
     # A2 and affineA1 have the same rank but different edge multiplicities,
     # so their moves of one entry differ; a profile derived against one and
