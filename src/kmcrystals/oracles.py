@@ -77,7 +77,18 @@ def infinite_vertices(rd: RootDatum) -> set[int]:
 
 
 def positive_roots(rd: RootDatum) -> list[tuple[int, ...]]:
-    """All positive roots as simple-root coefficient vectors, by height closure.
+    """All positive roots as simple-root coefficient vectors, sorted.  They
+    are enumerated once per datum (:func:`_root_closure`) and kept in its
+    ``__dict__``, as the finite-type decision is; each call hands out a
+    fresh list."""
+    roots = rd.__dict__.get("_positive_roots")
+    if roots is None:
+        roots = rd.__dict__["_positive_roots"] = _root_closure(rd)
+    return list(roots)
+
+
+def _root_closure(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
+    """The positive roots by height closure.
 
     Simply-laced only (which is all this library handles): a root string
     through beta in a simple direction has length at most one, so
@@ -99,7 +110,7 @@ def positive_roots(rd: RootDatum) -> list[tuple[int, ...]]:
                         roots.add(gamma)
                         nxt.append(gamma)
         level = nxt
-    return sorted(roots)
+    return tuple(sorted(roots))
 
 
 def weyl_dim(rd: RootDatum, lam: Weight) -> int:

@@ -13,14 +13,15 @@ collapses the whole result to None.  An element keeps the record every
 element keeps, ``(rd, wt, eps, phi, e_sites, f_sites)`` (see
 :func:`~kmcrystals.crystal_core.stats_record`), its sites factor
 positions, and None exactly where eps_k (for e_k) or phi_k (for f_k) is
--inf.  It is built from one read of each distinct factor instance
-(:func:`_columns`) by one scan per vertex and statistic: forward with a
-running left sum for eps (:func:`_eps_scan`), backward with a running
-right sum for phi (:func:`_phi_scan`).  A position where the factor's
-statistic is -inf takes no part in the maximum and gets no arithmetic;
-a vertex where every position is -inf gets -inf and no site.  The
-profiles are not kept: ``eps_profile`` and ``phi_profile`` recompute
-them on demand with the same scans, so the formula is written once.
+-inf.  It is built from its factors' columns, each made once per datum
+and kept for the factor instance's life (:func:`_columns`), by one scan
+per vertex and statistic: forward with a running left sum for eps
+(:func:`_eps_scan`), backward with a running right sum for phi
+(:func:`_phi_scan`).  A position where the factor's statistic is -inf
+takes no part in the maximum and gets no arithmetic; a vertex where
+every position is -inf gets -inf and no site.  The profiles are not
+kept: ``eps_profile`` and ``phi_profile`` recompute them on demand with
+the same scans, so the formula is written once.
 :class:`TensorElement` supplies the ``_build`` and ``_move`` of
 :class:`~kmcrystals.crystal_core.CrystalElement`, which reads the record
 and applies the operators: ``_move`` applies the operator to the factor
@@ -104,22 +105,21 @@ class TensorElement(CrystalElement):
 
 
 def _columns(rd: RootDatum, x: TensorElement) -> tuple:
-    """(wt, cols) of x: cols[p] is ``(eps, phi, pairs, wt)`` of factor p,
-    its record's eps and phi vectors, its weight's pairing vector and its
-    weight, and wt is the sum of the factors' weights.  Each distinct
-    factor instance is read once, by identity, since hashing a factor
-    costs more: :func:`~kmcrystals.quiver_model.embed_psi` places a few
-    factor instances at most positions, and
-    :func:`~kmcrystals.explorer.generate` shares equal factors."""
-    reads = {}
+    """(wt, cols) of x: cols[p] is factor p's column ``(rd, eps, phi, pairs,
+    wt)``, its record's eps and phi vectors, its weight's pairing vector and
+    its weight against rd, and wt is the sum of the factors' weights.  A
+    factor instance builds its column once per datum and keeps it, tagged
+    with rd, in its ``__dict__`` for its life: ``embed_psi`` puts a few part
+    instances at most positions and ``generate`` shares equal factors.  A
+    column holds no record, so ``trim_record`` still frees rank rows."""
     cols = []
     for b in x.factors:
-        col = reads.get(id(b))
-        if col is None:
+        col = b.__dict__.get("_column")
+        if col is None or col[0] is not rd:
             w, eps, phi = stats_record(b, rd)[1:4]
-            col = reads[id(b)] = (eps, phi, rd.pairing_vector(w), w)
+            col = b.__dict__["_column"] = (rd, eps, phi, rd.pairing_vector(w), w)
         cols.append(col)
-    weights = [col[3] for col in cols]
+    weights = [col[4] for col in cols]
     wt = Weight(tuple(map(sum, zip(*[w.lambda_part for w in weights]))),
                 tuple(map(sum, zip(*[w.root_part for w in weights]))))
     return wt, cols
@@ -133,7 +133,7 @@ def _eps_scan(cols: list, i: int, profile: list | None = None) -> tuple:
     ``profile[p]`` when a profile is given."""
     best = site = None
     left = 0  # sum_{q<p} wt_k(b_q)
-    for p, (eps, _, pairs, _) in enumerate(cols):
+    for p, (_, eps, _, pairs, _) in enumerate(cols):
         c = eps[i]
         if c is not NEG_INF:
             c -= left
@@ -152,7 +152,7 @@ def _phi_scan(cols: list, i: int, profile: list | None = None) -> tuple:
     best = site = None
     right = 0  # sum_{q>p} wt_k(b_q)
     for p in range(len(cols) - 1, -1, -1):
-        _, phi, pairs, _ = cols[p]
+        _, _, phi, pairs, _ = cols[p]
         c = phi[i]
         if c is not NEG_INF:
             c += right

@@ -356,6 +356,25 @@ def test_finite_type_takes_one_elimination_per_command(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_positive_roots_take_one_enumeration_per_command(monkeypatch, capsys):
+    # the roots are kept on the datum: weyl_dim and the multiplicity
+    # recursion of one oracle command share one enumeration (it made two)
+    calls = []
+    original = oracles._root_closure
+
+    def counting(rd):
+        calls.append(rd.n)
+        return original(rd)
+
+    monkeypatch.setattr(oracles, "_root_closure", counting)
+    for argv in (["verify", "oracle", "--preset", "E6", "--weight", "1,0,0,0,0,1"],
+                 ["verify", "oracle", "--preset", "E6", "--weight", "0,1,0,0,0,0", "--depth", "3"]):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert calls == [6], argv
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["tensor", "--preset", "A2", "--weight", "1,1", "--weight", "1,0"],
      "node budget 2 exceeded at depth 1 with 0 nodes queued"),

@@ -242,6 +242,14 @@ def test_positive_root_counts():
     assert len(positive_roots(build_root_datum("E6"))) == 36
 
 
+def test_positive_roots_hand_out_a_fresh_list():
+    # the roots kept on the datum are not the list a caller may change
+    roots = positive_roots(RD2)
+    assert roots == [(0, 1), (1, 0), (1, 1)]
+    roots.clear()
+    assert positive_roots(RD2) == [(0, 1), (1, 0), (1, 1)]
+
+
 def test_weyl_dim_values():
     assert weyl_dim(RD3, RD3.weight((0, 1, 0))) == 6
     d4 = build_root_datum("D4")

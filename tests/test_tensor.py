@@ -2,6 +2,7 @@
 structural properties: associativity under re-bracketing, normality
 preservation, and the lowering-power split rule on eps = 0 elements."""
 
+import dataclasses
 import functools
 import json
 import operator
@@ -13,24 +14,29 @@ from hypothesis import example, given, settings, strategies as st
 from kmcrystals import (
     NEG_INF,
     BkElement,
+    RootDatum,
     S0Element,
     TElement,
     TensorElement,
     build_root_datum,
     check_normal,
+    closed_family_instance,
     embed_psi,
     flatten,
     generate,
     generate_highest_weight_crystal,
     model_highest_weight,
     tensor_product_graph,
+    weyl_dim,
 )
-from kmcrystals.crystal_core import ext_max, is_neg_inf, stats_record
+from kmcrystals.cli import main
+from kmcrystals.crystal_core import ext_max, is_neg_inf, stats_record, trim_record
 from kmcrystals.quiver_model import window
 from kmcrystals.tensor import binary_e, binary_eps, binary_f, binary_phi
 
 RD1 = build_root_datum("A1")
 RD2 = build_root_datum("A2")
+RD3 = build_root_datum("A3")
 RDA = build_root_datum("affineA1")
 
 
@@ -338,3 +344,93 @@ def test_serialization_preserves_order():
 def test_input_checks(factors):
     with pytest.raises(ValueError, match="^tensor element needs at least one factor$"):
         TensorElement(factors)
+
+
+def _fresh(x):
+    """A structurally equal copy of x that shares no instance with it, so
+    none of x's records or columns is read through it."""
+    if isinstance(x, TensorElement):
+        return TensorElement(tuple(map(_fresh, x.factors)))
+    return dataclasses.replace(x)
+
+
+def _reads(rd, x):
+    """x's record against rd and its position profiles at every vertex."""
+    return (stats_record(x, rd)[:6],
+            [(x.eps_profile(rd, k), x.phi_profile(rd, k)) for k in rd.vertices()])
+
+
+def _column_is_the_record_fields(rd, b):
+    """b keeps a column for rd that holds its record's objects and the
+    weight's pairing vector, and nothing else."""
+    _, wt, eps, phi = b.__dict__["_record"][:4]
+    col = b.__dict__["_column"]
+    return (len(col) == 5 and col[0] is rd and col[1] is eps and col[2] is phi
+            and col[3] == rd.pairing_vector(wt) and col[4] is wt)
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+@pytest.mark.parametrize("trimmed", [False, True], ids=["kept", "trimmed"])
+def test_kept_column_follows_the_datum(nested, trimmed):
+    # one factor instance in tensors read against A2, then A3, then A2
+    # again, alone or inside a tensor factor, with every factor's record
+    # trimmed between reads or not: each tensor record and profile equals a
+    # fresh instance's, the two-factor rule agrees with the n-fold one, and
+    # each factor's column holds only its current record's fields
+    shared = BkElement(1, -1)
+    inner = TensorElement((shared, BkElement(2, 1))) if nested else shared
+    for rd in (RD2, RD3, RD2):
+        top = model_highest_weight(rd, (1,) * rd.n)
+        for factors in ((inner, top), (top.f(rd, 1), inner), (inner, inner)):
+            for _ in range(2):  # the second tensor reads the columns the first left
+                x = TensorElement(factors)
+                assert _reads(rd, x) == _reads(rd, _fresh(x))
+                for k in rd.vertices():
+                    assert binary_eps(rd, x, k) == x.eps(rd, k)
+                    assert binary_phi(rd, x, k) == x.phi(rd, k)
+                    assert binary_e(rd, x, k) == x.e(rd, k)
+                    assert binary_f(rd, x, k) == x.f(rd, k)
+                for b in factors:
+                    assert _column_is_the_record_fields(rd, b)
+                if trimmed:
+                    for b in (*factors, *flatten(x)):
+                        trim_record(b)
+
+
+def test_generated_factors_keep_no_rows():
+    # generate trims every shared factor; the column each factor keeps
+    # holds the fields of its trimmed record, so no rank rows survive in it
+    pair = TensorElement((model_highest_weight(RD3, (1, 1, 0)),
+                          model_highest_weight(RD3, (0, 1, 1))))
+    g = generate(RD3, [pair])
+    factors = {id(b): b for x in g.nodes for b in x.factors}
+    assert len(factors) == 20 + 20  # all of B(1,1,0) and B(0,1,1)
+    for b in factors.values():
+        assert len(b.__dict__["_record"]) == 6
+        assert _column_is_the_record_fields(RD3, b)
+
+
+def test_each_factor_instance_pairs_its_weight_once(monkeypatch, capsys):
+    # a factor instance keeps its column, so the datum pairs a weight once
+    # per distinct factor instance and once per full rank pass of a model
+    # record, not once per factor of each tensor record: reading every
+    # record's factors anew made 2,288 and 723 calls
+    lam, mu = (0, 0, 1), (1, 2, 1)
+    instances = weyl_dim(RD3, RD3.weight(lam)) + weyl_dim(RD3, RD3.weight(mu))
+    calls = []
+    original = RootDatum.pairing_vector
+
+    def counting(self, wt):
+        calls.append(wt)
+        return original(self, wt)
+
+    monkeypatch.setattr(RootDatum, "pairing_vector", counting)
+    argv = ["verify", "embedding", "--preset", "affineA1", "--weight", "1,1", "--depth", "12"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "embedding: 0 mismatches on 263 elements\nPASS\n"
+    assert 0 < len(calls) <= 15 + 1  # the profile's 15 embedding parts, the seed's rank pass
+    calls.clear()
+    assert closed_family_instance(RD3, lam, mu)[0]
+    # every element of B(lam) and of B(mu) is a factor instance; the rank
+    # passes are the two factor seeds' and B(lam + mu)'s
+    assert 0 < len(calls) <= instances + 3
