@@ -155,10 +155,11 @@ def stats_record(x: CrystalElement, rd: RootDatum, k: int | None = None) -> tupl
     None wherever the operator is undefined (see :class:`CrystalElement`).
     ``x._build(rd)`` returns it; it is kept in ``x.__dict__`` and rebuilt
     when x is queried against another datum, so it lives as long as the
-    element.  A record may carry working data after its six fields, which
-    the builder reads to derive the records of x's operator images (a
-    model record's rank rows) and :func:`trim_record` drops.  ValueError
-    when k is given and is not a vertex."""
+    element.  A record may carry a seventh field after its six, all the
+    derivation state its builder reads to derive the records of x's
+    operator images (a model record's ``(lo, rows, table)``), which
+    :func:`trim_record` releases.  ValueError when k is given and is not a
+    vertex."""
     rec = x.__dict__.get("_record")
     if rec is None or rec[0] is not rd:
         rec = x.__dict__["_record"] = x._build(rd)
@@ -168,9 +169,12 @@ def stats_record(x: CrystalElement, rd: RootDatum, k: int | None = None) -> tupl
 
 
 def trim_record(x: CrystalElement) -> None:
-    """Drop what x's record keeps after its six fields, once x's operator
-    images have been built from it; the six fields keep their objects.  A
-    record without such data, or none at all, is left as it is."""
+    """Release the derivation state in x's record, its seventh field, once
+    x's operator images have been built from it; the six fields keep their
+    objects.  This is the only release of that state: a model record's
+    rank rows go with it, and its row table with the last record that
+    still holds it.  A record without such state, or none at all, is left
+    as it is."""
     rec = x.__dict__.get("_record")
     if rec is not None and len(rec) > 6:
         x.__dict__["_record"] = rec[:6]

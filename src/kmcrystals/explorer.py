@@ -35,7 +35,7 @@ from .crystal_core import (
 from .oracles import _weyl_product, finite_type_check
 # bench/tracer.py wraps these on explorer; test_tracer_targets_exist_on_their_owners checks it
 from .oracles import freudenthal_multiplicities, positive_roots, weyl_dim
-from .quiver_model import drop_row_table, model_highest_weight
+from .quiver_model import model_highest_weight
 from .root_datum import RootDatum, Weight
 from .tensor import TensorElement, flatten
 
@@ -86,15 +86,11 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
     :func:`~kmcrystals.crystal_core.check_axioms` re-derives every operator
     in both directions and reports it.
 
-    A model node's record, built at admission, holds its rank rows while
-    the node is queued, so that its operator images derive their records
-    from them; the rows are dropped (:func:`~kmcrystals.crystal_core.trim_record`)
-    once the node is expanded or left at the frontier.  Those derivations
-    read and fill the row table of the nodes' W-profile
-    (:func:`~kmcrystals.quiver_model._row_table`); every profile met is a
-    seed's or a seed factor's, and their tables are dropped when the call
-    returns or raises, BudgetExceeded included, so a table lives for one
-    generation and a finished or partial graph holds none.
+    A model node's record, built at admission, holds its derivation state
+    while the node is queued, so that its operator images derive their
+    records from it; :func:`~kmcrystals.crystal_core.trim_record` releases
+    that state once the node is expanded or left at the frontier, so a
+    finished or partial graph holds none.
 
     Equal factors of tensor nodes are one instance.  A table kept for this
     call only maps each factor of an admitted tensor node to itself; a new
@@ -138,28 +134,22 @@ def generate(rd: RootDatum, seeds, depth: int | None = None) -> CrystalGraph:
         queue.append(nd)
         return nd
 
-    seeds = tuple(seeds)
-    try:
-        g.generators = tuple(admit(s, 0).element for s in seeds)
-        while queue:
-            nd = queue.popleft()
-            x = nd.element
-            if depth is None or nd.depth < depth:  # else it stays frontier
-                nd.frontier = False
-                for k in rd.vertices():
-                    if nd.down[k - 1] is None and (y := x.f(rd, k)) is not None:
-                        nxt = nd.down[k - 1] = admit(y, nd.depth + 1)
-                        nxt.up[k - 1] = x
-                    if nd.up[k - 1] is None and (y := x.e(rd, k)) is not None:
-                        src = admit(y, nd.depth + 1)
-                        nd.up[k - 1] = src.element
-                        src.down[k - 1] = nd
-            trim_record(x)  # its images' records are built; x keeps its record's six fields
-        trim_factors()
-    finally:
-        for s in seeds:
-            for part in flatten(s):
-                drop_row_table(part)
+    g.generators = tuple(admit(s, 0).element for s in seeds)
+    while queue:
+        nd = queue.popleft()
+        x = nd.element
+        if depth is None or nd.depth < depth:  # else it stays frontier
+            nd.frontier = False
+            for k in rd.vertices():
+                if nd.down[k - 1] is None and (y := x.f(rd, k)) is not None:
+                    nxt = nd.down[k - 1] = admit(y, nd.depth + 1)
+                    nxt.up[k - 1] = x
+                if nd.up[k - 1] is None and (y := x.e(rd, k)) is not None:
+                    src = admit(y, nd.depth + 1)
+                    nd.up[k - 1] = src.element
+                    src.down[k - 1] = nd
+        trim_record(x)  # its images' records are built; x keeps its record's six fields
+    trim_factors()
     return g
 
 
@@ -175,13 +165,14 @@ def f_layers(rd: RootDatum, top: CrystalElement, depth: int | None = None):
     No e_k is applied and no graph is built: a consumer reads each
     element's record, whose weight and eps are all the tensor rule and a
     character need.  Only the layer being read and the one it expands to
-    are alive.  Each image builds its record while its source still holds
-    its rank rows, so top makes the walk's one full rank pass, and a
-    source's rows are dropped once its images are built.  Enumerating more
-    elements than CRYSTAL_NODE_BUDGET allows raises BudgetExceeded, with
-    the depth and queue that ``generate`` reports at the same element and
-    no partial graph.  The row table of top's profile is dropped when the
-    walk returns or raises."""
+    are alive.  Each image builds its record while its source's record
+    still holds its derivation state, so top makes the walk's one full
+    rank pass; :func:`~kmcrystals.crystal_core.trim_record` releases a
+    source's state once its images are built, and the last layer's when
+    the walk returns, raises or is closed.  Enumerating more elements than
+    CRYSTAL_NODE_BUDGET allows raises BudgetExceeded, with the depth and
+    queue that ``generate`` reports at the same element and no partial
+    graph."""
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
     node_budget = env_node_budget()
@@ -211,7 +202,6 @@ def f_layers(rd: RootDatum, top: CrystalElement, depth: int | None = None):
     finally:
         for x in layer:
             trim_record(x)
-        drop_row_table(top)
 
 
 def generate_highest_weight_crystal(rd: RootDatum, lam, depth=None):

@@ -33,18 +33,17 @@ other vertex shares its row and statistics with the source.  The rows of
 one B(lambda) are few: every element shares one W-profile, and a row is
 fixed by the entries of v it sees, so a full D4 (1,1,1,1) generation meets
 a few hundred distinct rows over ten thousand row moves.  So each moved
-row is looked up in a row table kept on the profile (:func:`_row_table`),
-which maps a row and the two terms to the row they give, with its sum and
-statistics; only a row met for the first time is built and scanned.  Both
-routes assert the telescoping identity on every row they give a record:
-the full pass while it scans, a derivation by comparing the looked-up
-row's sum with the <h_k, wt> the weight gives.  The rows stay on a record
-only until the element's images are built, and a table only for one
-generation or walk: :func:`~kmcrystals.explorer.generate` and
-:func:`~kmcrystals.explorer.f_layers` drop the rows once they have
-expanded an element, and the tables of their seeds' profiles when they
-end.  The rows each entry of v moves are the datum's, found once per
-datum (:func:`_row_moves`).
+row is looked up in a row table, which maps a row and the two terms to
+the row they give, with its sum and statistics; only a row met for the
+first time is built and scanned.  Both routes assert the telescoping
+identity on every row they give a record: the full pass while it scans, a
+derivation by comparing the looked-up row's sum with the <h_k, wt> the
+weight gives.  The seventh field ``(lo, rows, table)`` of a record is all
+the derivation state, and :func:`~kmcrystals.crystal_core.trim_record`
+releases it: the full pass starts a fresh table, a derivation hands its
+source's table to the image's record, and a table dies with the last
+record that still holds it.  The rows each entry of v moves are the
+datum's, found once per datum (:func:`_row_moves`).
 
 The slot choice deserves a comment, because a plausible alternative (min
 for e, max for f) is wrong: on a one-vertex datum with w^0 = 1 the maximum
@@ -79,15 +78,9 @@ class WProfile:
     vector over I, slots listed in increasing order (see :func:`wprofile`).
 
     A profile also keeps, in its ``__dict__``, what the elements on it
-    share: the key prefix and the table of entry texts
-    (:meth:`_key_texts`), the parts of :func:`embed_psi`, and the row
-    table that derived records read (:func:`_row_table`).  The first two
-    live as long as the profile; the row table is transient: it is
-    built by the first record derived on the profile and dropped by
-    :func:`~kmcrystals.explorer.generate` or
-    :func:`~kmcrystals.explorer.f_layers` when the generation or walk it
-    seeds ends, so a finished graph holds none.  Equality and hashing read
-    ``slots`` only."""
+    share for as long as it lives: the key prefix and the table of entry
+    texts (:meth:`_key_texts`), and the parts of :func:`embed_psi`.
+    Equality and hashing read ``slots`` only."""
 
     slots: tuple[tuple[int, tuple[int, ...]], ...]  # strictly increasing slot indices
 
@@ -183,18 +176,19 @@ class ModelElement(CrystalElement):
 
     def _build(self, rd: RootDatum) -> tuple:
         """The record of :func:`~kmcrystals.crystal_core.stats_record`,
-        ``(rd, wt, eps, phi, e_slots, f_slots, (lo, rows))``, the last field
-        its rank rows as tuples, kept until
-        :func:`~kmcrystals.crystal_core.trim_record` drops it.
+        ``(rd, wt, eps, phi, e_slots, f_slots, (lo, rows, table))``, the
+        last field all the derivation state: the rank rows as tuples and the
+        row table of :func:`_derive`, kept until
+        :func:`~kmcrystals.crystal_core.trim_record` releases them.
 
         An image of ``e``/``f`` carries a link to its source; it is popped
         here, and while the source's record is for rd and still holds its
         rows the record is derived from them (:func:`_derive`).  Any other
         element (a seed, an element built directly, a source recorded
         against another datum or with its rows dropped) takes the full pass
-        of :func:`_rank_rows`.  Either way every row's statistics come from
-        :func:`_row_stats`: the full pass scans each row, a derivation only
-        the rows its profile's row table has not met."""
+        of :func:`_rank_rows` and starts a fresh row table.  Either way
+        every row's statistics come from :func:`_row_stats`: the full pass
+        scans each row, a derivation only the rows its table has not met."""
         link = self.__dict__.pop("_link", None)
         if link is not None:
             rec = link[0].__dict__.get("_record")
@@ -205,7 +199,7 @@ class ModelElement(CrystalElement):
         out = [_row_stats(self, k, lo, row, total)
                for k, row, total in zip(rd.vertices(), rows, rd.pairing_vector(wt))]
         # the four columns; empty ones on a datum of rank 0
-        return (rd, wt, *(tuple(zip(*out)) or ((),) * 4), (lo, rows))
+        return (rd, wt, *(tuple(zip(*out)) or ((),) * 4), (lo, rows, ({}, {})))
 
     def _move(self, rd: RootDatum, k: int, p: int, delta: int) -> "ModelElement":
         """self with ``delta`` added to v at (k, p), spliced into self's
@@ -340,26 +334,32 @@ def _derive(rd: RootDatum, x: ModelElement, rec: tuple, k: int, p: int, c: int) 
     """The record of x, which is the source of ``rec`` with c units added
     to v at (k, p).  Only the rows of k and its neighbours change, after
     the window is widened where (k, p) sits at or past its edge.  Each
-    such row is looked up in the row table of x's profile
-    (:func:`_row_table`), which gives the row that entry's terms move it
-    to, with that row's sum and statistics; a row met for the first time
-    is built and goes through :func:`_row_stats`.  The stored sum is
-    checked against the source's <h_l, wt> = phi - eps moved by
-    -C_lk * c, so the telescoping identity holds on every derived row.
-    Every other vertex shares its row, its statistics and its sites with
-    the source."""
-    _, wt, eps, phi, e_sites, f_sites, (lo, rows) = rec
+    such row is looked up in the row table ``(entries, moves)`` of
+    ``rec``, which x's record holds in turn:
+
+    * ``entries`` maps each distinct rank row met to its one entry
+      ``(row, sum, eps, phi, e_offset, f_offset)``, the statistics of
+      :func:`_row_stats` with sites counted from the row's first slot;
+    * ``moves[(d0, d1)]`` maps ``(row, i)`` to the entry of the row with
+      d0 added at index i and d1 at index i + 1.
+
+    A row met for the first time is built and goes through
+    :func:`_row_stats` (:func:`_new_move`).  The stored sum is checked
+    against the source's <h_l, wt> = phi - eps moved by -C_lk * c, so the
+    telescoping identity holds on every derived row.  Every other vertex
+    shares its row, its statistics and its sites with the source."""
+    _, wt, eps, phi, e_sites, f_sites, (lo, rows, table) = rec
     if p <= lo:  # slot lo stays empty on every row, so phi_bar starts at 0
         rows = tuple((0,) * (lo - p + 1) + row for row in rows)
         lo = p - 1
     i = p - lo
-    _, entries, moves, touched = _row_table(rd, x.wp)
-    spec = touched.get((k, c)) or _touched_rows(rd, moves, touched, k, c)
+    entries, moves = table
     rows, eps, phi, e_sites, f_sites = list(rows), list(eps), list(phi), list(e_sites), list(f_sites)
-    for j, d0, d1, shift, trans in spec:
+    for j, move, shift in _row_moves(rd, k, c):
+        trans = moves.get(move) or moves.setdefault(move, {})
         row = rows[j]
         total = phi[j] - eps[j] + shift
-        entry = trans.get((row, i)) or _new_move(x, j + 1, entries, trans, row, i, d0, d1, total)
+        entry = trans.get((row, i)) or _new_move(x, j + 1, entries, trans, row, i, *move, total)
         if entry[1] != total:
             raise AssertionError(f"telescoping identity failed at vertex {j + 1} on {x.key()}")
         rows[j], _, eps[j], phi[j], e_off, f_off = entry
@@ -368,62 +368,23 @@ def _derive(rd: RootDatum, x: ModelElement, rec: tuple, k: int, p: int, c: int) 
     root = list(wt.root_part)
     root[k - 1] += c
     return (rd, Weight(wt.lambda_part, tuple(root)), tuple(eps), tuple(phi), tuple(e_sites),
-            tuple(f_sites), (lo, tuple(rows)))
-
-
-def _row_table(rd: RootDatum, wp: WProfile) -> tuple:
-    """The row table of wp against rd, ``(rd, entries, moves, touched)``,
-    kept in wp's ``__dict__`` and rebuilt when a record on wp is derived
-    against another datum.
-
-    * ``entries`` maps each distinct rank row met to its one entry
-      ``(row, sum, eps, phi, e_offset, f_offset)``, the statistics of
-      :func:`_row_stats` with sites counted from the row's first slot;
-    * ``moves[(d0, d1)]`` maps ``(row, i)`` to the entry of the row with
-      d0 added at index i and d1 at index i + 1;
-    * ``touched[(k, c)]`` lists, for c units of v at vertex k, each row
-      that moves as ``(index, d0, d1, shift, moves[(d0, d1)])``, shift
-      being the move of that vertex's <h_l, wt>; the first four fields are
-      the datum's (:func:`_row_moves`), built once per datum.
-
-    :func:`~kmcrystals.explorer.generate` and
-    :func:`~kmcrystals.explorer.f_layers` drop the tables of their seeds'
-    profiles when they end (:func:`drop_row_table`), so a table lives for
-    one generation or walk; one built outside any lives as long as the
-    profile, or until a generation or walk its elements seed ends."""
-    table = wp.__dict__.get("_rows")
-    if table is None or table[0] is not rd:
-        table = wp.__dict__["_rows"] = (rd, {}, {}, {})
-    return table
-
-
-def drop_row_table(x: CrystalElement) -> None:
-    """Drop the row table of x's profile, if x is a model element."""
-    if isinstance(x, ModelElement):
-        x.wp.__dict__.pop("_rows", None)
-
-
-def _touched_rows(rd: RootDatum, moves: dict, touched: dict, k: int, c: int) -> tuple:
-    """``touched[(k, c)]`` of :func:`_row_table`: the datum's rows moved by
-    c units at vertex k (:func:`_row_moves`), each with the table's
-    ``moves`` dict of its two terms."""
-    spec = touched[k, c] = tuple((*move, moves.setdefault(move[1:3], {}))
-                                 for move in _row_moves(rd, k, c))
-    return spec
+            tuple(f_sites), (lo, tuple(rows), table))
 
 
 def _row_moves(rd: RootDatum, k: int, c: int) -> tuple:
-    """``(index, d0, d1, shift)`` for each row that c units of v at vertex
-    k move, read off the terms that :func:`_add_entry` adds at indices 0
-    and 1 of zero rows; shift is the move of that vertex's <h_l, wt>.  It
-    depends on the datum alone, so it is kept in rd's ``__dict__`` and
-    shared by every row table built against rd."""
-    known = rd.__dict__.setdefault("_row_moves", {})
+    """``(index, (d0, d1), shift)`` for each row that c units of v at
+    vertex k move, read off the terms that :func:`_add_entry` adds at
+    indices 0 and 1 of zero rows; shift is the move of that vertex's
+    <h_l, wt>.  It depends on the datum alone, so it is kept in rd's
+    ``__dict__`` and shared by every row table built against rd."""
+    known = rd.__dict__.get("_row_moves")
+    if known is None:
+        known = rd.__dict__["_row_moves"] = {}
     spec = known.get((k, c))
     if spec is None:
         probe = [[0, 0] for _ in rd.vertices()]
         _add_entry(probe, rd.neighbor_split, k, 0, c)
-        spec = known[k, c] = tuple((j, d0, d1, -rd.cartan[j][k - 1] * c)
+        spec = known[k, c] = tuple((j, (d0, d1), -rd.cartan[j][k - 1] * c)
                                    for j, (d0, d1) in enumerate(probe) if d0 or d1)
     return spec
 

@@ -355,6 +355,21 @@ def test_oracles_import_only_the_standard_library_and_root_datum():
                 assert alias.name.split(".")[0] in sys.stdlib_module_names, ast.unparse(node)
 
 
+def test_explorer_imports_only_the_highest_weight_from_the_model():
+    # a model record's derivation state lives and dies in quiver_model, and
+    # explorer releases it through trim_record alone, so it imports nothing
+    # else of the model
+    tree = ast.parse(Path(explorer.__file__).read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "quiver_model":
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not any("quiver_model" in alias.name for alias in node.names), \
+                ast.unparse(node)
+    assert names == ["model_highest_weight"]
+
+
 @pytest.mark.parametrize("source, lam", [
     ("D5", (0, 1, 0, 0, 0)),
     ("D5", (1, 0, 0, 0, 1)),
@@ -580,9 +595,17 @@ def test_decompose_tensor_rejects_a_bad_later_weight_before_generating(monkeypat
 
 
 def _walk(rd, lam, depth=None):
-    """The top element of B(lam) and the layers the walk yields from it."""
+    """The top element of B(lam) and the layers the walk yields from it.
+    Every element yielded still holds, in its record, the row table that
+    top's full pass started: one walk shares one table across its layers."""
     top = model_highest_weight(rd, lam)
-    return top, [list(layer) for layer in f_layers(rd, top, depth)]
+    layers = []
+    for layer in f_layers(rd, top, depth):
+        if not layers:
+            table = top.__dict__["_record"][6][2]
+        assert all(x.__dict__["_record"][6][2] is table for x in layer)
+        layers.append(list(layer))
+    return top, layers
 
 
 def _layers_by_depth(g):
@@ -612,7 +635,7 @@ def test_walk_enumerates_what_generate_does(rd, lam):
             == Counter(stats_record(x, rd)[1:3] for x in g.nodes))
     for x in walked:  # derived records, rows dropped
         assert x.__dict__["_record"] == _full_pass_record(rd, x)
-    assert "_rows" not in top.wp.__dict__
+    assert len(top.__dict__["_record"]) == 6
 
 
 @settings(max_examples=60, deadline=None)
@@ -625,7 +648,7 @@ def test_walk_matches_generate_on_random_truncations(data):
     depth = data.draw(st.integers(1, 4))
     top, layers = _walk(rd, lam, depth)
     assert layers == _layers_by_depth(generate_highest_weight_crystal(rd, lam, depth=depth))
-    assert "_rows" not in top.wp.__dict__
+    assert all(len(x.__dict__["_record"]) == 6 for layer in layers for x in layer)
 
 
 @pytest.mark.parametrize("lam, depth", [((1, 0), 6), ((1, 1), 8), ((0, 2), 5), ((3, 1), 0)])
@@ -646,23 +669,26 @@ def test_walk_overruns_its_budget_where_generate_does(monkeypatch, budget):
         with pytest.raises(BudgetExceeded) as by_graph:
             generate_highest_weight_crystal(rd, lam)
         top = model_highest_weight(rd, lam)
+        walked = []
         with pytest.raises(BudgetExceeded) as by_walk:
-            for _ in f_layers(rd, top):
-                pass
+            for layer in f_layers(rd, top):
+                walked += layer
         assert str(by_walk.value) == str(by_graph.value)
         assert by_walk.value.partial is None
-        assert "_rows" not in top.wp.__dict__
+        assert all(len(x.__dict__["_record"]) == 6 for x in walked)
         assert len(top.__dict__.get("_record", ())) in (0, 6)
 
 
 def test_walk_drops_the_row_table_when_left_early():
+    # the layer a closed walk holds is trimmed, and with it the last
+    # records that hold the table top's full pass started
     top = model_highest_weight(RD3, (1, 1, 1))
     walk = f_layers(RD3, top)
     next(walk)
+    table = top.__dict__["_record"][6][2]
     layer = next(walk)
-    assert "_rows" in top.wp.__dict__
+    assert all(x.__dict__["_record"][6][2] is table for x in layer)
     walk.close()
-    assert "_rows" not in top.wp.__dict__
     assert all(len(x.__dict__["_record"]) == 6 for x in [top, *layer])
 
 
@@ -1109,7 +1135,9 @@ def test_generate_computes_row_statistics_once_per_row(monkeypatch, preset, lam,
     # the seed's full pass computes one row's statistics per vertex; after
     # it, a derived record reads each touched row's move from the row table,
     # and only a row the generation has not met yet goes through _row_stats.
-    # Recomputing every touched row made 10,254, 4,914 and 54 calls
+    # Recomputing every touched row made 10,254, 4,914 and 54 calls.  A walk
+    # of the same crystal shares one table across its layers, so it makes
+    # the same calls
     rd = build_root_datum(preset)
     made = []
     original = quiver_model._row_stats
@@ -1119,10 +1147,15 @@ def test_generate_computes_row_statistics_once_per_row(monkeypatch, preset, lam,
         return original(x, k, lo, row, total)
 
     monkeypatch.setattr(quiver_model, "_row_stats", counting)
-    g = generate_highest_weight_crystal(rd, lam)
-    assert g.node_count() == weyl_dim(rd, rd.weight(lam))
-    assert len(made) == calls
-    assert len(set(made[rd.n:])) == calls - rd.n  # no derived row twice
+    size = weyl_dim(rd, rd.weight(lam))
+    for enumerate_all in (
+        lambda: generate_highest_weight_crystal(rd, lam).node_count(),
+        lambda: sum(map(len, f_layers(rd, model_highest_weight(rd, lam)))),
+    ):
+        made.clear()
+        assert enumerate_all() == size
+        assert len(made) == calls
+        assert len(set(made[rd.n:])) == calls - rd.n  # no derived row twice
 
 
 def _closed_family_component(rd, lam, mu):
@@ -1140,26 +1173,45 @@ COMPONENTS = {
 FINISHED = {**EXPLORED, **RECORDED, **COMPONENTS}
 
 
+def _profiles(elements):
+    """The W-profile instances of the model elements among elements and
+    their tensor factors, one per instance."""
+    return list({id(b.wp): b.wp for x in elements for b in flatten(x)
+                 if isinstance(b, ModelElement)}.values())
+
+
+# a W-profile's field and what it keeps for as long as it lives; derivation
+# state is not among it, as it lives in the records
+PROFILE_STATE = {"slots", "_hash", "_texts", "_parts"}
+
+
 @pytest.mark.parametrize("build", FINISHED.values(), ids=FINISHED.keys())
 def test_finished_graph_keeps_no_rows_or_links(build):
     # rank rows live only until a node is expanded, frontier nodes included,
-    # and in the factors of tensor nodes until generation ends
+    # and in the factors of tensor nodes until generation ends; the
+    # generators are trimmed as nodes, whatever they held before
     g = build()
-    for x in g.nodes:
+    for x in (*g.generators, *g.nodes):
         for part in (x, *flatten(x)):
             assert len(part.__dict__["_record"]) == 6
             assert "_link" not in part.__dict__
 
 
 def test_partial_graph_keeps_no_rows(monkeypatch):
+    # BudgetExceeded trims every node, the generators and the factors of
+    # tensor nodes included, and leaves no derivation state on a profile
     monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "20")
     for build in (lambda: generate_highest_weight_crystal(RDA, (1, 0)), *COMPONENTS.values()):
         with pytest.raises(BudgetExceeded) as info:
             build()
         assert info.value.queued > 0
-        for x in info.value.partial.nodes:
+        partial = info.value.partial
+        for x in (*partial.generators, *partial.nodes):
             for part in (x, *flatten(x)):
                 assert len(part.__dict__["_record"]) == 6
+        profiles = _profiles([*partial.generators, *partial.nodes])
+        assert profiles
+        assert all(wp.__dict__.keys() <= PROFILE_STATE for wp in profiles)
 
 
 def test_partial_tensor_graph_shares_factors_without_rows(monkeypatch):
@@ -1176,51 +1228,34 @@ def test_partial_tensor_graph_shares_factors_without_rows(monkeypatch):
         assert len(b.__dict__["_record"]) == 6 and "_link" not in b.__dict__
 
 
-def _profiles(elements):
-    """The W-profile instances of the model elements among elements and
-    their tensor factors, one per instance."""
-    return list({id(b.wp): b.wp for x in elements for b in flatten(x)
-                 if isinstance(b, ModelElement)}.values())
-
-
 @pytest.mark.parametrize("build", FINISHED.values(), ids=FINISHED.keys())
 def test_finished_graph_keeps_no_row_table(build):
-    # the row tables live for one generation: no profile of a finished
-    # graph, a seed's included, keeps one
+    # no profile of a finished graph, a generator's included, keeps a row
+    # table or any other derivation state
     g = build()
-    profiles = _profiles(g.nodes)
+    profiles = _profiles([*g.generators, *g.nodes])
     assert profiles
-    assert all("_rows" not in wp.__dict__ for wp in profiles)
+    assert all(wp.__dict__.keys() <= PROFILE_STATE for wp in profiles)
 
 
 def test_generate_drops_a_seed_table_made_before_it(monkeypatch):
-    # a table built by operators applied outside any generation is dropped
-    # by the generation the elements seed, finished or over budget
+    # a table started by operators applied outside any generation travels
+    # into the generation in the seed's record, and the generation the
+    # elements seed trims it, finished or over budget
     rd = RD2
     for budget in (1000, 3):
         monkeypatch.setenv("CRYSTAL_NODE_BUDGET", str(budget))
         seed = model_highest_weight(rd, (2, 1)).f(rd, 1)
         seed.weight(rd)
         pair = TensorElement((seed, model_highest_weight(rd, (1, 0))))
-        assert "_rows" in seed.wp.__dict__
+        lo, rows, (entries, moves) = seed.__dict__["_record"][6]
+        assert moves  # the move that made seed
         if budget == 3:  # fewer than the seed's component holds
             with pytest.raises(BudgetExceeded):
                 generate(rd, [pair])
         else:
             generate(rd, [pair])
-        assert not any("_rows" in wp.__dict__ for wp in _profiles([pair]))
-
-
-def test_partial_graph_keeps_no_row_table(monkeypatch):
-    # BudgetExceeded leaves no table on a seed profile, tensor factors included
-    monkeypatch.setenv("CRYSTAL_NODE_BUDGET", "20")
-    for build in (lambda: generate_highest_weight_crystal(RDA, (1, 0)), *COMPONENTS.values()):
-        with pytest.raises(BudgetExceeded) as info:
-            build()
-        partial = info.value.partial
-        profiles = _profiles([*partial.generators, *partial.nodes])
-        assert profiles
-        assert all("_rows" not in wp.__dict__ for wp in profiles)
+        assert all(len(part.__dict__["_record"]) == 6 for part in flatten(pair))
 
 
 def test_image_drops_its_link_once_recorded():

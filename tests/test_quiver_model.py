@@ -29,7 +29,7 @@ from kmcrystals import (
     wprofile,
 )
 from kmcrystals import quiver_model
-from kmcrystals.crystal_core import stats_record
+from kmcrystals.crystal_core import stats_record, trim_record
 from kmcrystals.quiver_model import window
 from kmcrystals.root_datum import Weight
 
@@ -477,7 +477,7 @@ def test_derived_record_widens_the_window(monkeypatch):
     # derived record still equals a full pass; any single-entry step derives
     x = model_element(wprofile({0: (1, 1)}), {(1, 1): 1})
     x.weight(RD2)
-    lo, rows = x.__dict__["_record"][6]
+    lo, rows, _ = x.__dict__["_record"][6]
     hi = lo + len(rows[0]) - 1
     steps = [x._move(RD2, k, p, +1)
              for k, p in itertools.product((1, 2), (lo - 1, lo, hi, hi + 1))]
@@ -491,8 +491,8 @@ def test_derived_record_widens_the_window(monkeypatch):
 def test_touched_rows_are_built_once_per_datum(monkeypatch):
     # which rows c units at vertex k move, and by how much, depends on the
     # datum alone: each (k, c) is probed once per datum and kept on it, and
-    # each generation's row table only attaches its own moves dicts.  An
-    # equal datum built anew probes again: nothing is kept in the process
+    # each row table keeps only its own moves dicts.  An equal datum built
+    # anew probes again: nothing is kept in the process
     probes = []
     original = quiver_model._add_entry
 
@@ -512,21 +512,45 @@ def test_touched_rows_are_built_once_per_datum(monkeypatch):
 
 def test_row_table_is_per_datum(monkeypatch):
     # A2 and affineA1 have the same rank but different edge multiplicities,
-    # so their moves of one entry differ; a profile derived against one and
-    # then the other must never read the first datum's table
+    # so their moves of one entry differ; an element recorded against one
+    # and then the other starts a fresh table with each full pass, and its
+    # images never read the first datum's table
     wp = wprofile({0: (1, 1)})
     v = {(1, 1): 1, (2, 1): 1, (2, 2): 1}
     full_pass = quiver_model._rank_rows
     for order in ((RD2, RDA, RD2), (RDA, RD2, RDA)):
+        x = model_element(wp, v)
+        tables = []
         for rd in order:
-            x = model_element(wp, v)
             x.weight(rd)
+            table = x.__dict__["_record"][6][2]
+            assert not any(table is earlier for earlier in tables)
+            tables.append(table)
             images = [y for k in (1, 2) for y in (x.e(rd, k), x.f(rd, k)) if y is not None]
             expected = [ModelElement(y.wp, y.v)._build(rd)[:6] for y in images]
             monkeypatch.setattr(quiver_model, "_rank_rows", None)  # the images derive
-            assert [y._build(rd)[:6] for y in images] == expected
+            records = [y._build(rd) for y in images]
             monkeypatch.setattr(quiver_model, "_rank_rows", full_pass)
-            assert wp.__dict__["_rows"][0] is rd
+            assert [record[:6] for record in records] == expected
+            assert all(record[6][2] is table for record in records)
+
+
+def test_derived_records_share_their_source_table():
+    # the row table travels in the records: every record derived from a
+    # full pass, however far down, holds that pass's table object, and a
+    # full pass from a trimmed source starts a fresh one
+    x = model_highest_weight(RD2, (1, 1))
+    table = stats_record(x, RD2)[6][2]
+    assert table == ({}, {})
+    y = x.f(RD2, 1)
+    z = y.f(RD2, 2)
+    assert stats_record(y, RD2)[6][2] is table
+    assert stats_record(z, RD2)[6][2] is table
+    assert table[0] and table[1]  # the derivations filled it
+    trim_record(y)
+    w = y.f(RD2, 2)  # z again, now from a source without rows
+    assert stats_record(w, RD2)[6][2] is not table
+    assert stats_record(w, RD2)[6][2] == ({}, {})
 
 
 def test_row_table_hits_keep_the_telescoping_check(monkeypatch):
@@ -545,7 +569,7 @@ def test_row_table_hits_keep_the_telescoping_check(monkeypatch):
     monkeypatch.setattr(quiver_model, "_row_stats", counting)
     x.f(RD2, 1).weight(RD2)
     assert calls == []  # every touched row was a hit
-    moves = x.wp.__dict__["_rows"][2]
+    moves = x.__dict__["_record"][6][2][1]
     for trans in moves.values():
         for move, entry in trans.items():
             row, total, *stats = entry
