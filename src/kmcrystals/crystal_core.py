@@ -468,7 +468,7 @@ def graph_to_json(g: CrystalGraph) -> str:
     A text that recurs is written once: each distinct weight, eps vector and
     phi vector, each class's kind and each vertex's ``k`` come with the
     field names around them, so a node is seven pieces and an edge five.
-    A weight's text fills one ``%`` template per rank with its coordinates."""
+    A weight's text fills the graph's one ``%`` template with its coordinates."""
     keys, nodes, edges, generators = _export_order(g)
     ids = [encode_basestring_ascii(key) for key in keys]
     gap = ",\n      "  # between two fields of a node or an edge
@@ -476,16 +476,10 @@ def graph_to_json(g: CrystalGraph) -> str:
     def vector(values: tuple) -> str:
         return _json_list(['"-inf"' if is_neg_inf(x) else str(x) for x in values], 8)
 
-    templates: dict[int, str] = {}  # rank -> the text of a weight, "%d" for each coordinate
-
-    def weight(wt: Weight) -> str:
-        n = len(wt.lambda_part)
-        template = templates.get(n)
-        if template is None:
-            coords = _json_list(["%d"] * n, 10)
-            template = templates[n] = _json_list(
-                [f'"lambda": {coords}', f'"root": {coords}'], 8, "{}")
-        return template % (*wt.lambda_part, *wt.root_part)
+    # the text of a weight, "%d" for each coordinate: every record's weight
+    # has the graph's rank
+    slots = _json_list(["%d"] * g.rd.n, 10)
+    template = _json_list([f'"lambda": {slots}', f'"root": {slots}'], 8, "{}")
 
     # value -> its text and the name of the next field; weights are keyed by
     # their coordinates, which are equal exactly when the weights are
@@ -506,7 +500,8 @@ def graph_to_json(g: CrystalGraph) -> str:
         parts += (opening, node_id,
                   kinds.get(x.tag) or kinds.setdefault(
                       x.tag, f'{gap}"kind": {encode_basestring_ascii(x.tag)}{gap}"wt": '),
-                  weights.get(coords) or weights.setdefault(coords, weight(wt) + gap + '"eps": '),
+                  weights.get(coords) or weights.setdefault(
+                      coords, template % (*wt.lambda_part, *wt.root_part) + gap + '"eps": '),
                   eps_texts.get(eps) or eps_texts.setdefault(eps, vector(eps) + gap + '"phi": '),
                   phi_texts.get(phi) or phi_texts.setdefault(
                       phi, vector(phi) + gap + '"frontier": '),

@@ -14,14 +14,16 @@ element keeps, ``(rd, wt, eps, phi, e_sites, f_sites)`` (see
 :func:`~kmcrystals.crystal_core.stats_record`), its sites factor
 positions, and None exactly where eps_k (for e_k) or phi_k (for f_k) is
 -inf.  It is built from its factors' columns, each made once per datum
-and kept for the factor instance's life (:func:`_columns`), by one scan
-per vertex and statistic: forward with a running left sum for eps
-(:func:`_eps_scan`), backward with a running right sum for phi
-(:func:`_phi_scan`).  A position where the factor's statistic is -inf
-takes no part in the maximum and gets no arithmetic; a vertex where
-every position is -inf gets -inf and no site.  The profiles are not
-kept: ``eps_profile`` and ``phi_profile`` recompute them on demand with
-the same scans, so the formula is written once.
+and kept for the factor instance's life (:func:`_columns`), by one
+forward scan per vertex (:func:`_scan`).  With L_p = sum_{q<p} wt_k(b_q)
+the running left sum, eps_k^p = eps_k(b_p) - L_p and phi_k^p = L_n +
+(phi_k(b_p) - L_{p+1}), so phi_k is the final sum L_n plus the maximum of
+phi_k(b_p) - L_{p+1}; the scan keeps the first eps-maximum and the last
+phi-maximum.  A position where the factor's statistic is -inf takes no
+part in the maximum and gets no arithmetic; a vertex where every
+position is -inf gets -inf and no site.  The profiles are not kept:
+``eps_profile`` and ``phi_profile`` compute them from the formulas above
+when asked, and are the record's reference.
 :class:`TensorElement` supplies the ``_build`` and ``_move`` of
 :class:`~kmcrystals.crystal_core.CrystalElement`, which reads the record
 and applies the operators: ``_move`` applies the operator to the factor
@@ -62,30 +64,32 @@ class TensorElement(CrystalElement):
         return h
 
     def eps_profile(self, rd: RootDatum, k: int) -> list:
-        """[eps_k^p for each position p], NEG_INF where eps_k(b_p) is -inf."""
+        """[eps_k^p for each position p] by its definition, with -inf
+        arithmetic: the reference for the record's eps_k and e-site."""
         rd._check_vertex(k)
-        profile = [NEG_INF] * len(self.factors)
-        _eps_scan(_columns(rd, self)[1], k - 1, profile)
+        profile, left = [], 0  # sum_{q<p} wt_k(b_q)
+        for _, eps, _, pairs, _ in _columns(rd, self)[1]:
+            profile.append(eps[k - 1] - left)
+            left += pairs[k - 1]
         return profile
 
     def phi_profile(self, rd: RootDatum, k: int) -> list:
-        """[phi_k^p for each position p], NEG_INF where phi_k(b_p) is -inf."""
+        """[phi_k^p for each position p] by its definition, with -inf
+        arithmetic: the reference for the record's phi_k and f-site."""
         rd._check_vertex(k)
-        profile = [NEG_INF] * len(self.factors)
-        _phi_scan(_columns(rd, self)[1], k - 1, profile)
-        return profile
+        profile, right = [], 0  # sum_{q>p} wt_k(b_q)
+        for _, _, phi, pairs, _ in reversed(_columns(rd, self)[1]):
+            profile.append(phi[k - 1] + right)
+            right += pairs[k - 1]
+        return profile[::-1]
 
     def _build(self, rd: RootDatum) -> tuple:
-        """The record of the module docstring: per vertex, one forward scan
-        for eps_k and its smallest site, one backward scan for phi_k and its
-        largest site, over the factor reads of :func:`_columns`."""
+        """The record of the module docstring: per vertex, one forward
+        :func:`_scan` over the factor reads of :func:`_columns`."""
         wt, cols = _columns(rd, self)
-        n = rd.n
-        eps, phi, e_sites, f_sites = [None] * n, [None] * n, [None] * n, [None] * n
-        for i in range(n):
-            eps[i], e_sites[i] = _eps_scan(cols, i)
-            phi[i], f_sites[i] = _phi_scan(cols, i)
-        return (rd, wt, tuple(eps), tuple(phi), tuple(e_sites), tuple(f_sites))
+        out = [_scan(cols, i) for i in range(rd.n)]
+        # the four columns; empty ones on a datum of rank 0
+        return (rd, wt, *(tuple(zip(*out)) or ((),) * 4))
 
     def _move(self, rd: RootDatum, k: int, p: int, delta: int):
         """self with the factor at p moved, or None when that factor's
@@ -125,43 +129,26 @@ def _columns(rd: RootDatum, x: TensorElement) -> tuple:
     return wt, cols
 
 
-def _eps_scan(cols: list, i: int, profile: list | None = None) -> tuple:
-    """(eps_k, e-site) at vertex k = i + 1: the maximum of eps_k^p over the
-    positions p where eps_k(b_p) is finite, and the smallest p attaining
-    it; (NEG_INF, None) when there is none.  A -inf entry is skipped, with
-    no arithmetic on it.  Each eps_k^p computed is written to
-    ``profile[p]`` when a profile is given."""
-    best = site = None
-    left = 0  # sum_{q<p} wt_k(b_q)
-    for p, (_, eps, _, pairs, _) in enumerate(cols):
-        c = eps[i]
+def _scan(cols: list, i: int) -> tuple:
+    """(eps_k, phi_k, e-site, f-site) at vertex k = i + 1, by the one
+    forward scan of the module docstring.  A -inf entry is skipped, with no
+    arithmetic on it; a statistic with no finite entry is NEG_INF, site None."""
+    eps = phi = e_site = f_site = None
+    left = 0  # sum_{q<p} wt_k(b_q), then sum_{q<=p} once b_p's weight is in
+    for p, (_, eps_p, phi_p, pairs, _) in enumerate(cols):
+        c = eps_p[i]
         if c is not NEG_INF:
             c -= left
-            if site is None or c > best:  # strictly greater: the first maximum stays
-                best, site = c, p
-            if profile is not None:
-                profile[p] = c
+            if e_site is None or c > eps:  # strictly greater: the first maximum stays
+                eps, e_site = c, p
         left += pairs[i]
-    return (NEG_INF, None) if site is None else (best, site)
-
-
-def _phi_scan(cols: list, i: int, profile: list | None = None) -> tuple:
-    """(phi_k, f-site) at vertex k = i + 1, as :func:`_eps_scan` does it
-    for phi_k^p, scanning from the last position, so the site is the
-    largest p attaining the maximum."""
-    best = site = None
-    right = 0  # sum_{q>p} wt_k(b_q)
-    for p in range(len(cols) - 1, -1, -1):
-        _, _, phi, pairs, _ = cols[p]
-        c = phi[i]
+        c = phi_p[i]
         if c is not NEG_INF:
-            c += right
-            if site is None or c > best:  # strictly greater: the last maximum stays
-                best, site = c, p
-            if profile is not None:
-                profile[p] = c
-        right += pairs[i]
-    return (NEG_INF, None) if site is None else (best, site)
+            c -= left
+            if f_site is None or c >= phi:  # greater or equal: the last maximum stays
+                phi, f_site = c, p
+    return (NEG_INF if e_site is None else eps, NEG_INF if f_site is None else phi + left,
+            e_site, f_site)
 
 
 def flatten(x: CrystalElement) -> tuple[CrystalElement, ...]:

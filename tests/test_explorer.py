@@ -355,6 +355,24 @@ def test_oracles_import_only_the_standard_library_and_root_datum():
                 assert alias.name.split(".")[0] in sys.stdlib_module_names, ast.unparse(node)
 
 
+def test_package_imports_only_the_standard_library():
+    # the engine has no runtime dependency (``dependencies = []``): every
+    # absolute import of every module, those inside functions too, is of
+    # the standard library
+    modules = sorted(Path(oracles.__file__).parent.glob("*.py"))
+    imported = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((node.module.split(".")[0], path.name, ast.unparse(node)))
+            elif isinstance(node, ast.Import):
+                imported |= {(alias.name.split(".")[0], path.name, ast.unparse(node))
+                             for alias in node.names}
+    assert "tomllib" in {name for name, _, _ in imported}  # imported inside a function
+    for name, module, text in imported:
+        assert name in sys.stdlib_module_names, f"{module}: {text}"
+
+
 def test_explorer_imports_only_the_highest_weight_from_the_model():
     # a model record's derivation state lives and dies in quiver_model, and
     # explorer releases it through trim_record alone, so it imports nothing

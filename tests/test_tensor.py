@@ -280,7 +280,8 @@ def test_binary_oracle_property_sl2(ns, weights, k, a2_factors, a2_k):
 
 def _formula_profiles(rd, x, k):
     """eps_k^p and phi_k^p of the module docstring, straight from the
-    factors' readers with -inf arithmetic, as an oracle for the scans."""
+    factors' readers with -inf arithmetic, not from the kept columns: an
+    oracle for ``eps_profile`` and ``phi_profile``."""
     pairs = [rd.pairing(k, b.weight(rd)) for b in x.factors]
     eps = [b.eps(rd, k) - sum(pairs[:p]) for p, b in enumerate(x.factors)]
     phi = [b.phi(rd, k) + sum(pairs[p + 1:]) for p, b in enumerate(x.factors)]
@@ -310,6 +311,9 @@ TENSOR_CASES = st.one_of(
 @example(case=(RD1, [sl2_low()]))  # one factor
 @example(case=(RD2, [BkElement(1, 2), TElement(RD2.weight((1, 0)))]))  # vertex 2 all -inf
 @example(case=max(CAPPED_POOL, key=lambda case: len(case[1])))  # the longest capped tensor
+# both profiles tie at both positions: e-site 0, f-site 1
+@example(case=(RD1, [sl2_low(), sl2_hw()]))  # profiles [1, 1]
+@example(case=(RD1, [S0Element(), S0Element()]))  # profiles [0, 0]
 def test_record_is_the_profiles_maxima(case):
     # the one-pass record against its profiles: eps_k and phi_k are their
     # maxima, e_k acts at the first position attaining the eps maximum and
